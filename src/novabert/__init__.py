@@ -3,8 +3,7 @@
 A numpy-backed implementation of a BERT-style masked-item recommender with
 two attention variants (invasive baseline and non-invasive NOVA), three
 side-information fusion functions, rank-all evaluation, and an analytic
-FLOPs/parameter profiler. Hot kernels are numba-compiled with a pure-numpy
-fallback selected by the ``NOVABERT_NUMBA`` environment variable.
+FLOPs/parameter profiler.
 """
 
 from novabert.tensor import Tensor, backward

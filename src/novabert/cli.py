@@ -101,11 +101,16 @@ class OutputDir:
 
     def __enter__(self):
         self.path.mkdir(parents=True, exist_ok=True)
-        if self.lock.exists():
+        try:
+            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
             raise CliError(
                 f"output directory {self.path} is locked by another run "
-                f"(remove {self.lock} if stale)")
-        self.lock.write_text(str(os.getpid()))
+                f"(remove {self.lock} if stale)") from None
+        try:
+            os.write(fd, str(os.getpid()).encode())
+        finally:
+            os.close(fd)
         return self.path
 
     def __exit__(self, *exc):

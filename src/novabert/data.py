@@ -149,10 +149,6 @@ class ItemCatalog:
     def mask_token(self):
         return self.m + 1
 
-    def feature_column(self, name):
-        """Encoded values indexed by internal ID (index 0 unused)."""
-        return self.features[name]
-
 
 @dataclass
 class InteractionSequence:

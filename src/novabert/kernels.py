@@ -1,102 +1,27 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
-
-Backend selection happens once at import time via the ``NOVABERT_NUMBA``
-environment variable:
-
-    NOVABERT_NUMBA=1 (default)  use numba @njit kernels when numba imports
-    NOVABERT_NUMBA=0            force the pure-numpy implementations
-
-Both implementations are always importable (``*_np`` / ``*_nb`` suffixes) so
-the benchmark in ``benchmarks/bench_kernels.py`` can time them side by side.
-The public names (``softmax_rows``, ``scatter_add_rows``, ``adam_update``)
-are aliases for the selected backend.
+"""Hot numeric kernels on plain numpy: row softmax, embedding scatter-add and
+the Adam update. Callers reach them through this module
+(``kernels.softmax_rows(...)``) so that a tracer can wrap them in one place.
 """
-
-import os
 
 import numpy as np
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def softmax_rows_np(x):
+def softmax_rows(x):
     """Row-wise stable softmax of a 2-D array. Returns a new array."""
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def scatter_add_rows_np(out, idx, grad):
+def scatter_add_rows(out, idx, grad):
     """out[idx[i]] += grad[i] for every row i (duplicate indices accumulate)."""
     np.add.at(out, idx, grad)
 
 
-def adam_update_np(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
+def adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     """In-place Adam step on flat arrays. bc1/bc2 are the bias corrections."""
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * g * g
     p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_want_numba = os.environ.get("NOVABERT_NUMBA", "1") != "0"
-NUMBA_ENABLED = False
-
-if _want_numba:
-    try:
-        import numba
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    @numba.njit(cache=True)
-    def softmax_rows_nb(x):
-        n, k = x.shape
-        out = np.empty_like(x)
-        for i in range(n):
-            m = x[i, 0]
-            for j in range(1, k):
-                if x[i, j] > m:
-                    m = x[i, j]
-            s = 0.0
-            for j in range(k):
-                e = np.exp(x[i, j] - m)
-                out[i, j] = e
-                s += e
-            inv = 1.0 / s
-            for j in range(k):
-                out[i, j] *= inv
-        return out
-
-    @numba.njit(cache=True)
-    def scatter_add_rows_nb(out, idx, grad):
-        n, h = grad.shape
-        for i in range(n):
-            r = idx[i]
-            for j in range(h):
-                out[r, j] += grad[i, j]
-
-    @numba.njit(cache=True)
-    def adam_update_nb(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-        n = p.shape[0]
-        for i in range(n):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            p[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
-
-    softmax_rows = softmax_rows_nb
-    scatter_add_rows = scatter_add_rows_nb
-    adam_update = adam_update_nb
-else:
-    softmax_rows = softmax_rows_np
-    scatter_add_rows = scatter_add_rows_np
-    adam_update = adam_update_np

@@ -39,8 +39,14 @@ class CostProfile:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.flops_total == sum(self.flops_breakdown.values())
-        assert self.param_bytes == self.params * PARAM_BYTES
+        parts = sum(self.flops_breakdown.values())
+        if self.flops_total != parts:
+            raise ValueError(
+                f"flops_total {self.flops_total} != sum of breakdown {parts}")
+        if self.param_bytes != self.params * PARAM_BYTES:
+            raise ValueError(
+                f"param_bytes {self.param_bytes} != {self.params} params "
+                f"x {PARAM_BYTES} bytes")
 
     def to_dict(self):
         return {"flops_total": self.flops_total,

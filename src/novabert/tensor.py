@@ -5,8 +5,8 @@ their inputs and a backward closure on the output node; :func:`backward`
 linearizes the recorded graph into a tape (topological order) and replays
 it in reverse, accumulating gradients into every ``requires_grad`` leaf.
 
-The graph is rebuilt dynamically on every forward pass. 64-bit floats are
-the default; pass ``dtype=np.float32`` at creation for the fast path.
+The graph is rebuilt dynamically on every forward pass. Float32, float64
+and longdouble arrays keep their dtype; anything else becomes float64.
 Debug finiteness checks are enabled with ``NOVABERT_DEBUG=1``.
 """
 
@@ -32,10 +32,10 @@ class ShapeMismatchError(ValueError):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw", "_done")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _bw=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _bw=None):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+        arr = np.asarray(data)
         # longdouble is allowed so high-precision oracles can reuse the ops
         if arr.dtype not in (np.float32, np.float64, np.longdouble):
             arr = arr.astype(DEFAULT_DTYPE)
@@ -63,27 +63,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x):
@@ -176,10 +157,6 @@ def add(a, b):
     return _make(out_data, (a, b), bw)
 
 
-def sub(a, b):
-    return add(a, mul(b, -1.0))
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
@@ -268,12 +245,6 @@ def tsum(a, axis=None, keepdims=False):
     return _make(out_data, (a,), bw)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -283,8 +254,7 @@ def softmax_lastdim(x):
     x = _as_tensor(x)
     shp = x.shape
     flat = np.ascontiguousarray(x.data.reshape(-1, shp[-1]))
-    fn = kernels.softmax_rows if flat.dtype == np.float64 else kernels.softmax_rows_np
-    s = fn(flat).reshape(shp)
+    s = kernels.softmax_rows(flat).reshape(shp)
 
     def bw(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
@@ -377,9 +347,8 @@ def embedding_lookup(table, idx):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         h = table.shape[-1]
-        fn = (kernels.scatter_add_rows if table.grad.dtype == np.float64
-              else kernels.scatter_add_rows_np)
-        fn(table.grad, idx.reshape(-1), np.ascontiguousarray(g.reshape(-1, h)))
+        kernels.scatter_add_rows(table.grad, idx.reshape(-1),
+                                 np.ascontiguousarray(g.reshape(-1, h)))
 
     return _make(out_data, (table,), bw)
 
@@ -404,8 +373,7 @@ def cross_entropy_masked(logits, labels, ignore_index=0):
     loss = (lse - z[np.arange(n), cls]).sum() / n
 
     def bw(g):
-        fn = kernels.softmax_rows if z.dtype == np.float64 else kernels.softmax_rows_np
-        p = fn(np.ascontiguousarray(z))
+        p = kernels.softmax_rows(np.ascontiguousarray(z))
         p[np.arange(n), cls] -= 1.0
         full = np.zeros_like(logits.data)
         full[rows] = p * (float(g) / n)

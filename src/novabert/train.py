@@ -54,10 +54,9 @@ class MetricsReport:
     fingerprint: str = ""
 
     def __post_init__(self):
-        assert 0 <= self.ndcg5 <= self.hr5 <= 1
-        assert 0 <= self.ndcg10 <= self.hr10 <= 1
-        assert self.hr5 <= self.hr10
-        assert self.ndcg5 <= self.ndcg10
+        if not (0 <= self.ndcg5 <= self.hr5 <= self.hr10 <= 1
+                and self.ndcg5 <= self.ndcg10 <= self.hr10):
+            raise ValueError(f"inconsistent metrics: {self.to_dict()}")
 
     def to_dict(self):
         return {"HR@1": self.hr1, "HR@5": self.hr5, "HR@10": self.hr10,
@@ -125,12 +124,6 @@ class Adam:
             kernels.adam_update(flat, np.ascontiguousarray(g),
                                 self.m[name], self.v[name],
                                 lr, cfg.beta1, cfg.beta2, cfg.eps, bc1, bc2)
-
-
-def adam_step(params, state, lr):
-    """One Adam step on a dict of params with .grad set (thin wrapper)."""
-    state.step(lr)
-    return params
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -100,6 +101,11 @@ def test_locked_output_dir_refused(toy, capsys):
 def test_lock_removed_after_run(toy):
     assert cli.main(["train"] + flags(toy)) == 0
     assert not (toy["out"] / ".lock").exists()
+
+
+def test_output_dir_lock_holds_pid(tmp_path):
+    with cli.OutputDir(tmp_path) as out:
+        assert (out / ".lock").read_text() == str(os.getpid())
 
 
 def test_ablate_writes_csv(toy):

@@ -108,6 +108,6 @@ def test_profile_serialization_round_trip():
 
 
 def test_breakdown_invariant_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         P.CostProfile(flops_total=10, flops_breakdown={"a": 3}, params=1,
                       param_bytes=4)

@@ -296,6 +296,31 @@ def test_embedding_lookup_out_of_range():
         T.embedding_lookup(table, np.array([4]))
 
 
+def test_float32_kernel_ops_keep_dtype_and_match_float64():
+    rng = np.random.default_rng(23)
+    idx = np.array([[0, 3, 3], [6, 1, 0]])  # duplicates exercise scatter-add
+    labels = np.array([2, 0, 6, 1])
+    cases = [
+        (T.softmax_lastdim, rng.standard_normal((2, 3, 5))),
+        (lambda t: T.embedding_lookup(t, idx), rng.standard_normal((7, 4))),
+        (lambda t: T.cross_entropy_masked(t, labels), rng.standard_normal((4, 6))),
+    ]
+
+    def run(op, arr, dtype):
+        leaf = T.Tensor(arr.astype(dtype), requires_grad=True)
+        out = op(leaf)
+        w = np.cos(np.arange(out.data.size)).reshape(out.shape).astype(dtype)
+        T.backward(T.tsum(T.mul(out, w)))
+        return out.data, leaf.grad
+
+    for op, arr in cases:
+        out32, grad32 = run(op, arr, np.float32)
+        out64, grad64 = run(op, arr, np.float64)
+        assert out32.dtype == np.float32 and grad32.dtype == np.float32
+        np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(grad32, grad64, rtol=1e-5, atol=1e-6)
+
+
 def test_dropout_train_and_eval():
     rng = np.random.default_rng(19)
     x = T.Tensor(np.ones((1000,)), requires_grad=True)

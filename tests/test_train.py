@@ -124,8 +124,14 @@ def test_metric_ordering_invariants_random():
     rng = np.random.default_rng(1)
     for _ in range(20):
         ranks = rng.integers(1, 30, size=50)
-        r = TR.metrics_from_ranks(ranks)  # __post_init__ asserts the ordering
+        r = TR.metrics_from_ranks(ranks)  # __post_init__ checks the ordering
         assert r.users == 50
+
+
+def test_metric_ordering_violation_raises():
+    with pytest.raises(ValueError, match="inconsistent metrics"):
+        TR.MetricsReport(hr1=0.0, hr5=0.5, hr10=0.4, ndcg5=0.3, ndcg10=0.3,
+                         users=10)
 
 
 # ---------------------------------------------------------------------------
