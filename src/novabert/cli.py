@@ -19,6 +19,7 @@ import numpy as np
 
 from novabert import checkpoint as CK
 from novabert import data as D
+from novabert import tensor as T
 from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.profiler import profile_cost
@@ -314,7 +315,8 @@ def cmd_dump_attention(args):
         for s, idx in enumerate(chosen):
             pair = pairs[idx]
             batch = D.make_eval_batch([pair], model.schema, model.catalog, L)
-            _, attns = model.encode(batch, collect_attn=True)
+            with T.no_grad():
+                _, attns = model.encode(batch, collect_attn=True)
             a = attns[args.layer].data[0]          # [H, L, L]
             keep = batch.pad_mask[0]               # right-aligned
             lp = int(keep.sum())

@@ -233,8 +233,18 @@ class Model:
         return T.cross_entropy_masked(flat, labels.reshape(-1))
 
     def loss(self, batch, train=False, rng=None):
+        """Masked-item cross-entropy of one batch.
+
+        Only the hidden rows whose label is non-zero are decoded: they are
+        gathered into an [N, h] matrix before the tied decoder (BERT's
+        masked-LM head). Loss and gradients equal those of decoding every
+        position and reading the masked ones, up to summation order."""
         hidden, _ = self.encode(batch, train=train, rng=rng)
-        return self.masked_loss(self.decode_scores(hidden), batch.labels)
+        B, L, h = hidden.shape
+        labels = batch.labels.reshape(-1)
+        rows = np.flatnonzero(labels)
+        picked = T.embedding_lookup(T.reshape(hidden, (B * L, h)), rows)
+        return self.masked_loss(self.decode_scores(picked), labels[rows])
 
     def first_layer_values(self, batch):
         """Layer-1 value-path input V*W_V (the ID-branch purity probe)."""

@@ -5,15 +5,20 @@ their inputs and a backward closure on the output node; :func:`backward`
 linearizes the recorded graph into a tape (topological order) and replays
 it in reverse, accumulating gradients into every ``requires_grad`` leaf.
 
-The graph is rebuilt dynamically on every forward pass. Float32, float64
-and longdouble arrays keep their dtype; anything else becomes float64.
-Debug finiteness checks are enabled with ``NOVABERT_DEBUG=1``.
+The graph is rebuilt dynamically on every forward pass. Inside
+:func:`no_grad` nothing is recorded, so forward-only work (evaluation,
+attention dumps) frees each intermediate as soon as it is no longer
+referenced; the switch is per thread. Float32, float64 and longdouble
+arrays keep their dtype; anything else becomes float64. Debug finiteness
+checks are enabled with ``NOVABERT_DEBUG=1``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -75,8 +80,26 @@ def _needs_grad(*ts):
     return any(t.requires_grad for t in ts)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph in this thread: ops return plain constant tensors."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _make(data, parents, bw):
-    if _needs_grad(*parents):
+    if _grad_mode.enabled and _needs_grad(*parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _bw=bw)
     return Tensor(data)
 
@@ -279,7 +302,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x):
     """GELU, tanh approximation (as in the original BERT)."""
     x = _as_tensor(x)
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
+    u = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
     t = np.tanh(u)
     out_data = 0.5 * x.data * (1.0 + t)
 

@@ -133,15 +133,18 @@ class Adam:
 def score_pairs(model, pairs, batch_size=256):
     """Full-vocabulary scores at the appended mask position.
 
+    Only the last position of each sequence is decoded, and no autograd
+    graph is recorded, so every intermediate is freed once used.
     Returns (scores [U, m], targets [U])."""
     L = model.config.max_len
     all_scores, targets = [], []
     for lo in range(0, len(pairs), batch_size):
         chunk = pairs[lo:lo + batch_size]
         batch = D.make_eval_batch(chunk, model.schema, model.catalog, L)
-        hidden, _ = model.encode(batch)
-        logits = model.decode_scores(hidden)
-        all_scores.append(logits.data[:, -1, :])
+        with T.no_grad():
+            hidden, _ = model.encode(batch)
+            logits = model.decode_scores(T.Tensor(hidden.data[:, -1, :]))
+        all_scores.append(logits.data)
         targets.extend(p.target for p in chunk)
     return np.concatenate(all_scores, axis=0), np.asarray(targets)
 

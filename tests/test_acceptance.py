@@ -30,6 +30,7 @@ def tiny_batch(schema, catalog, seqs, L, seed=0):
     return D.make_masked_batch(split.train, schema, catalog, 0.4, rng, L)
 
 
+@pytest.mark.slow
 def test_gradients_match_finite_differences():
     """Analytic vs central-difference gradients, every parameter, six
     attention x fusion configurations, tiny model, under one minute."""
@@ -138,6 +139,7 @@ def test_rank_metrics_match_brute_force():
           f"{n_tied} rows with score ties, exact agreement")
 
 
+@pytest.mark.slow
 def test_successor_memorization():
     """Deterministic next = current+1 rule is memorized to HR@1 >= 0.99 on
     held-out targets within 200 epochs and five minutes."""
@@ -161,6 +163,7 @@ def test_successor_memorization():
           f"after {len(res.history)} epochs in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_side_information_utility():
     """When the next item depends only on the previous rating, the model
     with the rating feature solves the task and the identical model

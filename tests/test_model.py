@@ -215,3 +215,30 @@ def test_dropout_train_changes_eval_does_not():
     t1 = model.loss(batch, train=True, rng=np.random.default_rng(0)).item()
     t2 = model.loss(batch, train=True, rng=np.random.default_rng(1)).item()
     assert t1 != t2
+
+
+def _loss_and_grads(model, loss_fn):
+    model.zero_grads()
+    loss = loss_fn()
+    T.backward(loss)
+    return loss.item(), {k: p.grad.copy() for k, p in model.params.items()
+                         if p.grad is not None}
+
+
+@pytest.mark.parametrize("attention,fusion", [("nova", "gating"),
+                                              ("invasive", "concat")])
+def test_gathered_loss_equals_dense_loss(attention, fusion):
+    """Decoding only the masked rows gives the dense decoder's loss and
+    gradients, on a masked batch and on an appended-mask tail batch."""
+    model, masked = tiny_setup(attention=attention, fusion=fusion, dropout=0.0)
+    _, _, seqs = branching_dataset(m=11, n_seq=6, length=7, seed=0)
+    tail = D.make_eval_batch(D.leave_one_out_split(seqs).validation,
+                             model.schema, model.catalog, L=4)
+    for batch in (masked, tail):
+        gathered, g_grads = _loss_and_grads(model, lambda: model.loss(batch))
+        dense, d_grads = _loss_and_grads(model, lambda: model.masked_loss(
+            model.decode_scores(model.encode(batch)[0]), batch.labels))
+        assert abs(gathered - dense) < 1e-12
+        assert set(g_grads) == set(d_grads)
+        for name, g in g_grads.items():
+            assert np.abs(g - d_grads[name]).max() < 1e-12, name

@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from novabert import data as D
+from novabert import tensor as T
 from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import successor_dataset
@@ -221,3 +223,56 @@ def test_ablate_shapes():
     assert set(table) == {"none", "item", "behavior", "all"}
     for rep in table.values():
         assert rep.users == len(split.test)
+
+
+# ---------------------------------------------------------------------------
+# forward-only evaluation
+# ---------------------------------------------------------------------------
+
+def test_score_pairs_matches_dense_decode_and_records_no_graph():
+    schema, catalog, split, cfg = small_problem()
+    model = Model(cfg, schema, catalog, seed=4)
+    scores, targets = TR.score_pairs(model, split.validation, batch_size=7)
+    assert all(p.grad is None for p in model.params.values())
+    batch = D.make_eval_batch(split.validation, schema, catalog, cfg.max_len)
+    dense = model.decode_scores(model.encode(batch)[0]).data[:, -1, :]
+    assert scores.shape == dense.shape
+    assert np.abs(scores - dense).max() < 1e-12
+    assert list(targets) == [p.target for p in split.validation]
+    # recording is back on: a training step still fills the gradients
+    train = D.make_masked_batch(split.train, schema, catalog, cfg.mask_prob,
+                                np.random.default_rng(0), cfg.max_len)
+    T.backward(model.loss(train))
+    assert model.params["emb.id"].grad is not None
+    assert model.params["layer0.attn.wq.w"].grad is not None
+
+
+def test_no_grad_restores_recording_after_exception():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            assert not T.mul(w, 2.0).requires_grad
+            raise RuntimeError("inside no_grad")
+    assert T.mul(w, 2.0).requires_grad
+
+
+def test_no_grad_is_per_thread():
+    w = Tensor(np.ones(3), requires_grad=True)
+    entered, release = threading.Event(), threading.Event()
+
+    def sit_in_no_grad():
+        with T.no_grad():
+            entered.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=sit_in_no_grad)
+    worker.start()
+    try:
+        assert entered.wait(10)
+        out = T.tsum(T.mul(w, 2.0))
+        assert out.requires_grad
+        T.backward(out)
+        assert np.array_equal(w.grad, np.full(3, 2.0))
+    finally:
+        release.set()
+        worker.join()
