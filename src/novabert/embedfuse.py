@@ -113,11 +113,19 @@ def apply_fusion(kind, features, fusion_params, gating_mode="softmax"):
     raise ValueError(f"unknown fusion kind {kind!r}")
 
 
-def embed_side_features(batch, params, schema, features=None, use_position=True):
+def real_rows(idx, rows):
+    """An index array [B, L, ...] at the flat positions rows (b * L + l) only,
+    as [N, ...]; rows None keeps idx whole."""
+    return idx if rows is None else idx.reshape((-1,) + idx.shape[2:])[rows]
+
+
+def embed_side_features(batch, params, schema, features=None, use_position=True,
+                        rows=None):
     """Embed every side feature of a batch; multi-valued ones are mean-pooled.
 
     Returns width-h tensors ordered: item features, behavior features,
-    position."""
+    position. They are [B, L, h], or [N, h] for the flat positions rows
+    when rows is given (see :func:`real_rows`)."""
     out = []
     for group in ("item", "behavior"):
         for f in schema.features:
@@ -127,33 +135,37 @@ def embed_side_features(batch, params, schema, features=None, use_position=True)
                 continue
             table = params[f"emb.f.{f.name}"]
             idx = batch.features[f.name]
+            multi = idx.ndim == 3
+            idx = real_rows(idx, rows)
             emb = T.embedding_lookup(table, idx)
-            if idx.ndim == 3:  # multi-valued: mean over the real entries
+            if multi:  # mean over the real entries
                 present = (idx != 0)
                 count = np.maximum(present.sum(axis=-1, keepdims=True), 1)
                 weights = present.astype(table.dtype) / count
                 emb = T.tsum(T.mul(emb, weights[..., None]), axis=-2)
             out.append(emb)
     if use_position:
-        out.append(T.embedding_lookup(params["emb.pos"], batch.positions))
+        out.append(T.embedding_lookup(params["emb.pos"],
+                                      real_rows(batch.positions, rows)))
     return out
 
 
 def integrated_embeddings(batch, params, schema, fusion_kind, fusion_params,
                           hidden=None, features=None, use_position=True,
-                          gating_mode="softmax", side=None):
+                          gating_mode="softmax", side=None, rows=None):
     """Integrated representation R and the pure ID branch R_id.
 
     hidden, when given, replaces the ID-table lookup as the first fusion
     input (the NOVA layers re-fuse their running hidden state). side may
     carry pre-embedded side features so the NOVA stack reuses the exact
-    same tensors at every layer.
+    same tensors at every layer. rows, when given, restricts the lookups to
+    those flat positions (see :func:`real_rows`).
     """
     r_id = hidden if hidden is not None else T.embedding_lookup(
-        params["emb.id"], batch.items)
+        params["emb.id"], real_rows(batch.items, rows))
     if side is None:
         side = embed_side_features(batch, params, schema, features=features,
-                                   use_position=use_position)
+                                   use_position=use_position, rows=rows)
     r = apply_fusion(fusion_kind, [r_id] + list(side), fusion_params,
                      gating_mode=gating_mode)
     return r, r_id

@@ -134,95 +134,124 @@ class Model:
             out = T.add(out, self.params[prefix + ".b"])
         return out
 
-    def _split_heads(self, x):
-        B, L, h = x.shape
+    def _split_heads(self, x, pad_mask, rows):
+        """Real-token rows [N, h] -> [B, H, L, d], zero at the pad slots."""
+        B, L = pad_mask.shape
         H, d = self.config.num_heads, self.config.d_k
-        return T.transpose(T.reshape(x, (B, L, H, d)), (0, 2, 1, 3))
+        full = T.put_rows(x, rows, B * L)
+        return T.transpose(T.reshape(full, (B, L, H, d)), (0, 2, 1, 3))
 
-    def _merge_heads(self, x):
+    def _merge_heads(self, x, rows):
+        """[B, H, L, d] -> the real-token rows [N, h]."""
         B, H, L, d = x.shape
-        return T.reshape(T.transpose(x, (0, 2, 1, 3)), (B, L, H * d))
+        flat = T.reshape(T.transpose(x, (0, 2, 1, 3)), (B * L, H * d))
+        return T.take_rows(flat, rows)
 
-    def _attention_block(self, layer, qk_src, v_src, key_mask, train, rng):
-        """Multi-head attention; Q and K read qk_src, V reads v_src."""
+    def _dropout(self, x, pad_mask, rows, train, rng):
+        return T.dropout(x, self.config.dropout, rng, train, rows=rows,
+                         n=pad_mask.size)
+
+    def _attention_block(self, layer, qk_src, v_src, pad_mask, rows, train,
+                         rng):
+        """Multi-head attention; Q and K read qk_src, V reads v_src.
+
+        The sources and the output are real-token rows [N, h]; only the
+        attention core runs at [B, H, L, L]."""
         p = f"layer{layer}.attn"
-        q = self._split_heads(self._linear(qk_src, f"{p}.wq"))
-        k = self._split_heads(self._linear(qk_src, f"{p}.wk"))
-        v = self._split_heads(self._linear(v_src, f"{p}.wv"))
+        q = self._split_heads(self._linear(qk_src, f"{p}.wq"), pad_mask, rows)
+        k = self._split_heads(self._linear(qk_src, f"{p}.wk"), pad_mask, rows)
+        v = self._split_heads(self._linear(v_src, f"{p}.wv"), pad_mask, rows)
         out, attn = T.scaled_dot_attention(
-            q, k, v, key_mask=key_mask,
+            q, k, v, key_mask=pad_mask[:, None, None, :],
             attn_dropout=self.config.dropout, rng=rng, train=train)
-        out = self._linear(self._merge_heads(out), f"{p}.wo")
-        out = T.dropout(out, self.config.dropout, rng, train)
+        out = self._linear(self._merge_heads(out, rows), f"{p}.wo")
+        out = self._dropout(out, pad_mask, rows, train, rng)
         return out, attn
 
     def _ffn(self, x, layer):
         h = T.gelu(self._linear(x, f"layer{layer}.ffn.w1"))
         return self._linear(h, f"layer{layer}.ffn.w2")
 
-    def _sublayers(self, layer, x, attn_out, train, rng):
+    def _sublayers(self, layer, x, attn_out, pad_mask, rows, train, rng):
         p = f"layer{layer}"
         x = T.layer_norm(T.add(x, attn_out),
                          self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
-        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng, train)
+        f = self._dropout(self._ffn(x, layer), pad_mask, rows, train, rng)
         return T.layer_norm(T.add(x, f),
                             self.params[f"{p}.ln2.g"], self.params[f"{p}.ln2.b"])
 
-    def invasive_layer(self, layer, x, key_mask, train=False, rng=None):
-        attn_out, attn = self._attention_block(layer, x, x, key_mask, train, rng)
-        return self._sublayers(layer, x, attn_out, train, rng), attn
+    def invasive_layer(self, layer, x, pad_mask, rows, train=False, rng=None):
+        """One encoder layer on the real-token rows x [N, h].
 
-    def nova_layer(self, layer, hidden, side, key_mask, train=False, rng=None):
+        pad_mask [B, L] marks the real tokens; rows = flatnonzero(pad_mask)
+        are their flat positions, in the order of x's rows."""
+        attn_out, attn = self._attention_block(layer, x, x, pad_mask, rows,
+                                               train, rng)
+        return self._sublayers(layer, x, attn_out, pad_mask, rows, train,
+                               rng), attn
+
+    def nova_layer(self, layer, hidden, side, pad_mask, rows, train=False,
+                   rng=None):
         """Q, K from the freshly fused representation; V and the residual
-        stay on the ID branch, so the output remains in ID space."""
+        stay on the ID branch, so the output remains in ID space. Rows as
+        in :meth:`invasive_layer`."""
         r, _ = EF.integrated_embeddings(
             None, self.params, self.schema, self.config.fusion,
             self._fusion_params(f"layer{layer}.fuse"), hidden=hidden,
             gating_mode=self.config.gating_mode, side=side)
-        attn_out, attn = self._attention_block(layer, r, hidden, key_mask,
-                                               train, rng)
-        return self._sublayers(layer, hidden, attn_out, train, rng), attn
+        attn_out, attn = self._attention_block(layer, r, hidden, pad_mask,
+                                               rows, train, rng)
+        return self._sublayers(layer, hidden, attn_out, pad_mask, rows, train,
+                               rng), attn
 
     def encode(self, batch, train=False, rng=None, collect_attn=False):
-        """Run the full stack; returns (hidden [B,L,h], attn maps per layer)."""
+        """Run the full stack; returns (hidden [B,L,h], attn maps per layer).
+
+        Every position-wise op (lookups, fusion, projections, FFN, layer
+        norm, dropout) runs on the N real tokens only, as [N, h]; only the
+        attention core is [B, H, L, L]. The pad rows of hidden are exactly
+        zero. Dropout draws its masks at [B, L, h], so the random stream is
+        that of the unpacked model. In the attention maps, the rows of pad
+        queries carry no meaning."""
         cfg = self.config
-        if batch.items.shape[1] != cfg.max_len:
+        B, L = batch.items.shape
+        if L != cfg.max_len:
             raise ValueError(
-                f"batch length {batch.items.shape[1]} != model max_len "
-                f"{cfg.max_len}")
-        key_mask = batch.pad_mask[:, None, None, :]
+                f"batch length {L} != model max_len {cfg.max_len}")
+        pad_mask = batch.pad_mask
+        rows = np.flatnonzero(pad_mask)
         feats = cfg.active_features(self.schema)
         side = EF.embed_side_features(batch, self.params, self.schema,
                                       features=feats,
-                                      use_position=cfg.use_position)
+                                      use_position=cfg.use_position, rows=rows)
         attns = []
         if cfg.attention == "invasive":
             r, _ = EF.integrated_embeddings(
                 batch, self.params, self.schema, cfg.fusion,
                 self._fusion_params("fuse"), features=feats,
                 use_position=cfg.use_position, gating_mode=cfg.gating_mode,
-                side=side)
-            x = T.dropout(r, cfg.dropout, rng, train)
+                side=side, rows=rows)
+            x = self._dropout(r, pad_mask, rows, train, rng)
             for i in range(cfg.num_layers):
-                x, attn = self.invasive_layer(i, x, key_mask, train, rng)
+                x, attn = self.invasive_layer(i, x, pad_mask, rows, train, rng)
                 if collect_attn:
                     attns.append(attn)
         else:
-            hidden = T.embedding_lookup(self.params["emb.id"], batch.items)
-            hidden = T.dropout(hidden, cfg.dropout, rng, train)
+            x = T.embedding_lookup(self.params["emb.id"],
+                                   EF.real_rows(batch.items, rows))
+            x = self._dropout(x, pad_mask, rows, train, rng)
             # the identical side tensors are re-fed to every layer
             for i in range(cfg.num_layers):
-                hidden, attn = self.nova_layer(i, hidden, side, key_mask,
-                                               train, rng)
+                x, attn = self.nova_layer(i, x, side, pad_mask, rows, train,
+                                          rng)
                 if collect_attn:
                     attns.append(attn)
-            x = hidden
-        return x, attns
+        full = T.put_rows(x, rows, B * L)
+        return T.reshape(full, (B, L, cfg.hidden_size)), attns
 
     def decode_scores(self, hidden):
         """Tied-embedding logits over items 1..m plus a per-item bias."""
-        m = self.catalog.m
-        rows = T.embedding_lookup(self.params["emb.id"], np.arange(1, m + 1))
+        rows = T.take_rows(self.params["emb.id"], slice(1, self.catalog.m + 1))
         return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))),
                      self.params["dec.bias"])
 
@@ -243,7 +272,7 @@ class Model:
         B, L, h = hidden.shape
         labels = batch.labels.reshape(-1)
         rows = np.flatnonzero(labels)
-        picked = T.embedding_lookup(T.reshape(hidden, (B * L, h)), rows)
+        picked = T.take_rows(T.reshape(hidden, (B * L, h)), rows)
         return self.masked_loss(self.decode_scores(picked), labels[rows])
 
     def first_layer_values(self, batch):

@@ -105,11 +105,17 @@ def _make(data, parents, bw):
 
 
 def _accumulate(t, g):
+    """Add g to t.grad out of place.
+
+    The first gradient is stored as given, with no zeroed buffer. ``add``
+    hands one array to both of its parents, so a ``.grad`` may be shared:
+    nothing writes into one in place."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    # an f32 graph still yields some f64 gradients; keep .grad in t's dtype
+    if g.dtype != t.data.dtype:
+        g = g.astype(t.data.dtype)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -336,12 +342,19 @@ def layer_norm(x, gain, bias, eps=1e-12):
     return _make(out_data, (x, gain, bias), bw)
 
 
-def dropout(x, p, rng, train):
-    """Inverted dropout; identity when train is False or p == 0."""
+def dropout(x, p, rng, train, rows=None, n=None):
+    """Inverted dropout; identity when train is False or p == 0.
+
+    When x holds the rows ``rows`` of an n-row array (see :func:`take_rows`),
+    the mask is drawn for all n rows and only those rows are kept, so the
+    random stream and each row's mask are those of the unpacked array."""
     x = _as_tensor(x)
     if not train or p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p)
+    if rows is None:
+        keep = rng.random(x.shape) >= p
+    else:
+        keep = (rng.random((n,) + x.shape[1:]) >= p)[rows]
     scale = 1.0 / (1.0 - p)
     m = keep.astype(x.data.dtype) * scale
     out_data = x.data * m
@@ -367,13 +380,48 @@ def embedding_lookup(table, idx):
     out_data = table.data[idx]
 
     def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
+        # a .grad may be shared (see _accumulate): scatter into a fresh
+        # buffer, seeded with the gradient so far to keep the summation order
+        buf = (np.zeros_like(table.data) if table.grad is None
+               else table.grad.copy())
         h = table.shape[-1]
-        kernels.scatter_add_rows(table.grad, idx.reshape(-1),
+        kernels.scatter_add_rows(buf, idx.reshape(-1),
                                  np.ascontiguousarray(g.reshape(-1, h)))
+        table.grad = buf
 
     return _make(out_data, (table,), bw)
+
+
+def take_rows(x, rows):
+    """Gather x[rows] along the first axis; rows is a slice or unique indices.
+
+    The backward writes the gradient into a zeroed array of x's shape with a
+    plain index assignment (no scatter-add), which is why rows must not
+    repeat. A slice reads a view of x, with no copy."""
+    x = _as_tensor(x)
+    out_data = x.data[rows]
+
+    def bw(g):
+        full = np.zeros_like(x.data)
+        full[rows] = g
+        _accumulate(x, full)
+
+    return _make(out_data, (x,), bw)
+
+
+def put_rows(x, rows, n):
+    """Scatter the rows of x into zeros of n rows: out[rows] = x.
+
+    The inverse of :func:`take_rows`; rows are unique indices, one per row
+    of x. The backward gathers g[rows]."""
+    x = _as_tensor(x)
+    out_data = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    out_data[rows] = x.data
+
+    def bw(g):
+        _accumulate(x, g[rows])
+
+    return _make(out_data, (x,), bw)
 
 
 def cross_entropy_masked(logits, labels, ignore_index=0):

@@ -112,9 +112,9 @@ class Adam:
             sq += float(g @ g)
         norm = math.sqrt(sq)
         if cfg.clip_norm and norm > cfg.clip_norm:
+            # out of place: a .grad may be shared by several parameters
             scale = cfg.clip_norm / norm
-            for g in grads.values():
-                g *= scale
+            grads = {name: g * scale for name, g in grads.items()}
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t

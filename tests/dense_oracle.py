@@ -1,0 +1,91 @@
+"""The dense encoder, kept as a test oracle for the packed one in model.py.
+
+Every position-wise op (lookups, fusion, projections, FFN, layer norm,
+dropout) runs on all B*L positions, pad slots included, and the decoder
+scores every position. It reads a Model's parameters and draws dropout
+masks in the same order as Model.encode, so with the same generator the
+two must give the same loss, the same gradients up to summation order,
+and leave the generator in the same state.
+"""
+
+import numpy as np
+
+from novabert import embedfuse as EF
+from novabert import tensor as T
+
+
+def _split_heads(model, x):
+    B, L, h = x.shape
+    H, d = model.config.num_heads, model.config.d_k
+    return T.transpose(T.reshape(x, (B, L, H, d)), (0, 2, 1, 3))
+
+
+def _merge_heads(x):
+    B, H, L, d = x.shape
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (B, L, H * d))
+
+
+def _attention_block(model, layer, qk_src, v_src, key_mask, train, rng):
+    p = f"layer{layer}.attn"
+    q = _split_heads(model, model._linear(qk_src, f"{p}.wq"))
+    k = _split_heads(model, model._linear(qk_src, f"{p}.wk"))
+    v = _split_heads(model, model._linear(v_src, f"{p}.wv"))
+    out, attn = T.scaled_dot_attention(
+        q, k, v, key_mask=key_mask, attn_dropout=model.config.dropout,
+        rng=rng, train=train)
+    out = model._linear(_merge_heads(out), f"{p}.wo")
+    return T.dropout(out, model.config.dropout, rng, train), attn
+
+
+def _sublayers(model, layer, x, attn_out, train, rng):
+    p, params = f"layer{layer}", model.params
+    x = T.layer_norm(T.add(x, attn_out), params[f"{p}.ln1.g"],
+                     params[f"{p}.ln1.b"])
+    f = T.dropout(model._ffn(x, layer), model.config.dropout, rng, train)
+    return T.layer_norm(T.add(x, f), params[f"{p}.ln2.g"],
+                        params[f"{p}.ln2.b"])
+
+
+def encode(model, batch, train=False, rng=None):
+    """(hidden [B, L, h], attention maps per layer), every slot computed."""
+    cfg, params = model.config, model.params
+    key_mask = batch.pad_mask[:, None, None, :]
+    feats = cfg.active_features(model.schema)
+    side = EF.embed_side_features(batch, params, model.schema, features=feats,
+                                  use_position=cfg.use_position)
+    attns = []
+    if cfg.attention == "invasive":
+        r, _ = EF.integrated_embeddings(
+            batch, params, model.schema, cfg.fusion,
+            model._fusion_params("fuse"), features=feats,
+            use_position=cfg.use_position, gating_mode=cfg.gating_mode,
+            side=side)
+        x = T.dropout(r, cfg.dropout, rng, train)
+        for i in range(cfg.num_layers):
+            attn_out, attn = _attention_block(model, i, x, x, key_mask,
+                                              train, rng)
+            x = _sublayers(model, i, x, attn_out, train, rng)
+            attns.append(attn)
+    else:
+        x = T.embedding_lookup(params["emb.id"], batch.items)
+        x = T.dropout(x, cfg.dropout, rng, train)
+        for i in range(cfg.num_layers):
+            r, _ = EF.integrated_embeddings(
+                None, params, model.schema, cfg.fusion,
+                model._fusion_params(f"layer{i}.fuse"), hidden=x,
+                gating_mode=cfg.gating_mode, side=side)
+            attn_out, attn = _attention_block(model, i, r, x, key_mask,
+                                              train, rng)
+            x = _sublayers(model, i, x, attn_out, train, rng)
+            attns.append(attn)
+    return x, attns
+
+
+def loss(model, batch, train=False, rng=None):
+    """Masked-item cross-entropy with [B, L, m] logits from a copied table."""
+    hidden, _ = encode(model, batch, train=train, rng=rng)
+    table = T.embedding_lookup(model.params["emb.id"],
+                               np.arange(1, model.catalog.m + 1))
+    logits = T.add(T.matmul(hidden, T.transpose(table, (1, 0))),
+                   model.params["dec.bias"])
+    return model.masked_loss(logits, batch.labels)

@@ -1,0 +1,127 @@
+"""The packed encoder against the dense oracle in dense_oracle.py.
+
+Model.encode runs its position-wise ops on the real tokens only. These tests
+hold it to the dense computation on padded batches: the same loss, the same
+gradients up to summation order, the same dropout masks (the generator ends
+in the same state), and zero pad rows; and they guard that the FFN really
+runs on the real-token rows.
+"""
+
+import numpy as np
+import pytest
+
+import dense_oracle
+from novabert import data as D
+from novabert import tensor as T
+from novabert.data import FeatureSpec, SideInfoSchema
+from novabert.model import FFN_MULT, Model, ModelConfig
+from novabert.synthetic import make_catalog
+
+TOL = 1e-12
+LENGTHS = (2, 5, 8, 3)   # real tokens per sequence, L = 8
+
+
+def padded_setup(attention, fusion, dropout=0.1, seed=0):
+    """A model with a multi-valued item feature and a behavior feature, and
+    two batches whose rows have 0 to 6 pad slots: a masked training batch
+    and an appended-mask tail batch."""
+    rng = np.random.default_rng(seed)
+    m, L = 11, 8
+    genre = FeatureSpec("genre", "item", "multi")
+    rating = FeatureSpec("rating", "behavior", "categorical")
+    rating.build_vocab(["0", "1"])
+    schema = SideInfoSchema([genre, rating])
+    genres = ["a", "b", "c", "d"]
+    catalog = make_catalog(m, schema, {"genre": [
+        "|".join(rng.choice(genres, size=int(rng.integers(1, 4)),
+                            replace=False)) for _ in range(m)]})
+
+    def seq(n):
+        items = [int(i) for i in rng.integers(1, m + 1, size=n)]
+        beh = {"rating": [rating.encode(str(r))
+                          for r in rng.integers(0, 2, size=n)]}
+        return items, beh
+
+    seqs = [D.TrainSequence(*seq(n)) for n in LENGTHS]
+    masked = D.make_masked_batch(seqs, schema, catalog, 0.4, rng, L)
+    pairs = [D.EvalPair(*seq(n - 1), target=int(rng.integers(1, m + 1)))
+             for n in LENGTHS]
+    tail = D.make_eval_batch(pairs, schema, catalog, L)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=L,
+                      attention=attention, fusion=fusion, dropout=dropout)
+    return Model(cfg, schema, catalog, seed=seed), (masked, tail)
+
+
+def loss_and_grads(model, loss_fn):
+    model.zero_grads()
+    loss = loss_fn()
+    T.backward(loss)
+    return loss.item(), {k: p.grad.copy() for k, p in model.params.items()
+                         if p.grad is not None}
+
+
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+def test_packed_loss_matches_dense_oracle(attention, fusion):
+    model, batches = padded_setup(attention, fusion)
+    for batch in batches:
+        assert not batch.pad_mask.all()
+        eval_loss = model.loss(batch).item()
+        for train in (False, True):
+            rngs = np.random.default_rng(7), np.random.default_rng(7)
+            packed, p_grads = loss_and_grads(
+                model, lambda: model.loss(batch, train=train, rng=rngs[0]))
+            dense, d_grads = loss_and_grads(
+                model, lambda: dense_oracle.loss(model, batch, train=train,
+                                                 rng=rngs[1]))
+            assert abs(packed - dense) < TOL
+            assert set(p_grads) == set(d_grads)
+            for name, g in p_grads.items():
+                assert np.abs(g - d_grads[name]).max() < TOL, name
+            assert (rngs[0].bit_generator.state
+                    == rngs[1].bit_generator.state)
+            # dropout did act in training
+            assert (packed != eval_loss) == train
+
+
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+def test_packed_encode_zero_pad_rows_and_dense_real_rows(attention):
+    model, batches = padded_setup(attention, "gating")
+    for batch in batches:
+        real = batch.pad_mask
+        hidden, attns = model.encode(batch, collect_attn=True)
+        expect, expect_attns = dense_oracle.encode(model, batch)
+        assert np.all(hidden.data[~real] == 0.0)
+        assert np.abs(hidden.data[real] - expect.data[real]).max() < TOL
+        for a, e in zip(attns, expect_attns):
+            # rows of real queries; the rows of pad queries mean nothing
+            q = real[:, None, :].repeat(a.shape[1], axis=1)
+            assert np.abs(a.data[q] - e.data[q]).max() < TOL
+
+
+def _recorded_arrays(loss):
+    """Every non-leaf array in the graph recorded for loss."""
+    seen, stack, out = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._bw is None:
+            continue
+        seen.add(id(node))
+        out.append(node.data)
+        stack.extend(node._parents)
+    return out
+
+
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+def test_ffn_runs_on_real_tokens_only(attention):
+    """Every FFN-width array of a padded training loss has one row per real
+    token, not one per slot."""
+    model, (batch, _) = padded_setup(attention, "gating")
+    n_real = int(batch.pad_mask.sum())
+    assert n_real < batch.pad_mask.size
+    width = FFN_MULT * model.config.hidden_size
+    loss = model.loss(batch, train=True, rng=np.random.default_rng(0))
+    wide = [a.shape for a in _recorded_arrays(loss) if a.shape[-1:] == (width,)]
+    # W1 x, + b and GELU in every layer
+    assert len(wide) >= 3 * model.config.num_layers
+    assert set(wide) == {(n_real, width)}

@@ -181,6 +181,37 @@ def test_backward_half_square_gives_x():
     assert np.allclose(x.grad, x.data)
 
 
+def test_backward_add_same_tensor_twice():
+    p = T.Tensor([1.0, 2.0], requires_grad=True)
+    child = T.add(p, p)
+    T.backward(T.tsum(child))
+    assert np.array_equal(p.grad, [2.0, 2.0])
+    assert np.array_equal(child.grad, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("shared_first", [True, False])
+@pytest.mark.parametrize("later", ["mul", "embedding_lookup"])
+def test_backward_shared_gradient_arrays_stay_independent(later, shared_first):
+    """add hands one gradient array to both parents; a later gradient into
+    one parent, by add or by an embedding scatter, leaves the other alone.
+    Both summation orders are run, so the shared array is hit either way."""
+    a = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    b = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    shared = T.add(a, b)
+    if later == "mul":
+        other, expect = T.mul(a, 3.0), np.full((3, 2), 4.0)
+    else:
+        other = T.embedding_lookup(a, np.array([0, 0, 2]))
+        expect = np.array([[3.0, 3.0], [1.0, 1.0], [2.0, 2.0]])
+    terms = [T.tsum(shared), T.tsum(other)]
+    if not shared_first:
+        terms.reverse()
+    T.backward(T.add(*terms))
+    assert np.array_equal(a.grad, expect)
+    assert np.array_equal(b.grad, np.ones((3, 2)))
+    assert np.array_equal(shared.grad, np.ones((3, 2)))
+
+
 def test_backward_twice_errors():
     x = T.Tensor([1.0], requires_grad=True)
     loss = T.tsum(x)

@@ -83,6 +83,22 @@ def test_adam_trajectory_matches_scalar_oracle():
     assert np.allclose(ours, oracle, atol=1e-12)
 
 
+def test_adam_clips_shared_gradient_once():
+    """Two parameters holding one gradient array are each clipped once, and
+    the array itself is left unscaled."""
+    g = np.array([3.0, 4.0])
+    params = {name: Tensor(np.zeros(2), requires_grad=True)
+              for name in ("a", "b")}
+    params["a"].grad = params["b"].grad = g
+    opt = TR.Adam(params, TR.TrainConfig(clip_norm=1.0, beta1=0.9))
+    opt.step(1e-2)
+    # the joint norm is sqrt(50); the first moment is (1 - beta1) * clipped g
+    clipped = np.array([3.0, 4.0]) / math.sqrt(50.0)
+    for name in ("a", "b"):
+        assert np.allclose(opt.m[name], 0.1 * clipped, rtol=1e-14, atol=0)
+    assert np.array_equal(g, [3.0, 4.0])
+
+
 def test_adam_nan_gradient_aborts():
     params = make_param([1.0])
     opt = TR.Adam(params, TR.TrainConfig())
@@ -173,13 +189,22 @@ def small_problem():
     return schema, catalog, split, cfg
 
 
-def test_step_count_one_epoch():
+def test_step_count_one_epoch(monkeypatch):
     schema, catalog, split, cfg = small_problem()
     model = Model(cfg, schema, catalog, seed=0)
     tc = TR.TrainConfig(epochs=1, batch_size=8, learning_rate=1e-3, seed=0)
+    seen = []
+    step = TR.Adam.step
+
+    def counted(self, lr):
+        seen.append(self.t)
+        step(self, lr)
+
+    monkeypatch.setattr(TR.Adam, "step", counted)
     TR.train(model, split, tc)
-    # steps recorded by the optimizer are re-derivable from the history
+    # one optimizer step per batch of 8, each advancing the step counter
     assert math.ceil(len(split.train) / 8) == 3
+    assert seen == [0, 1, 2]
 
 
 def test_training_deterministic():
