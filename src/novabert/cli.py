@@ -25,6 +25,18 @@ from novabert.model import Model, ModelConfig
 from novabert.profiler import profile_cost
 
 REQUIRED_MODEL_KEYS = ("hidden_size", "num_heads", "num_layers", "max_len")
+# INI key -> parser; absent keys take the dataclass defaults
+_MODEL_KEYS = {
+    "hidden_size": int, "num_heads": int, "num_layers": int, "max_len": int,
+    "attention": str, "fusion": str, "dropout": float, "mask_prob": float,
+    "features": lambda raw: [f.strip() for f in raw.split(",") if f.strip()],
+    "use_position": lambda raw: raw.lower() != "false",
+    "gating_mode": str,
+}
+_TRAIN_KEYS = {
+    "learning_rate": float, "epochs": int, "batch_size": int,
+    "warmup_frac": float, "seed": int, "clip_norm": float, "eval_every": int,
+}
 
 
 class CliError(RuntimeError):
@@ -53,44 +65,34 @@ def read_config(path, overrides=None):
             raise CliError(
                 f"config {path}: missing required key '{key}' in [model]",
                 code=2)
-    features = None
-    if "features" in model:
-        raw = model["features"].strip()
-        features = [f.strip() for f in raw.split(",") if f.strip()]
-    mc_kwargs = dict(
-        hidden_size=int(model["hidden_size"]),
-        num_heads=int(model["num_heads"]),
-        num_layers=int(model["num_layers"]),
-        max_len=int(model["max_len"]),
-        attention=model.get("attention", "nova"),
-        fusion=model.get("fusion", "add"),
-        dropout=float(model.get("dropout", 0.1)),
-        mask_prob=float(model.get("mask_prob", 0.2)),
-        features=features,
-        use_position=model.get("use_position", "true").lower() != "false",
-        gating_mode=model.get("gating_mode", "softmax"),
-    )
     tr = cp["training"] if cp.has_section("training") else {}
-    tc_kwargs = dict(
-        learning_rate=float(tr.get("learning_rate", 1e-4)),
-        epochs=int(tr.get("epochs", 200)),
-        batch_size=int(tr.get("batch_size", 128)),
-        warmup_frac=float(tr.get("warmup_frac", 0.05)),
-        seed=int(tr.get("seed", 0)),
-        clip_norm=float(tr.get("clip_norm", 5.0)),
-        eval_every=int(tr.get("eval_every", 1)),
-    )
+    mc = _parse_section(path, "model", model, _MODEL_KEYS)
+    tc = _parse_section(path, "training", tr, _TRAIN_KEYS)
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key in mc_kwargs:
-            mc_kwargs[key] = val
-        elif key in tc_kwargs:
-            tc_kwargs[key] = val
+        if key in _MODEL_KEYS:
+            mc[key] = val
+        elif key in _TRAIN_KEYS:
+            tc[key] = val
     try:
-        return ModelConfig(**mc_kwargs), TR.TrainConfig(**tc_kwargs)
+        return ModelConfig(**mc), TR.TrainConfig(**tc)
     except ValueError as e:
         raise CliError(f"config {path}: {e}", code=2)
+
+
+def _parse_section(path, name, section, parsers):
+    """The keys of one INI section that are present, parsed."""
+    out = {}
+    for key, parse in parsers.items():
+        if key not in section:
+            continue
+        try:
+            out[key] = parse(section[key])
+        except ValueError as e:
+            raise CliError(f"config {path}: bad value for '{key}' in "
+                           f"[{name}]: {e}", code=2)
+    return out
 
 
 class OutputDir:

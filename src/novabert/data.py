@@ -360,7 +360,6 @@ class Batch:
     items: np.ndarray               # [B, L] int64, 0 = pad
     positions: np.ndarray           # [B, L] int64, 1-based, 0 = pad
     features: dict[str, np.ndarray]  # [B, L] or [B, L, K] (multi, 0-padded)
-    mask_pos: np.ndarray            # [B, L] bool, True where item was masked
     labels: np.ndarray              # [B, L] int64, 0 = ignore
 
     @property
@@ -368,49 +367,54 @@ class Batch:
         """True at real (non-pad) positions."""
         return self.items != PAD
 
+    @property
+    def mask_pos(self):
+        """True where the item was masked (it carries a label)."""
+        return self.labels != 0
+
 
 def _window(values, L):
     return values[-L:] if len(values) > L else values
 
 
-def _feature_arrays(schema, catalog, rows, L):
-    """rows: list of (item_window, behavior_window dict, masked bool list)."""
+def _build_batch(rows, schema, catalog, L):
+    """Lay rows out right-aligned in a [B, L] batch.
+
+    Each row is (items, behavior dict, masked bool list), all aligned. A
+    masked slot holds the mask token, is labelled with its true item, keeps
+    its position and behavior features, and loses its item-related features
+    to UNK."""
     B = len(rows)
-    out = {}
+    items = np.zeros((B, L), dtype=np.int64)
+    positions = np.zeros((B, L), dtype=np.int64)
+    labels = np.zeros((B, L), dtype=np.int64)
+    for b, (row_items, _, masked) in enumerate(rows):
+        n = len(row_items)
+        real = np.asarray(row_items, dtype=np.int64)
+        masked = np.asarray(masked, dtype=bool)
+        items[b, L - n:] = np.where(masked, catalog.mask_token, real)
+        labels[b, L - n:] = np.where(masked, real, 0)
+        positions[b, L - n:] = np.arange(1, n + 1)
+    features = {}
     for f in schema.features:
         multi = f.encoding == "multi"
+        unk = [UNK] if multi else UNK
+        cols = [beh[f.name] if f.kind == "behavior" else
+                [unk if mk else catalog.features[f.name][it]
+                 for it, mk in zip(row_items, masked)]
+                for row_items, beh, masked in rows]
         if multi:
-            kmax = 1
-            for items, beh, masked in rows:
-                if f.kind == "behavior":
-                    col = beh[f.name]
-                else:
-                    col = [[UNK] if mk else catalog.features[f.name][it]
-                           for it, mk in zip(items, masked)]
-                for v in col:
-                    if isinstance(v, list):
-                        kmax = max(kmax, len(v))
+            kmax = max([1] + [len(v) for col in cols for v in col])
             arr = np.zeros((B, L, kmax), dtype=np.int64)
+            for b, col in enumerate(cols):
+                for j, vals in enumerate(col):
+                    arr[b, L - len(col) + j, :len(vals)] = vals
         else:
             arr = np.zeros((B, L), dtype=np.int64)
-        for b, (items, beh, masked) in enumerate(rows):
-            n = len(items)
-            for j in range(n):
-                pos = L - n + j
-                if f.kind == "item":
-                    # masked positions lose item-related features
-                    val = UNK if masked[j] else catalog.features[f.name][items[j]]
-                    if masked[j] and multi:
-                        val = [UNK]
-                else:
-                    val = beh[f.name][j]
-                if multi:
-                    vals = val if isinstance(val, list) else [val]
-                    arr[b, pos, :len(vals)] = vals
-                else:
-                    arr[b, pos] = val
-        out[f.name] = arr
-    return out
+            for b, col in enumerate(cols):
+                arr[b, L - len(col):] = col
+        features[f.name] = arr
+    return Batch(items, positions, features, labels)
 
 
 def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
@@ -422,65 +426,33 @@ def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
         raise DataError(f"sequence length must be >= 1, got {L}")
     if not 0 < mask_prob <= 1:
         raise DataError(f"mask_prob must be in (0, 1], got {mask_prob}")
-    B = len(train_seqs)
-    items = np.zeros((B, L), dtype=np.int64)
-    positions = np.zeros((B, L), dtype=np.int64)
-    labels = np.zeros((B, L), dtype=np.int64)
-    mask_pos = np.zeros((B, L), dtype=bool)
     rows = []
-    for b, seq in enumerate(train_seqs):
-        w_items = _window(seq.items, L)
-        n = len(w_items)
-        off = L - n
+    for seq in train_seqs:
+        items = _window(seq.items, L)
         while True:
-            m = rng.random(n) < mask_prob
-            if m.any():
+            masked = rng.random(len(items)) < mask_prob
+            if masked.any():
                 break
-        for j in range(n):
-            positions[b, off + j] = j + 1
-            if m[j]:
-                items[b, off + j] = catalog.mask_token
-                labels[b, off + j] = w_items[j]
-                mask_pos[b, off + j] = True
-            else:
-                items[b, off + j] = w_items[j]
         beh = {name: _window(vals, L) for name, vals in seq.behavior.items()}
-        rows.append((w_items, beh, list(m)))
-    features = _feature_arrays(schema, catalog, rows, L)
-    return Batch(items, positions, features, mask_pos, labels)
+        rows.append((items, beh, masked))
+    return _build_batch(rows, schema, catalog, L)
 
 
 def make_eval_batch(pairs, schema, catalog, L):
     """Right-aligned prefix plus one mask token at the final position.
 
-    The mask position carries its true position index; every other behavior
-    feature there is UNK (the future interaction's context is unknown).
-    Prefixes longer than L-1 keep their most recent L-1 items."""
-    B = len(pairs)
-    items = np.zeros((B, L), dtype=np.int64)
-    positions = np.zeros((B, L), dtype=np.int64)
-    labels = np.zeros((B, L), dtype=np.int64)
-    mask_pos = np.zeros((B, L), dtype=bool)
+    A row is prefix + [target] with its last slot masked. The mask position
+    carries its true position index; every other behavior feature there is
+    UNK (the future interaction's context is unknown). Prefixes longer than
+    L-1 keep their most recent L-1 items."""
     rows = []
-    for b, pair in enumerate(pairs):
+    for pair in pairs:
         if not pair.items:
             raise DataError("empty prefix in evaluation pair")
         prefix = _window(pair.items, L - 1)
-        n = len(prefix)
-        w_items = prefix + [catalog.mask_token]
-        off = L - (n + 1)
-        for j in range(n + 1):
-            positions[b, off + j] = j + 1
-        items[b, off:off + n] = prefix
-        items[b, L - 1] = catalog.mask_token
-        labels[b, L - 1] = pair.target
-        mask_pos[b, L - 1] = True
-        beh = {}
-        for f in schema.behavior_features():
-            col = _window(pair.behavior[f.name], L - 1)
-            unk = [UNK] if f.encoding == "multi" else UNK
-            beh[f.name] = list(col) + [unk]
-        masked = [False] * n + [True]
-        rows.append((w_items, beh, masked))
-    features = _feature_arrays(schema, catalog, rows, L)
-    return Batch(items, positions, features, mask_pos, labels)
+        beh = {f.name: list(_window(pair.behavior[f.name], L - 1))
+               + [[UNK] if f.encoding == "multi" else UNK]
+               for f in schema.behavior_features()}
+        rows.append((prefix + [pair.target], beh,
+                     [False] * len(prefix) + [True]))
+    return _build_batch(rows, schema, catalog, L)

@@ -1,9 +1,11 @@
-"""Embedding tables and the fusion functions producing integrated vectors.
+"""Embedding tables and the one fusion call producing integrated vectors.
 
-All tables share width h. Fusion always receives the item-ID representation
-as its first input, then item-related features, behavior-related features,
-and finally position (position is just another behavior feature here).
-Output width is h for every fusion kind and any feature count.
+All tables share width h. :func:`integrated_embeddings` always receives the
+item-ID representation as its first input, then item-related features,
+behavior-related features, and finally position (position is just another
+behavior feature here). Output width is h for every fusion kind and any
+feature count. Each place the model fuses is a fusion site with its own
+parameters: the input of the invasive stack, or every NOVA layer.
 """
 
 from __future__ import annotations
@@ -102,17 +104,6 @@ def fuse_gating(features, wf, mode="softmax"):
     return T.reshape(out, out.shape[:-2] + (out.shape[-1],)), gates
 
 
-def apply_fusion(kind, features, fusion_params, gating_mode="softmax"):
-    if kind == "add":
-        return fuse_add(features)
-    if kind == "concat":
-        return fuse_concat(features, fusion_params["w"], fusion_params["b"])
-    if kind == "gating":
-        out, _ = fuse_gating(features, fusion_params["wf"], mode=gating_mode)
-        return out
-    raise ValueError(f"unknown fusion kind {kind!r}")
-
-
 def real_rows(idx, rows):
     """An index array [B, L, ...] at the flat positions rows (b * L + l) only,
     as [N, ...]; rows None keeps idx whole."""
@@ -150,22 +141,21 @@ def embed_side_features(batch, params, schema, features=None, use_position=True,
     return out
 
 
-def integrated_embeddings(batch, params, schema, fusion_kind, fusion_params,
-                          hidden=None, features=None, use_position=True,
-                          gating_mode="softmax", side=None, rows=None):
-    """Integrated representation R and the pure ID branch R_id.
+def integrated_embeddings(first, side, kind, fusion_params,
+                          gating_mode="softmax"):
+    """Fuse [first] + side into one width-h representation.
 
-    hidden, when given, replaces the ID-table lookup as the first fusion
-    input (the NOVA layers re-fuse their running hidden state). side may
-    carry pre-embedded side features so the NOVA stack reuses the exact
-    same tensors at every layer. rows, when given, restricts the lookups to
-    those flat positions (see :func:`real_rows`).
+    first is the item-ID representation: the ID lookup at the invasive
+    stack's input, the running hidden state in a NOVA layer. side is the
+    output of :func:`embed_side_features`, row-aligned with first.
+    fusion_params are one fusion site's parameters (see
+    :func:`init_fusion_params`).
     """
-    r_id = hidden if hidden is not None else T.embedding_lookup(
-        params["emb.id"], real_rows(batch.items, rows))
-    if side is None:
-        side = embed_side_features(batch, params, schema, features=features,
-                                   use_position=use_position, rows=rows)
-    r = apply_fusion(fusion_kind, [r_id] + list(side), fusion_params,
-                     gating_mode=gating_mode)
-    return r, r_id
+    features = [first] + list(side)
+    if kind == "add":
+        return fuse_add(features)
+    if kind == "concat":
+        return fuse_concat(features, fusion_params["w"], fusion_params["b"])
+    if kind == "gating":
+        return fuse_gating(features, fusion_params["wf"], mode=gating_mode)[0]
+    raise ValueError(f"unknown fusion kind {kind!r}")

@@ -1,10 +1,12 @@
 """BERT-style encoder with invasive and non-invasive (NOVA) attention.
 
-Invasive mode fuses side information into the item representations once,
-before layer 1, and runs plain multi-head self-attention. NOVA mode keeps
-the hidden state in the pure item-ID space: every layer re-fuses the (fixed)
-side-feature embeddings with the current hidden state to form Q and K, while
-V reads the hidden state alone. The decoder is tied to the item-ID table.
+Both stacks run the same encode loop and the same layer body; they differ
+only in what Q and K read. Invasive mode fuses side information into the
+item representations once, before layer 1, so every layer's Q, K, V and
+residual read the fused stream. NOVA mode keeps the hidden state in the pure
+item-ID space: every layer re-fuses the (fixed) side-feature embeddings with
+the current hidden state to form Q and K, while V and the residual read the
+hidden state alone. The decoder is tied to the item-ID table.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ class ModelConfig:
             raise ValueError(f"unknown attention kind {self.attention!r}")
         if self.fusion not in ("add", "concat", "gating"):
             raise ValueError(f"unknown fusion kind {self.fusion!r}")
+        if self.gating_mode not in ("softmax", "sigmoid"):
+            raise ValueError(f"unknown gating mode {self.gating_mode!r}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0 < self.mask_prob <= 1:
+            raise ValueError(
+                f"mask_prob must be in (0, 1], got {self.mask_prob}")
 
     @property
     def d_k(self):
@@ -82,7 +91,9 @@ class Model:
             features=feats, use_position=config.use_position, dtype=dtype)
 
         n_fused = 1 + len(feats) + (1 if config.use_position else 0)
-        self.n_fused = n_fused
+        # one parameter dict per fusion site, in site order: one per layer
+        # (NOVA) or the single input site (invasive)
+        self.fusion = []
 
         def linear(prefix, fan_in, fan_out, bias=True):
             self.params[prefix + ".w"] = Tensor(
@@ -113,14 +124,12 @@ class Model:
             np.zeros(catalog.m, dtype=dtype), requires_grad=True)
 
     def _add_fusion_params(self, prefix, k, rng):
-        for name, t in EF.init_fusion_params(
-                self.config.fusion, k, self.config.hidden_size, rng,
-                dtype=self.dtype).items():
+        site = EF.init_fusion_params(self.config.fusion, k,
+                                     self.config.hidden_size, rng,
+                                     dtype=self.dtype)
+        for name, t in site.items():
             self.params[f"{prefix}.{name}"] = t
-
-    def _fusion_params(self, prefix):
-        return {name.rsplit(".", 1)[1]: t for name, t in self.params.items()
-                if name.startswith(prefix + ".")}
+        self.fusion.append(site)
 
     def zero_grads(self):
         for p in self.params.values():
@@ -134,11 +143,12 @@ class Model:
             out = T.add(out, self.params[prefix + ".b"])
         return out
 
-    def _split_heads(self, x, pad_mask, rows):
-        """Real-token rows [N, h] -> [B, H, L, d], zero at the pad slots."""
+    def _heads(self, x, prefix, pad_mask, rows):
+        """Projection of the real-token rows x [N, h] -> [B, H, L, d], zero
+        at the pad slots."""
         B, L = pad_mask.shape
         H, d = self.config.num_heads, self.config.d_k
-        full = T.put_rows(x, rows, B * L)
+        full = T.put_rows(self._linear(x, prefix), rows, B * L)
         return T.transpose(T.reshape(full, (B, L, H, d)), (0, 2, 1, 3))
 
     def _merge_heads(self, x, rows):
@@ -151,58 +161,50 @@ class Model:
         return T.dropout(x, self.config.dropout, rng, train, rows=rows,
                          n=pad_mask.size)
 
-    def _attention_block(self, layer, qk_src, v_src, pad_mask, rows, train,
-                         rng):
-        """Multi-head attention; Q and K read qk_src, V reads v_src.
-
-        The sources and the output are real-token rows [N, h]; only the
-        attention core runs at [B, H, L, L]."""
-        p = f"layer{layer}.attn"
-        q = self._split_heads(self._linear(qk_src, f"{p}.wq"), pad_mask, rows)
-        k = self._split_heads(self._linear(qk_src, f"{p}.wk"), pad_mask, rows)
-        v = self._split_heads(self._linear(v_src, f"{p}.wv"), pad_mask, rows)
-        out, attn = T.scaled_dot_attention(
-            q, k, v, key_mask=pad_mask[:, None, None, :],
-            attn_dropout=self.config.dropout, rng=rng, train=train)
-        out = self._linear(self._merge_heads(out, rows), f"{p}.wo")
-        out = self._dropout(out, pad_mask, rows, train, rng)
-        return out, attn
-
     def _ffn(self, x, layer):
         h = T.gelu(self._linear(x, f"layer{layer}.ffn.w1"))
         return self._linear(h, f"layer{layer}.ffn.w2")
 
-    def _sublayers(self, layer, x, attn_out, pad_mask, rows, train, rng):
+    def _fuse(self, first, side, site):
+        cfg = self.config
+        return EF.integrated_embeddings(first, side, cfg.fusion,
+                                        self.fusion[site], cfg.gating_mode)
+
+    def _layer(self, layer, qk_src, x, pad_mask, rows, train, rng):
+        """One encoder layer: Q and K read qk_src; V and the residual read x.
+
+        Both are real-token rows [N, h], as is the output; only the attention
+        core runs at [B, H, L, L]. Q, K and V are not bound to names, so
+        without a graph they are freed before the FFN runs."""
         p = f"layer{layer}"
-        x = T.layer_norm(T.add(x, attn_out),
+        out, attn = T.scaled_dot_attention(
+            self._heads(qk_src, f"{p}.attn.wq", pad_mask, rows),
+            self._heads(qk_src, f"{p}.attn.wk", pad_mask, rows),
+            self._heads(x, f"{p}.attn.wv", pad_mask, rows),
+            key_mask=pad_mask[:, None, None, :],
+            attn_dropout=self.config.dropout, rng=rng, train=train)
+        out = self._linear(self._merge_heads(out, rows), f"{p}.attn.wo")
+        out = self._dropout(out, pad_mask, rows, train, rng)
+        x = T.layer_norm(T.add(x, out),
                          self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
         f = self._dropout(self._ffn(x, layer), pad_mask, rows, train, rng)
-        return T.layer_norm(T.add(x, f),
-                            self.params[f"{p}.ln2.g"], self.params[f"{p}.ln2.b"])
+        return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
+                            self.params[f"{p}.ln2.b"]), attn
 
     def invasive_layer(self, layer, x, pad_mask, rows, train=False, rng=None):
         """One encoder layer on the real-token rows x [N, h].
 
         pad_mask [B, L] marks the real tokens; rows = flatnonzero(pad_mask)
         are their flat positions, in the order of x's rows."""
-        attn_out, attn = self._attention_block(layer, x, x, pad_mask, rows,
-                                               train, rng)
-        return self._sublayers(layer, x, attn_out, pad_mask, rows, train,
-                               rng), attn
+        return self._layer(layer, x, x, pad_mask, rows, train, rng)
 
     def nova_layer(self, layer, hidden, side, pad_mask, rows, train=False,
                    rng=None):
-        """Q, K from the freshly fused representation; V and the residual
-        stay on the ID branch, so the output remains in ID space. Rows as
-        in :meth:`invasive_layer`."""
-        r, _ = EF.integrated_embeddings(
-            None, self.params, self.schema, self.config.fusion,
-            self._fusion_params(f"layer{layer}.fuse"), hidden=hidden,
-            gating_mode=self.config.gating_mode, side=side)
-        attn_out, attn = self._attention_block(layer, r, hidden, pad_mask,
-                                               rows, train, rng)
-        return self._sublayers(layer, hidden, attn_out, pad_mask, rows, train,
-                               rng), attn
+        """Q, K from the hidden state re-fused with side at this layer's
+        site; V and the residual stay on the ID branch, so the output remains
+        in ID space. Rows as in :meth:`invasive_layer`."""
+        return self._layer(layer, self._fuse(hidden, side, layer), hidden,
+                           pad_mask, rows, train, rng)
 
     def encode(self, batch, train=False, rng=None, collect_attn=False):
         """Run the full stack; returns (hidden [B,L,h], attn maps per layer).
@@ -220,32 +222,24 @@ class Model:
                 f"batch length {L} != model max_len {cfg.max_len}")
         pad_mask = batch.pad_mask
         rows = np.flatnonzero(pad_mask)
-        feats = cfg.active_features(self.schema)
         side = EF.embed_side_features(batch, self.params, self.schema,
-                                      features=feats,
+                                      features=cfg.active_features(self.schema),
                                       use_position=cfg.use_position, rows=rows)
+        x = T.embedding_lookup(self.params["emb.id"],
+                               EF.real_rows(batch.items, rows))
+        nova = cfg.attention == "nova"
+        if not nova:
+            x = self._fuse(x, side, 0)
+        x = self._dropout(x, pad_mask, rows, train, rng)
         attns = []
-        if cfg.attention == "invasive":
-            r, _ = EF.integrated_embeddings(
-                batch, self.params, self.schema, cfg.fusion,
-                self._fusion_params("fuse"), features=feats,
-                use_position=cfg.use_position, gating_mode=cfg.gating_mode,
-                side=side, rows=rows)
-            x = self._dropout(r, pad_mask, rows, train, rng)
-            for i in range(cfg.num_layers):
-                x, attn = self.invasive_layer(i, x, pad_mask, rows, train, rng)
-                if collect_attn:
-                    attns.append(attn)
-        else:
-            x = T.embedding_lookup(self.params["emb.id"],
-                                   EF.real_rows(batch.items, rows))
-            x = self._dropout(x, pad_mask, rows, train, rng)
-            # the identical side tensors are re-fed to every layer
-            for i in range(cfg.num_layers):
+        for i in range(cfg.num_layers):
+            if nova:  # the identical side tensors are re-fed to every layer
                 x, attn = self.nova_layer(i, x, side, pad_mask, rows, train,
                                           rng)
-                if collect_attn:
-                    attns.append(attn)
+            else:
+                x, attn = self.invasive_layer(i, x, pad_mask, rows, train, rng)
+            if collect_attn:
+                attns.append(attn)
         full = T.put_rows(x, rows, B * L)
         return T.reshape(full, (B, L, cfg.hidden_size)), attns
 

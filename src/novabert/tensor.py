@@ -134,12 +134,15 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def backward(loss):
-    """Populate .grad on every requires_grad tensor reachable from loss.
+    """Populate .grad on every requires_grad leaf reachable from loss.
 
     loss must be a scalar produced through recorded operations. A tape
     (topologically ordered op list) is built from the graph and replayed in
-    reverse; each node is visited exactly once. Calling twice on the same
-    loss without re-running the forward pass raises.
+    reverse; each node is visited exactly once. An interior node's .grad is
+    set to None once its backward closure has passed it on to the parents,
+    so it is not kept alive until the graph is dropped; loss.grad and the
+    leaves' .grad stay. Calling twice on the same loss without re-running
+    the forward pass raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -168,6 +171,8 @@ def backward(loss):
             continue
         node._bw(node.grad)
         node._done = True
+        if node is not loss:
+            node.grad = None
     loss._done = True
 
 

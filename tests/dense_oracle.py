@@ -55,11 +55,9 @@ def encode(model, batch, train=False, rng=None):
                                   use_position=cfg.use_position)
     attns = []
     if cfg.attention == "invasive":
-        r, _ = EF.integrated_embeddings(
-            batch, params, model.schema, cfg.fusion,
-            model._fusion_params("fuse"), features=feats,
-            use_position=cfg.use_position, gating_mode=cfg.gating_mode,
-            side=side)
+        r = EF.integrated_embeddings(
+            T.embedding_lookup(params["emb.id"], batch.items), side,
+            cfg.fusion, model.fusion[0], cfg.gating_mode)
         x = T.dropout(r, cfg.dropout, rng, train)
         for i in range(cfg.num_layers):
             attn_out, attn = _attention_block(model, i, x, x, key_mask,
@@ -70,10 +68,8 @@ def encode(model, batch, train=False, rng=None):
         x = T.embedding_lookup(params["emb.id"], batch.items)
         x = T.dropout(x, cfg.dropout, rng, train)
         for i in range(cfg.num_layers):
-            r, _ = EF.integrated_embeddings(
-                None, params, model.schema, cfg.fusion,
-                model._fusion_params(f"layer{i}.fuse"), hidden=x,
-                gating_mode=cfg.gating_mode, side=side)
+            r = EF.integrated_embeddings(x, side, cfg.fusion, model.fusion[i],
+                                         cfg.gating_mode)
             attn_out, attn = _attention_block(model, i, r, x, key_mask,
                                               train, rng)
             x = _sublayers(model, i, x, attn_out, train, rng)

@@ -7,6 +7,7 @@ import pytest
 from novabert import checkpoint as CK
 from novabert import cli
 from novabert import data as D
+from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import branching_dataset, successor_dataset
 
@@ -55,6 +56,28 @@ def test_missing_required_key_exits_2(toy, capsys):
     code = cli.main(["train"] + flags(toy))
     assert code == 2
     assert "hidden_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("hidden_size = 8", "hidden_size = abc", "hidden_size"),
+    ("dropout = 0.0", "dropout = high", "dropout"),
+    ("epochs = 2", "epochs = two", "epochs"),
+])
+def test_non_numeric_value_exits_2(toy, capsys, old, new, key):
+    toy["config"].write_text(CONFIG.replace(old, new))
+    code = cli.main(["train"] + flags(toy))
+    assert code == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_absent_keys_take_dataclass_defaults(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[model]\nhidden_size = 8\nnum_heads = 2\n"
+                    "num_layers = 1\nmax_len = 6\n")
+    mcfg, tcfg = cli.read_config(path, overrides={"seed": 3})
+    assert mcfg == ModelConfig(hidden_size=8, num_heads=2, num_layers=1,
+                               max_len=6)
+    assert tcfg == TR.TrainConfig(seed=3)
 
 
 def test_train_writes_outputs_and_evaluate_round_trips(toy, tmp_path, capsys):

@@ -152,8 +152,10 @@ def test_integrated_no_side_add_equals_id(small_batch):
     rng = np.random.default_rng(1)
     params = EF.init_embeddings(schema, catalog, 8, 5, rng, features=[],
                                 use_position=False)
-    r, r_id = EF.integrated_embeddings(batch, params, schema, "add", {},
-                                       features=[], use_position=False)
+    side = EF.embed_side_features(batch, params, schema, features=[],
+                                  use_position=False)
+    r_id = T.embedding_lookup(params["emb.id"], batch.items)
+    r = EF.integrated_embeddings(r_id, side, "add", {})
     assert np.array_equal(r.data, r_id.data)
 
 
@@ -161,8 +163,9 @@ def test_integrated_position_only_is_additive(small_batch):
     schema, catalog, batch = small_batch
     rng = np.random.default_rng(2)
     params = EF.init_embeddings(schema, catalog, 8, 5, rng, features=[])
-    r, r_id = EF.integrated_embeddings(batch, params, schema, "add", {},
-                                       features=[])
+    side = EF.embed_side_features(batch, params, schema, features=[])
+    r_id = T.embedding_lookup(params["emb.id"], batch.items)
+    r = EF.integrated_embeddings(r_id, side, "add", {})
     pos = params["emb.pos"].data[batch.positions]
     assert np.allclose(r.data, r_id.data + pos)
 
@@ -173,7 +176,9 @@ def test_integrated_full_matches_straight_line_oracle(small_batch):
     params = EF.init_embeddings(schema, catalog, 8, 5, rng)
     fp = EF.init_fusion_params("gating", 3, 8, rng)
     fp["wf"].data[:] = rng.standard_normal((8, 1))
-    r, r_id = EF.integrated_embeddings(batch, params, schema, "gating", fp)
+    side = EF.embed_side_features(batch, params, schema)
+    r = EF.integrated_embeddings(
+        T.embedding_lookup(params["emb.id"], batch.items), side, "gating", fp)
     # oracle: lookups then gating, all in plain numpy
     idemb = params["emb.id"].data[batch.items]
     ratemb = params["emb.f.rating"].data[batch.features["rating"]]
@@ -184,7 +189,6 @@ def test_integrated_full_matches_straight_line_oracle(small_batch):
     g = e / e.sum(-1, keepdims=True)
     expect = np.einsum("...k,...kh->...h", g, fmat)
     assert np.allclose(r.data, expect, atol=1e-12)
-    assert np.array_equal(r_id.data, idemb)
 
 
 def test_gradients_reach_all_tables(small_batch):
@@ -192,7 +196,9 @@ def test_gradients_reach_all_tables(small_batch):
     rng = np.random.default_rng(4)
     params = EF.init_embeddings(schema, catalog, 8, 5, rng)
     fp = EF.init_fusion_params("concat", 3, 8, rng)
-    r, _ = EF.integrated_embeddings(batch, params, schema, "concat", fp)
+    side = EF.embed_side_features(batch, params, schema)
+    r = EF.integrated_embeddings(
+        T.embedding_lookup(params["emb.id"], batch.items), side, "concat", fp)
     T.backward(T.tsum(T.mul(r, r)))
     for name, p in {**params, **{f"fuse.{k}": v for k, v in fp.items()}}.items():
         assert p.grad is not None and np.any(p.grad != 0), name

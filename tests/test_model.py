@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from novabert import checkpoint as CK
 from novabert import data as D
 from novabert import tensor as T
 from novabert.model import Model, ModelConfig
@@ -36,6 +37,15 @@ def test_config_validation():
         ModelConfig(hidden_size=10, num_heads=4, num_layers=1, max_len=4)
     with pytest.raises(ValueError):
         ModelConfig(hidden_size=8, num_heads=2, num_layers=0, max_len=4)
+    base = dict(hidden_size=8, num_heads=2, num_layers=1, max_len=4)
+    for bad in (dict(dropout=1.0), dict(dropout=-0.1),
+                dict(dropout=float("nan")), dict(mask_prob=0.0),
+                dict(mask_prob=1.5), dict(gating_mode="relu")):
+        with pytest.raises(ValueError):
+            ModelConfig(**base, **bad)
+    for ok in (dict(dropout=0.0), dict(mask_prob=1.0),
+               dict(gating_mode="sigmoid")):
+        ModelConfig(**base, **ok)
 
 
 def test_residual_identity_with_zero_weights():
@@ -245,3 +255,36 @@ def test_gathered_loss_equals_dense_loss(attention, fusion):
         assert set(g_grads) == set(d_grads)
         for name, g in g_grads.items():
             assert np.abs(g - d_grads[name]).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("attention", ["nova", "invasive"])
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+def test_fusion_sites_hold_the_fuse_params(attention, fusion):
+    """model.fusion[i] is site i's dict of the very tensors in params."""
+    model, _ = tiny_setup(attention=attention, fusion=fusion, layers=3)
+    prefixes = (["fuse"] if attention == "invasive"
+                else [f"layer{i}.fuse" for i in range(3)])
+    assert len(model.fusion) == len(prefixes)
+    in_params = [(n, t) for n, t in model.params.items()
+                 if n.rsplit(".", 1)[0] in prefixes]
+    in_sites = [(f"{prefix}.{k}", t)
+                for prefix, site in zip(prefixes, model.fusion)
+                for k, t in site.items()]
+    assert [n for n, _ in in_sites] == [n for n, _ in in_params]
+    assert all(a is b for (_, a), (_, b) in zip(in_sites, in_params))
+    assert not [n for n in model.params if ".fuse." in f".{n}"
+                and n.rsplit(".", 1)[0] not in prefixes]
+
+
+@pytest.mark.parametrize("attention", ["nova", "invasive"])
+@pytest.mark.parametrize("fusion", ["concat", "gating"])
+def test_fusion_sites_survive_checkpoint_round_trip(attention, fusion,
+                                                    tmp_path):
+    model, batch = tiny_setup(attention=attention, fusion=fusion)
+    rng = np.random.default_rng(7)
+    for site in model.fusion:
+        for t in site.values():
+            t.data[:] = rng.standard_normal(t.data.shape)
+    CK.save_checkpoint(tmp_path / "m.bin", model)
+    loaded, _, _ = CK.load_checkpoint(tmp_path / "m.bin")
+    assert loaded.loss(batch).item() == model.loss(batch).item()
