@@ -11,7 +11,9 @@ Layout:
     data          the tensors, little-endian float64, in directory order
 
 The index makes the file self-describing: the model is rebuilt from it
-alone, without the original config or item files. Tensors are written in
+alone, without the original config or item files. The catalog is rebuilt
+from the raw item values with the stored (frozen) vocabularies, and must
+match the encoded features the index also stores. Tensors are written in
 sorted-name order and the JSON is canonical, so saving a freshly loaded
 checkpoint reproduces the original file byte for byte.
 """
@@ -24,7 +26,7 @@ import struct
 
 import numpy as np
 
-from novabert.data import FeatureSpec, ItemCatalog, SideInfoSchema
+from novabert.data import FeatureSpec, SideInfoSchema, build_catalog
 from novabert.model import Model, ModelConfig
 
 MAGIC = b"NOVACKPT"
@@ -33,36 +35,6 @@ VERSION = 1
 
 class CheckpointError(RuntimeError):
     pass
-
-
-def _schema_to_dict(schema):
-    return [{"name": f.name, "kind": f.kind, "encoding": f.encoding,
-             "buckets": f.buckets, "vocab": f.vocab}
-            for f in schema.features]
-
-
-def _schema_from_dict(items):
-    feats = []
-    for d in items:
-        f = FeatureSpec(d["name"], d["kind"], d["encoding"],
-                        buckets=d["buckets"])
-        f.vocab = dict(d["vocab"])
-        feats.append(f)
-    return SideInfoSchema(feats)
-
-
-def _catalog_to_dict(catalog):
-    return {"raw_ids": catalog.raw_ids,
-            "raw_features": catalog.raw_features,
-            "features": catalog.features}
-
-
-def _catalog_from_dict(d):
-    raw_ids = list(d["raw_ids"])
-    return ItemCatalog(raw_ids=raw_ids,
-                       id_map={r: i + 1 for i, r in enumerate(raw_ids)},
-                       features=d["features"],
-                       raw_features=d["raw_features"])
 
 
 def save_checkpoint(path, model, metadata=None, optimizer=None):
@@ -84,8 +56,10 @@ def save_checkpoint(path, model, metadata=None, optimizer=None):
         offset += len(blob)
     index = {
         "config": dataclasses.asdict(model.config),
-        "schema": _schema_to_dict(model.schema),
-        "catalog": _catalog_to_dict(model.catalog),
+        "schema": [dataclasses.asdict(f) for f in model.schema.features],
+        "catalog": {"raw_ids": model.catalog.raw_ids,
+                    "raw_features": model.catalog.raw_features,
+                    "features": model.catalog.features},
         "metadata": dict(metadata or {}),
         "optimizer": {"t": optimizer.t} if optimizer is not None else None,
         "tensors": directory,
@@ -123,8 +97,12 @@ def load_checkpoint(path):
     {"t": int, "m": dict, "v": dict} or None.
     """
     index, data_start = read_index(path)
-    schema = _schema_from_dict(index["schema"])
-    catalog = _catalog_from_dict(index["catalog"])
+    schema = SideInfoSchema([FeatureSpec(**d) for d in index["schema"]])
+    stored = index["catalog"]
+    catalog = build_catalog(stored["raw_ids"], schema, stored["raw_features"])
+    if catalog.features != stored["features"]:
+        raise CheckpointError(
+            f"{path}: stored item features do not match their raw values")
     config = ModelConfig(**index["config"])
     model = Model(config, schema, catalog, seed=0)
 

@@ -380,8 +380,10 @@ def build_parser():
                               choices=["add", "concat", "gating"], default=None)
     common_model.add_argument("--attention",
                               choices=["invasive", "nova"], default=None)
-    common_model.add_argument("--precision", choices=["f32", "f64"],
-                              default="f64")
+    common_model.add_argument(
+        "--precision", choices=["f32", "f64"], default="f64",
+        help="parameter storage dtype; f32 stores parameters in float32, "
+             "but compute still runs in float64")
 
     sp = add("prepare-data", cmd_prepare_data,
              help="convert ::-separated rating/movie files to TSV")

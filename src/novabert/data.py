@@ -5,15 +5,24 @@ File formats (UTF-8 TSV with a header row):
 * interactions: ``user_id  item_id  timestamp`` followed by one column per
   behavior feature declared in the schema.
 * items: ``item_id`` followed by one column per item feature; multi-valued
-  fields use ``|`` separators.
+  fields use ``|`` separators, and empty values between them are dropped.
 * schema: INI-style, one section per feature with ``kind`` (item|behavior)
   and ``encoding`` (categorical|bucketed|multi); bucketed features list
   their ``buckets`` edges as comma-separated numbers.
 
 Index conventions: item ID 0 is padding, IDs 1..m are items, m+1 is the
-mask token. Every feature reserves index 0 for padding and 1 for UNK.
+mask token. Every feature reserves index 0 for padding and 1 for UNK; an
+empty multi field encodes to [UNK].
 Position is implicit behavior context (index = 1-based position in the
 window) and never appears in the schema file.
+
+Raw strings reach indices by one path: :class:`FeatureSpec` freezes its
+vocabulary (``freeze``) and encodes (``encode``), and :func:`build_catalog`
+turns raw item IDs and feature columns into an :class:`ItemCatalog`. The
+TSV loaders, the synthetic builders and the checkpoint loader all use it.
+Item vocabularies are frozen from the items file, behavior vocabularies from
+the retained users; a vocabulary the schema already carries (as one loaded
+from a checkpoint does) is kept.
 """
 
 from __future__ import annotations
@@ -61,22 +70,38 @@ class FeatureSpec:
             return 2 + len(self.buckets) + 1
         return 2 + len(self.vocab)
 
+    @property
+    def unk(self):
+        """UNK in encoded form: [UNK] for a multi field."""
+        return [UNK] if self.encoding == "multi" else UNK
+
+    def _values(self, raw):
+        """The vocabulary values in one raw string: a multi field's
+        |-separated values without the empty ones, else the string itself."""
+        if self.encoding == "multi":
+            return [v for v in raw.split("|") if v]
+        return [raw]
+
     def encode(self, raw):
-        """Map one raw string value to its index (UNK when unseen)."""
+        """Map one raw string to its index, or a multi field to its list of
+        indices. Unseen values are UNK; an empty multi field is [UNK]."""
         if self.encoding == "bucketed":
             try:
                 x = float(raw)
             except ValueError:
                 return UNK
             return 2 + bisect.bisect_right(self.buckets, x)
+        if self.encoding == "multi":
+            return [self.vocab.get(v, UNK) for v in self._values(raw)] or [UNK]
         return self.vocab.get(raw, UNK)
 
-    def encode_multi(self, raw):
-        """Encode a |-separated multi-valued field to a list of indices."""
-        vals = [v for v in raw.split("|") if v]
-        if not vals:
-            return [UNK]
-        return [self.vocab.get(v, UNK) for v in vals]
+    def freeze(self, raws):
+        """Build the vocabulary from raw strings. A vocabulary that is
+        already frozen (e.g. loaded from a checkpoint) is kept, and a
+        bucketed feature has none."""
+        if self.vocab or self.encoding == "bucketed":
+            return
+        self.build_vocab(v for raw in raws for v in self._values(raw))
 
     def build_vocab(self, values):
         self.vocab = {v: i + 2 for i, v in enumerate(sorted(set(values)))}
@@ -162,58 +187,53 @@ class InteractionSequence:
         return len(self.items)
 
 
-def _split_tsv_line(line, n_cols, path, lineno):
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != n_cols:
-        raise DataError(
-            f"{path}:{lineno}: expected {n_cols} columns, got {len(parts)}")
-    return parts
+def _read_tsv(path, expect):
+    """Yield (line number, fields) for each non-blank data row of a TSV
+    file whose header must equal the column names in expect."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if header != expect:
+            raise DataError(f"{path}:1: header {header} does not match schema "
+                            f"(expected {expect})")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(expect):
+                raise DataError(f"{path}:{lineno}: expected {len(expect)} "
+                                f"columns, got {len(parts)}")
+            yield lineno, parts
+
+
+def build_catalog(raw_ids, schema, raw_columns):
+    """Items raw_ids[i] -> i + 1, with their item features encoded.
+
+    raw_columns maps each item feature's name to its per-item raw strings.
+    Each item feature's vocabulary is frozen from its column first, unless
+    the schema already carries it."""
+    features, raw_features = {}, {}
+    for f in schema.item_features():
+        raws = list(raw_columns[f.name])
+        f.freeze(raws)
+        features[f.name] = [None] + [f.encode(v) for v in raws]
+        raw_features[f.name] = raws
+    id_map = {raw: i + 1 for i, raw in enumerate(raw_ids)}
+    return ItemCatalog(list(raw_ids), id_map, features, raw_features)
 
 
 def load_items(path, schema):
     item_feats = schema.item_features()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        expect = ["item_id"] + [f.name for f in item_feats]
-        if header != expect:
-            raise DataError(f"{path}:1: header {header} does not match schema "
-                            f"(expected {expect})")
-        raw_ids, raw_cols = [], {f.name: [] for f in item_feats}
-        seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = _split_tsv_line(line, len(expect), path, lineno)
-            if parts[0] in seen:
-                raise DataError(f"{path}:{lineno}: duplicate item_id {parts[0]!r}")
-            seen.add(parts[0])
-            raw_ids.append(parts[0])
-            for f, val in zip(item_feats, parts[1:]):
-                raw_cols[f.name].append(val)
-
-    for f in item_feats:
-        # already-frozen vocabularies (e.g. from a checkpoint) are kept
-        if f.vocab:
-            continue
-        if f.encoding == "categorical":
-            f.build_vocab(raw_cols[f.name])
-        elif f.encoding == "multi":
-            vals = []
-            for raw in raw_cols[f.name]:
-                vals.extend(v for v in raw.split("|") if v)
-            f.build_vocab(vals)
-
-    features = {}
-    for f in item_feats:
-        if f.encoding == "multi":
-            col = [None] + [f.encode_multi(v) for v in raw_cols[f.name]]
-        else:
-            col = [None] + [f.encode(v) for v in raw_cols[f.name]]
-        features[f.name] = col
-
-    id_map = {raw: i + 1 for i, raw in enumerate(raw_ids)}
-    raw_features = {name: col for name, col in raw_cols.items()}
-    return ItemCatalog(raw_ids, id_map, features, raw_features)
+    raw_ids, raw_cols = [], {f.name: [] for f in item_feats}
+    seen = set()
+    for lineno, parts in _read_tsv(path,
+                                   ["item_id"] + [f.name for f in item_feats]):
+        if parts[0] in seen:
+            raise DataError(f"{path}:{lineno}: duplicate item_id {parts[0]!r}")
+        seen.add(parts[0])
+        raw_ids.append(parts[0])
+        for f, val in zip(item_feats, parts[1:]):
+            raw_cols[f.name].append(val)
+    return build_catalog(raw_ids, schema, raw_cols)
 
 
 def load_interactions(path, schema, catalog):
@@ -221,63 +241,38 @@ def load_interactions(path, schema, catalog):
 
     Records are stably sorted by timestamp inside each user; users with
     fewer than MIN_SEQUENCE_LEN interactions are dropped. Behavior-feature
-    vocabularies are frozen here.
+    vocabularies are frozen here from the retained users, unless the schema
+    already carries them.
     """
     beh_feats = schema.behavior_features()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        expect = ["user_id", "item_id", "timestamp"] + [f.name for f in beh_feats]
-        if header != expect:
-            raise DataError(f"{path}:1: header {header} does not match schema "
-                            f"(expected {expect})")
-        per_user = {}
-        order = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = _split_tsv_line(line, len(expect), path, lineno)
-            user, raw_item, raw_ts = parts[0], parts[1], parts[2]
-            if raw_item not in catalog.id_map:
-                raise DataError(f"{path}:{lineno}: unknown item {raw_item!r}")
-            try:
-                ts = int(raw_ts)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad timestamp {raw_ts!r}") from None
-            if user not in per_user:
-                per_user[user] = []
-                order.append(user)
-            per_user[user].append((ts, catalog.id_map[raw_item], parts[3:]))
+    expect = ["user_id", "item_id", "timestamp"] + [f.name for f in beh_feats]
+    per_user = {}
+    for lineno, parts in _read_tsv(path, expect):
+        user, raw_item, raw_ts = parts[:3]
+        if raw_item not in catalog.id_map:
+            raise DataError(f"{path}:{lineno}: unknown item {raw_item!r}")
+        try:
+            ts = int(raw_ts)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad timestamp {raw_ts!r}") from None
+        per_user.setdefault(user, []).append(
+            (ts, catalog.id_map[raw_item], parts[3:]))
 
     # cold-start filter first so vocabularies only reflect retained users
-    kept = [(u, sorted(per_user[u], key=lambda r: r[0])) for u in order
-            if len(per_user[u]) >= MIN_SEQUENCE_LEN]
-
+    kept = [(u, sorted(recs, key=lambda r: r[0]))
+            for u, recs in per_user.items() if len(recs) >= MIN_SEQUENCE_LEN]
     for i, f in enumerate(beh_feats):
-        # already-frozen vocabularies (e.g. from a checkpoint) are kept
-        if f.encoding in ("categorical", "multi") and not f.vocab:
-            vals = []
-            for _, recs in kept:
-                for _, _, raw in recs:
-                    if f.encoding == "multi":
-                        vals.extend(v for v in raw[i].split("|") if v)
-                    else:
-                        vals.append(raw[i])
-            f.build_vocab(vals)
+        f.freeze(raw[i] for _, recs in kept for _, _, raw in recs)
 
     sequences = []
     for user, recs in kept:
-        items = [r[1] for r in recs]
-        timestamps = [r[0] for r in recs]
-        behavior, raw_behavior = {}, {}
-        for i, f in enumerate(beh_feats):
-            raws = [r[2][i] for r in recs]
-            raw_behavior[f.name] = raws
-            if f.encoding == "multi":
-                behavior[f.name] = [f.encode_multi(v) for v in raws]
-            else:
-                behavior[f.name] = [f.encode(v) for v in raws]
-        sequences.append(InteractionSequence(user, items, timestamps,
-                                             behavior, raw_behavior))
+        raw_behavior = {f.name: [r[2][i] for r in recs]
+                        for i, f in enumerate(beh_feats)}
+        behavior = {f.name: [f.encode(v) for v in raw_behavior[f.name]]
+                    for f in beh_feats}
+        sequences.append(InteractionSequence(
+            user, [r[1] for r in recs], [r[0] for r in recs],
+            behavior, raw_behavior))
     return sequences
 
 
@@ -397,13 +392,12 @@ def _build_batch(rows, schema, catalog, L):
         positions[b, L - n:] = np.arange(1, n + 1)
     features = {}
     for f in schema.features:
-        multi = f.encoding == "multi"
-        unk = [UNK] if multi else UNK
+        unk = f.unk
         cols = [beh[f.name] if f.kind == "behavior" else
                 [unk if mk else catalog.features[f.name][it]
                  for it, mk in zip(row_items, masked)]
                 for row_items, beh, masked in rows]
-        if multi:
+        if f.encoding == "multi":
             kmax = max([1] + [len(v) for col in cols for v in col])
             arr = np.zeros((B, L, kmax), dtype=np.int64)
             for b, col in enumerate(cols):
@@ -444,14 +438,17 @@ def make_eval_batch(pairs, schema, catalog, L):
     A row is prefix + [target] with its last slot masked. The mask position
     carries its true position index; every other behavior feature there is
     UNK (the future interaction's context is unknown). Prefixes longer than
-    L-1 keep their most recent L-1 items."""
+    L-1 keep their most recent L-1 items, so L must be at least 2."""
+    if L < 2:
+        raise DataError(f"sequence length must be >= 2 to hold a prefix and "
+                        f"the mask, got {L}")
     rows = []
     for pair in pairs:
         if not pair.items:
             raise DataError("empty prefix in evaluation pair")
         prefix = _window(pair.items, L - 1)
         beh = {f.name: list(_window(pair.behavior[f.name], L - 1))
-               + [[UNK] if f.encoding == "multi" else UNK]
+               + [f.unk]
                for f in schema.behavior_features()}
         rows.append((prefix + [pair.target], beh,
                      [False] * len(prefix) + [True]))

@@ -44,6 +44,9 @@ class ModelConfig:
                 f"num_heads {self.num_heads}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        if self.max_len < 2:
+            # an evaluation row is at least one history item plus the mask
+            raise ValueError(f"max_len must be >= 2, got {self.max_len}")
         if self.attention not in ("invasive", "nova"):
             raise ValueError(f"unknown attention kind {self.attention!r}")
         if self.fusion not in ("add", "concat", "gating"):

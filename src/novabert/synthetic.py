@@ -1,37 +1,23 @@
 """Synthetic dataset builders used by the tests and the example configs.
 
 Both builders return (schema, catalog, sequences) in the same structures the
-TSV loader produces, so they can be split/batched/evaluated identically.
+TSV loader produces, so they can be split/batched/evaluated identically. The
+catalog is built by ``data.build_catalog``, the path ``data.load_items``
+takes, so the same raw strings get the same vocabularies and indices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from novabert.data import (FeatureSpec, InteractionSequence, ItemCatalog,
-                           SideInfoSchema)
+from novabert.data import (FeatureSpec, InteractionSequence, SideInfoSchema,
+                           build_catalog)
 
 
 def make_catalog(m, schema=None, feature_values=None):
     """Catalog with raw IDs "1".."m". feature_values: name -> per-item raw."""
-    raw_ids = [str(i + 1) for i in range(m)]
-    id_map = {raw: i + 1 for i, raw in enumerate(raw_ids)}
-    features, raw_features = {}, {}
-    if schema is not None:
-        for f in schema.item_features():
-            raws = feature_values[f.name]
-            if f.encoding in ("categorical", "multi"):
-                flat = []
-                for v in raws:
-                    flat.extend(v.split("|") if f.encoding == "multi" else [v])
-                f.build_vocab(flat)
-            if f.encoding == "multi":
-                col = [None] + [f.encode_multi(v) for v in raws]
-            else:
-                col = [None] + [f.encode(v) for v in raws]
-            features[f.name] = col
-            raw_features[f.name] = list(raws)
-    return ItemCatalog(raw_ids, id_map, features, raw_features)
+    return build_catalog([str(i + 1) for i in range(m)],
+                         schema or SideInfoSchema([]), feature_values or {})
 
 
 def successor_dataset(m=100, n_seq=500, length=20, seed=0):

@@ -185,8 +185,11 @@ def add(a, b):
     out_data = a.data + b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        # a constant operand (a mask, a scale) gets no reduction of g
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -196,8 +199,10 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -480,8 +485,8 @@ def scaled_dot_attention(q, k, v, key_mask=None, attn_dropout=0.0, rng=None,
     scores = mul(matmul(q, transpose(k, _swap_last2(k.data.ndim))), 1.0 / math.sqrt(d))
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
-        bmask = np.broadcast_to(key_mask, scores.shape)
-        if not bmask.any(axis=-1).all():
+        # checked on the mask itself: broadcasting only repeats its rows
+        if not key_mask.any(axis=-1).all():
             raise ValueError("attention row with every key masked (empty sequence)")
         scores = add(scores, np.where(key_mask, 0.0, NEG_INF))
     attn = softmax_lastdim(scores)

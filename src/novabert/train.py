@@ -32,7 +32,6 @@ class TrainConfig:
     eps: float = 1e-8
     clip_norm: float = 5.0
     eval_every: int = 1
-    early_stop_hr10: float | None = None   # stop once validation HR@10 reaches it
     early_stop_hr1: float | None = None    # stop once validation HR@1 reaches it
     # fraction of each batch also trained on a final-position cloze sample,
     # matching the layout evaluation queries with (mask appended at the end)
@@ -291,11 +290,8 @@ def train(model, split, train_cfg, log=None):
             if log:
                 log(f"epoch {epoch}: loss {record['loss']:.4f} "
                     f"val HR@10 {val.hr10:.4f}")
-            stop10 = (cfg.early_stop_hr10 is not None
-                      and val.hr10 >= cfg.early_stop_hr10)
-            stop1 = (cfg.early_stop_hr1 is not None
-                     and val.hr1 >= cfg.early_stop_hr1)
-            if stop10 or stop1:
+            if (cfg.early_stop_hr1 is not None
+                    and val.hr1 >= cfg.early_stop_hr1):
                 best.history.append(record)
                 break
         elif log:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from novabert import checkpoint as CK
 from novabert import data as D
 from novabert import train as TR
 from novabert.model import Model, ModelConfig
-from novabert.synthetic import branching_dataset
+from novabert.synthetic import branching_dataset, make_catalog
 
 
 def build_model(seed=0):
@@ -78,20 +81,44 @@ def test_bad_magic_rejected(tmp_path):
         CK.load_checkpoint(path)
 
 
+def rewrite_index(path, edit):
+    """Apply edit to the checkpoint's index in place, keeping the tensors."""
+    index, data_start = CK.read_index(path)
+    edit(index)
+    body = path.read_bytes()[data_start:]
+    blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(CK.MAGIC + struct.pack("<I", CK.VERSION)
+                     + struct.pack("<Q", len(blob)) + blob + body)
+
+
 def test_shape_mismatch_rejected(tmp_path):
     model, _ = build_model()
     path = tmp_path / "model.bin"
     CK.save_checkpoint(path, model)
-    index, data_start = CK.read_index(path)
+
     # corrupt the declared shape of one tensor, keeping byte counts valid
-    import json, struct
-    for entry in index["tensors"]:
-        if entry["name"] == "dec.bias":
-            entry["shape"] = [2, 5]
-    raw = path.read_bytes()
-    body = raw[data_start:]
-    blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(CK.MAGIC + struct.pack("<I", CK.VERSION)
-                     + struct.pack("<Q", len(blob)) + blob + body)
+    def edit(index):
+        for entry in index["tensors"]:
+            if entry["name"] == "dec.bias":
+                entry["shape"] = [2, 5]
+
+    rewrite_index(path, edit)
     with pytest.raises(CK.CheckpointError, match="dec.bias"):
+        CK.load_checkpoint(path)
+
+
+def test_features_disagreeing_with_raw_values_rejected(tmp_path):
+    genre = D.FeatureSpec("genre", "item", "multi")
+    schema = D.SideInfoSchema([genre])
+    catalog = make_catalog(3, schema, {"genre": ["a|b", "b", "c"]})
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=4)
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, Model(cfg, schema, catalog, seed=0))
+    CK.load_checkpoint(path)  # the untouched file loads
+
+    def edit(index):
+        index["catalog"]["raw_features"]["genre"][1] = "c"
+
+    rewrite_index(path, edit)
+    with pytest.raises(CK.CheckpointError, match="do not match"):
         CK.load_checkpoint(path)

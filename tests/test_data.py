@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from novabert import checkpoint as CK
 from novabert import data as D
-from novabert.synthetic import branching_dataset
+from novabert.model import Model, ModelConfig
+from novabert.synthetic import branching_dataset, make_catalog
 
 SCHEMA_TEXT = """\
 [year]
@@ -149,6 +151,56 @@ def test_split_deterministic(dataset):
     assert [t.items for t in a.train] == [t.items for t in b.train]
 
 
+# one multi field with an empty value between separators and an empty
+# field, and one categorical field
+SIDE_VALUES = {"genre": ["a||b", "", "b"], "kind": ["x", "y", "x"]}
+
+
+def _side_schema():
+    return D.SideInfoSchema([D.FeatureSpec("genre", "item", "multi"),
+                             D.FeatureSpec("kind", "item", "categorical")])
+
+
+def _built_three_ways(tmp_path, schema_factory):
+    """(schema, catalog) from make_catalog, from write_items + load_items,
+    and from a checkpoint round trip of a model on the first."""
+    schema = schema_factory()
+    catalog = make_catalog(3, schema, SIDE_VALUES)
+    items = tmp_path / "items.tsv"
+    D.write_items(catalog, schema, items)
+    loaded_schema = schema_factory()
+    loaded = D.load_items(items, loaded_schema)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=4)
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, Model(cfg, schema, catalog, seed=0))
+    model, _, _ = CK.load_checkpoint(path)
+    return [(schema, catalog), (loaded_schema, loaded),
+            (model.schema, model.catalog)]
+
+
+def test_one_encoding_for_one_set_of_strings(tmp_path):
+    built = _built_three_ways(tmp_path, _side_schema)
+    for schema, catalog in built:
+        assert schema.get("genre").vocab == {"a": 2, "b": 3}
+        assert schema.get("kind").vocab == {"x": 2, "y": 3}
+        assert catalog.features["genre"] == [None, [2, 3], [D.UNK], [3]]
+        assert catalog.features["kind"] == [None, 2, 3, 2]
+        assert catalog.id_map == {"1": 1, "2": 2, "3": 3}
+        assert catalog.raw_features == SIDE_VALUES
+
+
+def test_frozen_vocabulary_is_kept(tmp_path):
+    def frozen_schema():
+        schema = _side_schema()
+        schema.get("genre").build_vocab(["b", "c"])
+        return schema
+
+    for schema, catalog in _built_three_ways(tmp_path, frozen_schema):
+        assert schema.get("genre").vocab == {"b": 2, "c": 3}
+        assert catalog.features["genre"] == [None, [D.UNK, 2], [D.UNK], [2]]
+        assert schema.get("kind").vocab == {"x": 2, "y": 3}
+
+
 # ---------------------------------------------------------------------------
 # masked batches
 # ---------------------------------------------------------------------------
@@ -241,6 +293,16 @@ def test_eval_batch_truncates_head(split):
     batch = D.make_eval_batch([pair], schema, catalog, L=5)
     assert list(batch.items[0, :4]) == items[-4:]
     assert batch.items[0, 4] == catalog.mask_token
+
+
+def test_eval_batch_needs_room_for_prefix_and_mask(split):
+    schema, catalog, _ = split
+    pair = D.EvalPair(items=[1, 2, 3], behavior={"rating": [2, 3, 2]}, target=4)
+    for L in (0, 1):
+        with pytest.raises(D.DataError, match=">= 2"):
+            D.make_eval_batch([pair], schema, catalog, L=L)
+    batch = D.make_eval_batch([pair], schema, catalog, L=2)
+    assert list(batch.items[0]) == [3, catalog.mask_token]
 
 
 def test_eval_batch_empty_prefix_errors(split):

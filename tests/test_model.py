@@ -40,12 +40,13 @@ def test_config_validation():
     base = dict(hidden_size=8, num_heads=2, num_layers=1, max_len=4)
     for bad in (dict(dropout=1.0), dict(dropout=-0.1),
                 dict(dropout=float("nan")), dict(mask_prob=0.0),
-                dict(mask_prob=1.5), dict(gating_mode="relu")):
+                dict(mask_prob=1.5), dict(gating_mode="relu"),
+                dict(max_len=1), dict(max_len=0)):
         with pytest.raises(ValueError):
-            ModelConfig(**base, **bad)
+            ModelConfig(**{**base, **bad})
     for ok in (dict(dropout=0.0), dict(mask_prob=1.0),
-               dict(gating_mode="sigmoid")):
-        ModelConfig(**base, **ok)
+               dict(gating_mode="sigmoid"), dict(max_len=2)):
+        ModelConfig(**{**base, **ok})
 
 
 def test_residual_identity_with_zero_weights():
