@@ -1,36 +1,31 @@
-"""Single-file binary checkpoints.
+"""Single-file checkpoints: an uncompressed numpy ``.npz`` archive.
 
-Layout:
-
-    bytes 0..7    magic  b"NOVACKPT"
-    bytes 8..11   format version, little-endian uint32
-    bytes 12..19  index length in bytes, little-endian uint64
-    index         UTF-8 JSON with sorted keys: model config, feature
-                  schema, item catalog, training metadata, optional
-                  optimizer scalars, and the tensor directory
-    data          the tensors, little-endian float64, in directory order
-
-The index makes the file self-describing: the model is rebuilt from it
-alone, without the original config or item files. The catalog is rebuilt
-from the raw item values with the stored (frozen) vocabularies, and must
-match the encoded features the index also stores. Tensors are written in
-sorted-name order and the JSON is canonical, so saving a freshly loaded
-checkpoint reproduces the original file byte for byte.
+One ``.npy`` member per tensor, named as in ``Model.params`` (``opt.m.<name>``
+and ``opt.v.<name>`` for the Adam moments) and stored in its own dtype, plus
+an ``index`` member: canonical JSON of the format version, model config,
+feature schema, item catalog, metadata and optimizer scalars. The float64
+model is rebuilt from the file alone; the catalog is rebuilt from the raw
+item values and must match the encoded features the index stores. Sorted
+members, canonical JSON and zip's fixed entry dates make save -> load ->
+save byte-identical. Every member's CRC-32 is checked on load and nothing is
+unpickled, so a damaged file raises ``CheckpointError``. Files in the
+earlier hand-written format (version 1) are not read; re-create them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import struct
+import os
+import zipfile
+from pathlib import Path
 
 import numpy as np
 
 from novabert.data import FeatureSpec, SideInfoSchema, build_catalog
 from novabert.model import Model, ModelConfig
 
-MAGIC = b"NOVACKPT"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -38,23 +33,15 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, model, metadata=None, optimizer=None):
-    names = sorted(model.params)
-    directory = []
-    offset = 0
-    blobs = []
-    tensors = {name: model.params[name].data for name in names}
+    """Write the model (and optimizer state) to path, atomically: a failed
+    save leaves the previous file and no temporary file."""
+    tensors = {name: p.data for name, p in model.params.items()}
     if optimizer is not None:
-        for name in names:
+        for name in model.params:
             tensors[f"opt.m.{name}"] = optimizer.m[name]
             tensors[f"opt.v.{name}"] = optimizer.v[name]
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        blob = arr.tobytes()
-        directory.append({"name": name, "shape": list(arr.shape),
-                          "offset": offset, "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
     index = {
+        "version": VERSION,
         "config": dataclasses.asdict(model.config),
         "schema": [dataclasses.asdict(f) for f in model.schema.features],
         "catalog": {"raw_ids": model.catalog.raw_ids,
@@ -62,32 +49,47 @@ def save_checkpoint(path, model, metadata=None, optimizer=None):
                     "features": model.catalog.features},
         "metadata": dict(metadata or {}),
         "optimizer": {"t": optimizer.t} if optimizer is not None else None,
-        "tensors": directory,
     }
-    index_bytes = json.dumps(index, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(index_bytes)))
-        fh.write(index_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    tensors["index"] = np.frombuffer(json.dumps(
+        index, sort_keys=True, separators=(",", ":")).encode(), dtype=np.uint8)
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        # through a handle: given a file name, savez appends ".npz"
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{name: tensors[name] for name in sorted(tensors)})
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def read_index(path):
+def _read_archive(path):
+    """(index, name -> array) of a checkpoint archive."""
     with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC) + 12)
-        if head[:len(MAGIC)] != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", head[8:12])
-        if version != VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version {version}")
-        (index_len,) = struct.unpack("<Q", head[12:20])
-        index = json.loads(fh.read(index_len).decode("utf-8"))
-        data_start = fh.tell()
-    return index, data_start
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single array")
+            with archive:
+                # reading a member checks its CRC only if the read reaches
+                # the member's end, which a damaged .npy header can prevent
+                bad = archive.zip.testzip()
+                if bad is not None:
+                    raise zipfile.BadZipFile(f"Bad CRC-32 for file {bad!r}")
+                index = json.loads(archive["index"].tobytes())
+                if index["version"] != VERSION:
+                    raise ValueError("another format version")
+                return index, {name: archive[name] for name in archive.files
+                               if name != "index"}
+        except (zipfile.BadZipFile, NotImplementedError, RuntimeError,
+                OSError) as e:
+            # zip damage: a CRC or header mismatch, an offset outside the
+            # file, or a flag bit that asks for encryption or compression
+            raise CheckpointError(f"{path}: damaged checkpoint: {e}") from e
+        except (EOFError, KeyError, ValueError) as e:
+            # not numpy's message, which advises allow_pickle
+            raise CheckpointError(f"{path}: not a checkpoint archive "
+                                  f"(format version {VERSION})") from e
 
 
 def load_checkpoint(path):
@@ -96,30 +98,23 @@ def load_checkpoint(path):
     Returns (model, metadata, optimizer_state) where optimizer_state is
     {"t": int, "m": dict, "v": dict} or None.
     """
-    index, data_start = read_index(path)
+    index, arrays = _read_archive(path)
     schema = SideInfoSchema([FeatureSpec(**d) for d in index["schema"]])
     stored = index["catalog"]
     catalog = build_catalog(stored["raw_ids"], schema, stored["raw_features"])
     if catalog.features != stored["features"]:
         raise CheckpointError(
             f"{path}: stored item features do not match their raw values")
-    config = ModelConfig(**index["config"])
-    model = Model(config, schema, catalog, seed=0)
+    model = Model(ModelConfig(**index["config"]), schema, catalog, seed=0)
 
-    arrays = {}
-    with open(path, "rb") as fh:
-        for entry in index["tensors"]:
-            fh.seek(data_start + entry["offset"])
-            blob = fh.read(entry["nbytes"])
-            if len(blob) != entry["nbytes"]:
-                raise CheckpointError(
-                    f"{path}: truncated tensor {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(
-                blob, dtype="<f8").reshape(entry["shape"]).astype(np.float64)
-
+    expected = set(model.params)
+    if index["optimizer"] is not None:
+        expected |= {f"opt.{k}.{n}" for k in "mv" for n in model.params}
+    if set(arrays) != expected:
+        # a damaged zip directory can drop members without any other error
+        raise CheckpointError(f"{path}: missing or unexpected tensors "
+                              f"{sorted(expected ^ set(arrays))}")
     for name, p in model.params.items():
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing tensor {name}")
         if arrays[name].shape != p.data.shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape "
@@ -129,8 +124,6 @@ def load_checkpoint(path):
     opt_state = None
     if index["optimizer"] is not None:
         opt_state = {"t": index["optimizer"]["t"],
-                     "m": {n[len("opt.m."):]: a for n, a in arrays.items()
-                           if n.startswith("opt.m.")},
-                     "v": {n[len("opt.v."):]: a for n, a in arrays.items()
-                           if n.startswith("opt.v.")}}
+                     **{k: {n: arrays[f"opt.{k}.{n}"] for n in model.params}
+                        for k in "mv"}}
     return model, index["metadata"], opt_state

@@ -378,9 +378,12 @@ def build_parser():
     common_model.add_argument("--seed", type=int, default=None)
     common_model.add_argument("--fusion",
                               choices=["add", "concat", "gating"], default=None)
-    common_model.add_argument("--attention",
-                              choices=["invasive", "nova"], default=None)
-    common_model.add_argument(
+    # compare trains both stacks, and ablate trains in float64 only
+    attention = argparse.ArgumentParser(add_help=False)
+    attention.add_argument("--attention",
+                           choices=["invasive", "nova"], default=None)
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
         "--precision", choices=["f32", "f64"], default="f64",
         help="parameter storage dtype; f32 stores parameters in float32, "
              "but compute still runs in float64")
@@ -391,7 +394,7 @@ def build_parser():
     sp.add_argument("--items", required=True, help="movies file")
     sp.add_argument("--out", required=True)
 
-    add("train", cmd_train, parents=[common_model],
+    add("train", cmd_train, parents=[common_model, attention, precision],
         help="train a model and write checkpoint.bin + metrics.json")
 
     sp = add("evaluate", cmd_evaluate, help="rank-all metrics on the test split")
@@ -399,12 +402,11 @@ def build_parser():
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", default=None)
 
-    add("ablate", cmd_ablate, parents=[common_model],
+    add("ablate", cmd_ablate, parents=[common_model, attention],
         help="train per side-information subset, write ablation.csv")
 
-    sp = add("compare", cmd_compare, parents=[common_model],
-             help="train invasive vs nova with a shared seed")
-    sp.set_defaults(attention=None)
+    add("compare", cmd_compare, parents=[common_model, precision],
+        help="train invasive vs nova with a shared seed")
 
     sp = add("dump-attention", cmd_dump_attention,
              help="write per-sample per-head attention CSV + PGM files")
@@ -415,7 +417,8 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("profile", cmd_profile, help="analytic FLOP/parameter report")
+    sp = add("profile", cmd_profile, parents=[attention],
+             help="analytic FLOP/parameter report")
     sp.add_argument("--config", required=True)
     sp.add_argument("--items", required=True)
     sp.add_argument("--schema", required=True)
@@ -423,7 +426,6 @@ def build_parser():
     sp.add_argument("--out", default=None)
     sp.add_argument("--fusion", choices=["add", "concat", "gating"],
                     default=None)
-    sp.add_argument("--attention", choices=["invasive", "nova"], default=None)
 
     return p
 

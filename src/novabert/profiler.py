@@ -1,4 +1,5 @@
-"""Closed-form forward-pass FLOP and parameter accounting.
+"""Closed-form forward-pass FLOP accounting, and the parameter count of the
+model those FLOPs describe.
 
 Conventions (fixed, documented here so the numbers are reproducible):
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from novabert.model import FFN_MULT
+from novabert.model import FFN_MULT, Model
+from novabert.synthetic import make_catalog
 
 MAC = 2
 SOFTMAX_COST = 5
@@ -131,34 +133,9 @@ def _decoder_flops(config, num_items):
 
 
 def count_params(config, schema, num_items):
-    """Parameter count; matches the sizes a Model actually allocates."""
-    h, L, m = config.hidden_size, config.max_len, num_items
-    feats = _active_features(config, schema)
-    total = (m + 2) * h                            # emb.id
-    if config.use_position:
-        total += (L + 1) * h
-    for f in feats:
-        total += f.vocab_size * h
-    k = 1 + len(feats) + (1 if config.use_position else 0)
-    if k > 1:
-        # NOVA re-fuses at every layer with its own fusion parameters;
-        # the invasive stack fuses once at the input.
-        sets = config.num_layers if config.attention == "nova" else 1
-        if config.fusion == "concat":
-            total += sets * (k * h * h + h)
-        elif config.fusion == "gating":
-            total += sets * h
-    per_layer = ((h * h + h)                       # wq
-                 + h * h                           # wk (no bias)
-                 + (h * h + h)                     # wv
-                 + (h * h + h)                     # wo
-                 + 2 * h                           # ln1
-                 + (h * FFN_MULT * h + FFN_MULT * h)
-                 + (FFN_MULT * h * h + h)
-                 + 2 * h)                          # ln2
-    total += config.num_layers * per_layer
-    total += m                                     # dec.bias
-    return total
+    """Parameter count: the sizes a Model of this shape allocates."""
+    model = Model(config, schema, make_catalog(num_items))
+    return sum(p.data.size for p in model.params.values())
 
 
 def profile_cost(config, schema, num_items):

@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 
@@ -81,14 +82,15 @@ def test_bad_magic_rejected(tmp_path):
         CK.load_checkpoint(path)
 
 
-def rewrite_index(path, edit):
-    """Apply edit to the checkpoint's index in place, keeping the tensors."""
-    index, data_start = CK.read_index(path)
-    edit(index)
-    body = path.read_bytes()[data_start:]
+def rewrite_archive(path, edit):
+    """Apply edit(index, arrays) to the checkpoint archive in place."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    index = json.loads(arrays.pop("index").tobytes())
+    edit(index, arrays)
     blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(CK.MAGIC + struct.pack("<I", CK.VERSION)
-                     + struct.pack("<Q", len(blob)) + blob + body)
+    with open(path, "wb") as fh:
+        np.savez(fh, index=np.frombuffer(blob, dtype=np.uint8), **arrays)
 
 
 def test_shape_mismatch_rejected(tmp_path):
@@ -96,13 +98,11 @@ def test_shape_mismatch_rejected(tmp_path):
     path = tmp_path / "model.bin"
     CK.save_checkpoint(path, model)
 
-    # corrupt the declared shape of one tensor, keeping byte counts valid
-    def edit(index):
-        for entry in index["tensors"]:
-            if entry["name"] == "dec.bias":
-                entry["shape"] = [2, 5]
+    # store one tensor with the right element count but the wrong shape
+    def edit(index, arrays):
+        arrays["dec.bias"] = arrays["dec.bias"].reshape(2, 5)
 
-    rewrite_index(path, edit)
+    rewrite_archive(path, edit)
     with pytest.raises(CK.CheckpointError, match="dec.bias"):
         CK.load_checkpoint(path)
 
@@ -116,9 +116,135 @@ def test_features_disagreeing_with_raw_values_rejected(tmp_path):
     CK.save_checkpoint(path, Model(cfg, schema, catalog, seed=0))
     CK.load_checkpoint(path)  # the untouched file loads
 
-    def edit(index):
+    def edit(index, arrays):
         index["catalog"]["raw_features"]["genre"][1] = "c"
 
-    rewrite_index(path, edit)
+    rewrite_archive(path, edit)
     with pytest.raises(CK.CheckpointError, match="do not match"):
         CK.load_checkpoint(path)
+
+
+def test_missing_member_rejected(tmp_path):
+    """A damaged zip directory can drop a member without any other error."""
+    model, _ = build_model()
+    opt = TR.Adam(model.params, TR.TrainConfig())
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model, optimizer=opt)
+
+    def edit(index, arrays):
+        del arrays["opt.v.dec.bias"]
+
+    rewrite_archive(path, edit)
+    with pytest.raises(CK.CheckpointError, match="opt.v.dec.bias"):
+        CK.load_checkpoint(path)
+
+
+def test_float32_parameters_round_trip(tmp_path):
+    schema, catalog, _ = branching_dataset(m=10, n_seq=12, length=6, seed=0)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=6)
+    model = Model(cfg, schema, catalog, seed=0, dtype=np.float32)
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model)
+    loaded, _, _ = CK.load_checkpoint(path)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == np.float64
+        assert np.array_equal(loaded.params[name].data, p.data)
+
+
+def test_flipped_bit_rejected(tmp_path):
+    model, _ = build_model()
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model)
+    raw = bytearray(path.read_bytes())
+    blob = model.params["layer1.ffn.w2.w"].data.tobytes()
+    at = raw.find(blob) + len(blob) // 2
+    raw[at] ^= 0x10
+    path.write_bytes(raw)
+    with pytest.raises(CK.CheckpointError, match="CRC"):
+        CK.load_checkpoint(path)
+
+
+def test_header_ending_a_read_early_still_checks_crc(tmp_path):
+    """A member whose .npy header now declares fewer elements is read only
+    in part; its CRC-32 must be checked all the same."""
+    schema, catalog, _ = branching_dataset(m=10, n_seq=12, length=6, seed=0)
+    cfg = ModelConfig(hidden_size=16, num_heads=2, num_layers=1, max_len=6)
+    model = Model(cfg, schema, catalog, seed=0)
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model, optimizer=TR.Adam(model.params,
+                                                      TR.TrainConfig()))
+    raw = path.read_bytes()
+    # the flat 8 KB Adam moment of layer0.ffn.w1.w; "4" -> "0" is one bit
+    path.write_bytes(raw.replace(b"'shape': (1024,)", b"'shape': (1020,)", 1))
+    with pytest.raises(CK.CheckpointError, match="CRC"):
+        CK.load_checkpoint(path)
+
+
+def _plain_npy(good):
+    buf = io.BytesIO()
+    np.save(buf, np.arange(4.0))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda good: good[:len(good) // 2], id="cut-in-half"),
+    pytest.param(lambda good: b"", id="empty"),
+    pytest.param(_plain_npy, id="plain-npy"),
+    pytest.param(lambda good: (b"NOVACKPT" + struct.pack("<IQ", 1, 2)
+                               + b"{}"), id="version-1"),
+])
+def test_unreadable_file_rejected(tmp_path, damage):
+    model, _ = build_model()
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CK.CheckpointError) as info:
+        CK.load_checkpoint(path)
+    assert "allow_pickle" not in str(info.value)
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class Payload:
+    """Records that it was unpickled; loading a checkpoint must not."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def test_object_array_member_rejected_unpickled(tmp_path):
+    model, _ = build_model()
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model)
+
+    def edit(index, arrays):
+        arrays["dec.bias"] = np.array([Payload()], dtype=object)
+
+    rewrite_archive(path, edit)
+    with pytest.raises(CK.CheckpointError) as info:
+        CK.load_checkpoint(path)
+    assert "allow_pickle" not in str(info.value)
+    assert UNPICKLED == []
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    model, _ = build_model()
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model, metadata={"epoch": 1})
+    before = path.read_bytes()
+
+    def savez_then_fail(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        CK.save_checkpoint(path, build_model(seed=1)[0],
+                           metadata={"epoch": 2})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

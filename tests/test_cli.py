@@ -146,6 +146,16 @@ def test_compare_writes_diff_table(toy, capsys):
     assert "HR@10" in payload["diff"]
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("ablate", ["--precision", "f32"]),    # ablate trains in float64 only
+    ("compare", ["--attention", "nova"]),  # compare trains both stacks
+])
+def test_unused_flag_exits_2(toy, command, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command] + flags(toy, *flag))
+    assert info.value.code == 2
+
+
 def test_dump_attention_layout_and_row_sums(toy, tmp_path):
     assert cli.main(["train"] + flags(toy)) == 0
     ckpt = toy["out"] / "checkpoint.bin"
