@@ -80,7 +80,7 @@ def fuse_concat(features, w, b):
     if w.shape[0] != k * h:
         raise ValueError(f"concat FC expects {w.shape[0] // h} inputs, got {k}")
     cat = T.concat_lastdim(features)
-    return T.add(T.matmul(cat, w), b)
+    return T.linear(cat, w, b)
 
 
 def fuse_gating(features, wf, mode="softmax"):

@@ -141,28 +141,13 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def _linear(self, x, prefix):
-        out = T.matmul(x, self.params[prefix + ".w"])
-        if prefix + ".b" in self.params:
-            out = T.add(out, self.params[prefix + ".b"])
-        return out
+        return T.linear(x, self.params[prefix + ".w"],
+                        self.params.get(prefix + ".b"))
 
-    def _heads(self, x, prefix, pad_mask, rows):
-        """Projection of the real-token rows x [N, h] -> [B, H, L, d], zero
-        at the pad slots."""
-        B, L = pad_mask.shape
-        H, d = self.config.num_heads, self.config.d_k
-        full = T.put_rows(self._linear(x, prefix), rows, B * L)
-        return T.transpose(T.reshape(full, (B, L, H, d)), (0, 2, 1, 3))
-
-    def _merge_heads(self, x, rows):
-        """[B, H, L, d] -> the real-token rows [N, h]."""
-        B, H, L, d = x.shape
-        flat = T.reshape(T.transpose(x, (0, 2, 1, 3)), (B * L, H * d))
-        return T.take_rows(flat, rows)
-
-    def _dropout(self, x, pad_mask, rows, train, rng):
-        return T.dropout(x, self.config.dropout, rng, train, rows=rows,
-                         n=pad_mask.size)
+    def _dropout(self, x, layout, train, rng):
+        B, L = layout.shape
+        return T.dropout(x, self.config.dropout, rng, train, rows=layout.pos,
+                         n=B * L)
 
     def _ffn(self, x, layer):
         h = T.gelu(self._linear(x, f"layer{layer}.ffn.w1"))
@@ -173,58 +158,79 @@ class Model:
         return EF.integrated_embeddings(first, side, cfg.fusion,
                                         self.fusion[site], cfg.gating_mode)
 
-    def _layer(self, layer, qk_src, x, pad_mask, rows, train, rng):
+    def _layer(self, layer, qk_src, x, layout, train, rng, collect):
         """One encoder layer: Q and K read qk_src; V and the residual read x.
 
-        Both are real-token rows [N, h], as is the output; only the attention
-        core runs at [B, H, L, L]. Q, K and V are not bound to names, so
-        without a graph they are freed before the FFN runs."""
+        Both are real-token rows [N, h]. The query side (Q, the attention
+        rows, Wo, the residual, both layer norms and the FFN) runs on the
+        query rows of the layout only, so the output is [len(layout.pos), h].
+        Q, K and V are not bound to names, so without a graph they are freed
+        before the FFN runs."""
         p = f"layer{layer}"
+        q_src, res = qk_src, x
+        if layout.picked is not None:
+            q_src = T.take_rows(qk_src, layout.picked)
+            res = T.take_rows(x, layout.picked)
         out, attn = T.scaled_dot_attention(
-            self._heads(qk_src, f"{p}.attn.wq", pad_mask, rows),
-            self._heads(qk_src, f"{p}.attn.wk", pad_mask, rows),
-            self._heads(x, f"{p}.attn.wv", pad_mask, rows),
-            key_mask=pad_mask[:, None, None, :],
-            attn_dropout=self.config.dropout, rng=rng, train=train)
-        out = self._linear(self._merge_heads(out, rows), f"{p}.attn.wo")
-        out = self._dropout(out, pad_mask, rows, train, rng)
-        x = T.layer_norm(T.add(x, out),
+            self._linear(q_src, f"{p}.attn.wq"),
+            self._linear(qk_src, f"{p}.attn.wk"),
+            self._linear(x, f"{p}.attn.wv"), layout, self.config.num_heads,
+            attn_dropout=self.config.dropout, rng=rng, train=train,
+            collect=collect)
+        out = self._dropout(self._linear(out, f"{p}.attn.wo"), layout, train,
+                            rng)
+        x = T.layer_norm(T.add(res, out),
                          self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
-        f = self._dropout(self._ffn(x, layer), pad_mask, rows, train, rng)
+        f = self._dropout(self._ffn(x, layer), layout, train, rng)
         return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
                             self.params[f"{p}.ln2.b"]), attn
 
-    def invasive_layer(self, layer, x, pad_mask, rows, train=False, rng=None):
+    def invasive_layer(self, layer, x, layout, train=False, rng=None,
+                       collect=False):
         """One encoder layer on the real-token rows x [N, h].
 
-        pad_mask [B, L] marks the real tokens; rows = flatnonzero(pad_mask)
-        are their flat positions, in the order of x's rows."""
-        return self._layer(layer, x, x, pad_mask, rows, train, rng)
+        layout (a :class:`tensor.AttentionLayout` of the batch) places the
+        rows of x and names the query rows the output holds. Returns (the
+        output rows, the [B, H, L, L] attention map if collect, else None)."""
+        return self._layer(layer, x, x, layout, train, rng, collect)
 
-    def nova_layer(self, layer, hidden, side, pad_mask, rows, train=False,
-                   rng=None):
+    def nova_layer(self, layer, hidden, side, layout, train=False, rng=None,
+                   collect=False):
         """Q, K from the hidden state re-fused with side at this layer's
         site; V and the residual stay on the ID branch, so the output remains
         in ID space. Rows as in :meth:`invasive_layer`."""
         return self._layer(layer, self._fuse(hidden, side, layer), hidden,
-                           pad_mask, rows, train, rng)
+                           layout, train, rng, collect)
 
-    def encode(self, batch, train=False, rng=None, collect_attn=False):
-        """Run the full stack; returns (hidden [B,L,h], attn maps per layer).
+    def encode(self, batch, train=False, rng=None, collect_attn=False,
+               positions=None):
+        """Run the full stack; returns (hidden, attention maps per layer).
 
         Every position-wise op (lookups, fusion, projections, FFN, layer
-        norm, dropout) runs on the N real tokens only, as [N, h]; only the
-        attention core is [B, H, L, L]. The pad rows of hidden are exactly
-        zero. Dropout draws its masks at [B, L, h], so the random stream is
-        that of the unpacked model. In the attention maps, the rows of pad
-        queries carry no meaning."""
+        norm, dropout) runs on the N real tokens only, as [N, h]. The
+        attention core runs over length buckets (see
+        :class:`tensor.AttentionLayout`), built once per batch from its pad
+        mask. Dropout draws its masks at the dense shapes, so the random
+        stream is that of the unpacked model.
+
+        Without positions, hidden is [B, L, h] with pad rows exactly zero.
+        positions are the flat slots (b * L + l, strictly increasing, real
+        tokens) the caller reads: the last layer then runs its query side
+        for those rows only, while its K and V still read every real token,
+        and hidden is [len(positions), h], one row per position. The maps
+        (collect_attn, which needs every query row) are [B, H, L, L]; a pad
+        query's row is uniform over its sequence's real keys."""
         cfg = self.config
         B, L = batch.items.shape
         if L != cfg.max_len:
             raise ValueError(
                 f"batch length {L} != model max_len {cfg.max_len}")
-        pad_mask = batch.pad_mask
-        rows = np.flatnonzero(pad_mask)
+        if collect_attn and positions is not None:
+            raise ValueError("collect_attn needs every query row; "
+                             "pass no positions")
+        layout = T.AttentionLayout(batch.pad_mask)
+        last = layout if positions is None else layout.at(positions)
+        rows = layout.rows
         side = EF.embed_side_features(batch, self.params, self.schema,
                                       features=cfg.active_features(self.schema),
                                       use_position=cfg.use_position, rows=rows)
@@ -233,24 +239,28 @@ class Model:
         nova = cfg.attention == "nova"
         if not nova:
             x = self._fuse(x, side, 0)
-        x = self._dropout(x, pad_mask, rows, train, rng)
+        x = self._dropout(x, layout, train, rng)
         attns = []
         for i in range(cfg.num_layers):
+            lay = last if i == cfg.num_layers - 1 else layout
             if nova:  # the identical side tensors are re-fed to every layer
-                x, attn = self.nova_layer(i, x, side, pad_mask, rows, train,
-                                          rng)
+                x, attn = self.nova_layer(i, x, side, lay, train, rng,
+                                          collect_attn)
             else:
-                x, attn = self.invasive_layer(i, x, pad_mask, rows, train, rng)
+                x, attn = self.invasive_layer(i, x, lay, train, rng,
+                                              collect_attn)
             if collect_attn:
                 attns.append(attn)
+        if positions is not None:
+            return x, attns
         full = T.put_rows(x, rows, B * L)
         return T.reshape(full, (B, L, cfg.hidden_size)), attns
 
     def decode_scores(self, hidden):
         """Tied-embedding logits over items 1..m plus a per-item bias."""
         rows = T.take_rows(self.params["emb.id"], slice(1, self.catalog.m + 1))
-        return T.add(T.matmul(hidden, T.transpose(rows, (1, 0))),
-                     self.params["dec.bias"])
+        return T.linear(hidden, T.transpose(rows, (1, 0)),
+                        self.params["dec.bias"])
 
     def masked_loss(self, logits, labels):
         """Mean full-vocabulary cross-entropy over the masked positions."""
@@ -261,16 +271,15 @@ class Model:
     def loss(self, batch, train=False, rng=None):
         """Masked-item cross-entropy of one batch.
 
-        Only the hidden rows whose label is non-zero are decoded: they are
-        gathered into an [N, h] matrix before the tied decoder (BERT's
-        masked-LM head). Loss and gradients equal those of decoding every
-        position and reading the masked ones, up to summation order."""
-        hidden, _ = self.encode(batch, train=train, rng=rng)
-        B, L, h = hidden.shape
+        Only the rows whose label is non-zero are computed past the last
+        layer's keys and values and decoded: encode returns them as an
+        [N, h] matrix for the tied decoder (BERT's masked-LM head). Loss and
+        gradients equal those of decoding every position and reading the
+        masked ones, up to summation order."""
         labels = batch.labels.reshape(-1)
-        rows = np.flatnonzero(labels)
-        picked = T.take_rows(T.reshape(hidden, (B * L, h)), rows)
-        return self.masked_loss(self.decode_scores(picked), labels[rows])
+        pos = np.flatnonzero(labels)
+        hidden, _ = self.encode(batch, train=train, rng=rng, positions=pos)
+        return self.masked_loss(self.decode_scores(hidden), labels[pos])
 
     def first_layer_values(self, batch):
         """Layer-1 value-path input V*W_V (the ID-branch purity probe)."""

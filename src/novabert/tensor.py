@@ -5,6 +5,12 @@ their inputs and a backward closure on the output node; :func:`backward`
 linearizes the recorded graph into a tape (topological order) and replays
 it in reverse, accumulating gradients into every ``requires_grad`` leaf.
 
+Multi-head attention is one node (:func:`scaled_dot_attention`) over the
+real tokens of a batch, grouped into length buckets by an
+:class:`AttentionLayout`; it saves only its probabilities and dropout keep
+mask and has a hand-written backward. :func:`linear` is matmul plus bias as
+one node.
+
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
 attention dumps) frees each intermediate as soon as it is no longer
@@ -16,6 +22,7 @@ checks are enabled with ``NOVABERT_DEBUG=1``.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import os
 import threading
@@ -27,7 +34,7 @@ from novabert import kernels
 DEFAULT_DTYPE = np.float64
 _DEBUG = os.environ.get("NOVABERT_DEBUG", "0") == "1"
 
-NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0.0
+NEG_INF = -1e30  # score of a masked key; exp() underflows to exactly 0.0
 
 
 class ShapeMismatchError(ValueError):
@@ -221,6 +228,36 @@ def matmul(a, b):
         _accumulate(b, _unbroadcast(gb, b.shape))
 
     return _make(out_data, (a, b), bw)
+
+
+def linear(x, w, b=None):
+    """x @ w (+ b) as one node; x is [..., k], w [k, n], b [n] or None.
+
+    The bias is added in place into the fresh product. The backward runs
+    two GEMMs over the rows of x flattened to [rows, k] and sums the bias
+    gradient over those rows."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeMismatchError(
+            f"linear inner dimensions differ: {x.shape} x {w.shape}")
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = x2 @ w.data
+    parents = (x, w)
+    if b is not None:
+        b = _as_tensor(b)
+        out += b.data
+        parents = (x, w, b)
+
+    def bw(g):
+        g2 = g.reshape(-1, w.shape[1])
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+
+    return _make(out.reshape(x.shape[:-1] + (w.shape[1],)), parents, bw)
 
 
 def reshape(a, shape):
@@ -438,7 +475,9 @@ def cross_entropy_masked(logits, labels, ignore_index=0):
     """Mean cross-entropy over positions whose label != ignore_index.
 
     logits: [N, m]; labels: [N] with values in 1..m (class = label - 1) or
-    ignore_index. Softmax is over the full last dimension.
+    ignore_index. Softmax is over the full last dimension. When every label
+    is valid, the logits are read in place and the gradient is handed back
+    as computed, with no row gather or zero-filled [N, m] buffer.
     """
     logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -446,9 +485,9 @@ def cross_entropy_masked(logits, labels, ignore_index=0):
     n = int(valid.sum())
     if n == 0:
         raise ValueError("cross_entropy_masked: no unmasked labels in batch")
-    rows = np.nonzero(valid)[0]
-    cls = labels[rows] - 1
-    z = logits.data[rows]
+    rows = None if n == labels.size else np.nonzero(valid)[0]
+    cls = labels[valid] - 1
+    z = logits.data if rows is None else logits.data[rows]
     zmax = z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
     loss = (lse - z[np.arange(n), cls]).sum() / n
@@ -456,9 +495,12 @@ def cross_entropy_masked(logits, labels, ignore_index=0):
     def bw(g):
         p = kernels.softmax_rows(np.ascontiguousarray(z))
         p[np.arange(n), cls] -= 1.0
-        full = np.zeros_like(logits.data)
-        full[rows] = p * (float(g) / n)
-        _accumulate(logits, full)
+        p *= float(g) / n
+        if rows is not None:
+            full = np.zeros_like(logits.data)
+            full[rows] = p
+            p = full
+        _accumulate(logits, p)
 
     return _make(np.asarray(loss), (logits,), bw)
 
@@ -467,35 +509,178 @@ def cross_entropy_masked(logits, labels, ignore_index=0):
 # attention
 # ---------------------------------------------------------------------------
 
-def scaled_dot_attention(q, k, v, key_mask=None, attn_dropout=0.0, rng=None,
-                         train=False):
-    """Scaled dot-product attention: softmax(QK^T / sqrt(d)) V.
+ATTENTION_BUCKETS = 4  # at most this many length groups per batch
 
-    q, k, v: [..., L, d]. key_mask, when given, is a boolean array
-    broadcastable to the score shape [..., L, L] that is True for keys that
-    may be attended to. Returns (out, attn) where attn is the row-stochastic
-    attention matrix before dropout.
+
+class AttentionLayout:
+    """Where the real tokens of a right-aligned [B, L] batch sit, in the
+    length groups that :func:`scaled_dot_attention` runs over.
+
+    Keys and values are the N real-token rows; ``rows`` holds their flat
+    positions (b * L + slot), in order. Queries are the rows at ``pos``:
+    every real token, or after :meth:`at` a subset of them, in which case
+    ``picked`` indexes them among the N real-token rows.
+
+    Batch rows are sorted by length and cut into at most ATTENTION_BUCKETS
+    groups of equal count; neighbouring groups with the same longest row are
+    merged. A group runs at the length l of its longest row, over the last l
+    slots of its rows, which hold all their real tokens: a shorter row only
+    brings leading pad slots. Per group, ``keys`` holds (batch rows, l, the
+    real-token row of each key slot [b, l] (0 at pads), which key slots are
+    real [b, l]); ``queries`` holds (the query row of each query slot
+    [b, r] (0 at pads), its slot within the L positions [b, r], which query
+    slots are real [b, r]).
+    """
+
+    def __init__(self, pad_mask):
+        pad_mask = np.asarray(pad_mask, dtype=bool)
+        B, L = pad_mask.shape
+        lengths = pad_mask.sum(axis=1)
+        if not lengths.all():
+            raise ValueError(
+                "attention row with every key masked (empty sequence)")
+        if not np.array_equal(pad_mask, np.arange(L) >= L - lengths[:, None]):
+            raise ValueError("real tokens must be right-aligned in each row")
+        self.shape, self.pad_mask, self.lengths = (B, L), pad_mask, lengths
+        self.rows = self.pos = np.flatnonzero(pad_mask)
+        self.picked = None
+        groups = []
+        for part in np.array_split(np.argsort(lengths, kind="stable"),
+                                   min(ATTENTION_BUCKETS, B)):
+            if groups and lengths[groups[-1]].max() == lengths[part].max():
+                groups[-1] = np.concatenate([groups[-1], part])
+            else:
+                groups.append(part)
+        row_of = np.zeros(B * L, dtype=np.int64)
+        row_of[self.rows] = np.arange(len(self.rows))
+        self.keys, self.queries = [], []
+        for bi in groups:
+            bi = np.sort(bi)
+            l = int(lengths[bi].max())
+            slots = np.arange(L - l, L)
+            idx = row_of[bi[:, None] * L + slots]
+            real = pad_mask[bi][:, L - l:]
+            self.keys.append((bi, l, idx, real))
+            self.queries.append(
+                (idx, np.broadcast_to(slots, real.shape), real))
+
+    def at(self, pos):
+        """This layout with queries at the flat positions pos only.
+
+        pos must be strictly increasing real-token positions; query row i
+        is the token at pos[i]. Keys stay every real token."""
+        pos = np.asarray(pos, dtype=np.int64).reshape(-1)
+        picked = np.searchsorted(self.rows, pos)
+        if pos.size and (np.any(np.diff(pos) <= 0) or pos[-1] > self.rows[-1]
+                         or not np.array_equal(self.rows[picked], pos)):
+            raise ValueError("query positions must be increasing real-token "
+                             "positions")
+        B, L = self.shape
+        counts = np.bincount(pos // L, minlength=B)
+        first = np.cumsum(counts) - counts
+        out = copy.copy(self)
+        out.pos, out.picked, out.queries = pos, picked, []
+        for bi, _, _, _ in self.keys:
+            real = np.arange(counts[bi].max()) < counts[bi][:, None]
+            idx = np.where(real, first[bi][:, None] + np.arange(real.shape[1]),
+                           0)
+            out.queries.append((idx, pos[idx] % L, real))
+        return out
+
+
+def _gather_heads(a, idx, real=None):
+    """Rows idx [b, n] of a [N, H, d] as [b, H, n, d]; rows where real is
+    False are zeroed."""
+    g = a[idx]
+    if real is not None:
+        g[~real] = 0.0
+    return g.transpose(0, 2, 1, 3)
+
+
+def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
+                         train=False, collect=False):
+    """Multi-head softmax(Q K^T / sqrt(d)) V over real tokens, one graph node.
+
+    q: the query rows [layout.pos, h]; k, v: the real-token rows
+    [layout.rows, h]; h = heads * d. Each length group of the layout runs
+    at its own length: 1/sqrt(d) is folded into Q, pad keys get the score
+    NEG_INF in place (no mask array), and the query rows of one sequence
+    attend to its own keys only. Attention dropout draws its mask at the
+    full [B, H, L, L] shape and crops it, so the random stream is that of
+    the dense computation. Only the probabilities and the boolean keep mask
+    are saved; the backward gathers Q, K, V again and writes dQ, dK, dV
+    rows with plain index writes.
+
+    Returns (out [len(layout.pos), h], attn). With collect, attn is the
+    dense [B, H, L, L] constant of the probabilities before dropout, in
+    which a pad query's row is uniform over its sequence's real keys;
+    otherwise it is None.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.shape != k.shape or q.shape != v.shape:
+    n, h = k.shape
+    if (v.shape != (n, h) or q.shape != (len(layout.pos), h)
+            or n != len(layout.rows) or h % heads):
         raise ShapeMismatchError(
-            f"attention expects Q, K, V of equal shape, got {q.shape}, "
-            f"{k.shape}, {v.shape}")
-    d = q.shape[-1]
-    scores = mul(matmul(q, transpose(k, _swap_last2(k.data.ndim))), 1.0 / math.sqrt(d))
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-        # checked on the mask itself: broadcasting only repeats its rows
-        if not key_mask.any(axis=-1).all():
-            raise ValueError("attention row with every key masked (empty sequence)")
-        scores = add(scores, np.where(key_mask, 0.0, NEG_INF))
-    attn = softmax_lastdim(scores)
-    probs = dropout(attn, attn_dropout, rng, train)
-    out = matmul(probs, v)
-    return out, attn
+            f"attention expects Q {(len(layout.pos), h)} and K, V "
+            f"{(len(layout.rows), h)} split into {heads} heads, got "
+            f"{q.shape}, {k.shape}, {v.shape}")
+    B, L = layout.shape
+    d = h // heads
+    c = 1.0 / math.sqrt(d)
+    qh, kh, vh = (t.data.reshape(-1, heads, d) for t in (q, k, v))
+    keep, scale = None, 1.0 / (1.0 - attn_dropout)
+    if train and attn_dropout > 0.0:
+        keep = rng.random((B, heads, L, L)) >= attn_dropout
+    record = _grad_mode.enabled and _needs_grad(q, k, v)
+    attn = None
+    if collect:
+        uniform = np.where(layout.pad_mask, 1.0 / layout.lengths[:, None], 0.0)
+        attn = np.broadcast_to(uniform[:, None, None, :],
+                               (B, heads, L, L)).astype(q.dtype)
+    hh = np.arange(heads)[:, None]
+    out = np.empty_like(q.data)
+    oh = out.reshape(-1, heads, d)
+    saved = []
+    for (bi, l, kidx, kreal), (qidx, qslot, qreal) in zip(layout.keys,
+                                                          layout.queries):
+        s = (_gather_heads(qh, qidx, qreal) * c) @ _gather_heads(
+            kh, kidx).swapaxes(-1, -2)                        # [b, H, r, l]
+        np.copyto(s, NEG_INF, where=~kreal[:, None, None, :])
+        p = kernels.softmax_rows(s.reshape(-1, l)).reshape(s.shape)
+        del s
+        if collect:
+            attn[bi[:, None, None], hh, qslot[:, None, :], L - l:] = p
+        kept, pd = None, p
+        if keep is not None:
+            kept = keep[bi[:, None, None], hh, qslot[:, None, :], L - l:]
+            pd = p * (kept.astype(p.dtype) * scale)
+        o = pd @ _gather_heads(vh, kidx)
+        oh[qidx[qreal]] = o.transpose(0, 2, 1, 3)[qreal]
+        if record:
+            saved.append((p, kept))
 
+    def bw(g):
+        gh = g.reshape(-1, heads, d)
+        dq, dk, dv = (np.empty_like(t.data) for t in (q, k, v))
+        dqh, dkh, dvh = (a.reshape(-1, heads, d) for a in (dq, dk, dv))
+        for (_, _, kidx, kreal), (qidx, _, qreal), (p, kept) in zip(
+                layout.keys, layout.queries, saved):
+            go = _gather_heads(gh, qidx, qreal)               # [b, H, r, d]
+            m = None if kept is None else kept.astype(p.dtype) * scale
+            pd = p if m is None else p * m
+            dv_g = pd.swapaxes(-1, -2) @ go
+            dvh[kidx[kreal]] = dv_g.transpose(0, 2, 1, 3)[kreal]
+            ds = go @ _gather_heads(vh, kidx).swapaxes(-1, -2)  # dP, [b,H,r,l]
+            if m is not None:
+                ds *= m
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            dq_g = (ds @ _gather_heads(kh, kidx)) * c
+            dqh[qidx[qreal]] = dq_g.transpose(0, 2, 1, 3)[qreal]
+            dk_g = ds.swapaxes(-1, -2) @ (_gather_heads(qh, qidx, qreal) * c)
+            dkh[kidx[kreal]] = dk_g.transpose(0, 2, 1, 3)[kreal]
+        _accumulate(q, dq)
+        _accumulate(k, dk)
+        _accumulate(v, dv)
 
-def _swap_last2(ndim):
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+    return _make(out, (q, k, v), bw), (None if attn is None else Tensor(attn))

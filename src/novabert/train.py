@@ -132,17 +132,19 @@ class Adam:
 def score_pairs(model, pairs, batch_size=256):
     """Full-vocabulary scores at the appended mask position.
 
-    Only the last position of each sequence is decoded, and no autograd
-    graph is recorded, so every intermediate is freed once used.
+    Only the last position of each sequence is computed past the last
+    layer's keys and values, and only it is decoded; no autograd graph is
+    recorded, so every intermediate is freed once used.
     Returns (scores [U, m], targets [U])."""
     L = model.config.max_len
     all_scores, targets = [], []
     for lo in range(0, len(pairs), batch_size):
         chunk = pairs[lo:lo + batch_size]
         batch = D.make_eval_batch(chunk, model.schema, model.catalog, L)
+        last = np.arange(len(chunk)) * L + L - 1
         with T.no_grad():
-            hidden, _ = model.encode(batch)
-            logits = model.decode_scores(T.Tensor(hidden.data[:, -1, :]))
+            hidden, _ = model.encode(batch, positions=last)
+            logits = model.decode_scores(hidden)
         all_scores.append(logits.data)
         targets.extend(p.target for p in chunk)
     return np.concatenate(all_scores, axis=0), np.asarray(targets)

@@ -1,7 +1,9 @@
 """The dense encoder, kept as a test oracle for the packed one in model.py.
 
 Every position-wise op (lookups, fusion, projections, FFN, layer norm,
-dropout) runs on all B*L positions, pad slots included, and the decoder
+dropout) runs on all B*L positions, pad slots included; the attention core
+is the dense [B, H, L, L] chain of separate ops (matmul, scale, additive
+mask, softmax, dropout, matmul), not the fused op it checks; and the decoder
 scores every position. It reads a Model's parameters and draws dropout
 masks in the same order as Model.encode, so with the same generator the
 two must give the same loss, the same gradients up to summation order,
@@ -12,6 +14,13 @@ import numpy as np
 
 from novabert import embedfuse as EF
 from novabert import tensor as T
+
+
+def _linear(model, x, prefix):
+    out = T.matmul(x, model.params[prefix + ".w"])
+    if prefix + ".b" in model.params:
+        out = T.add(out, model.params[prefix + ".b"])
+    return out
 
 
 def _split_heads(model, x):
@@ -25,15 +34,26 @@ def _merge_heads(x):
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), (B, L, H * d))
 
 
+def attention(q, k, v, key_mask, p, rng, train):
+    """softmax(Q K^T / sqrt(d) + additive key mask), dropout, then V, as a
+    chain of separate ops. q, k, v: [..., L, d]; key_mask broadcasts to the
+    scores [..., L, L] and is True for keys that may be attended to.
+    Returns (out, attention probabilities before dropout)."""
+    d = q.shape[-1]
+    axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
+    scores = T.mul(T.matmul(q, T.transpose(k, axes)), 1.0 / np.sqrt(d))
+    scores = T.add(scores, np.where(key_mask, 0.0, T.NEG_INF))
+    attn = T.softmax_lastdim(scores)
+    return T.matmul(T.dropout(attn, p, rng, train), v), attn
+
+
 def _attention_block(model, layer, qk_src, v_src, key_mask, train, rng):
     p = f"layer{layer}.attn"
-    q = _split_heads(model, model._linear(qk_src, f"{p}.wq"))
-    k = _split_heads(model, model._linear(qk_src, f"{p}.wk"))
-    v = _split_heads(model, model._linear(v_src, f"{p}.wv"))
-    out, attn = T.scaled_dot_attention(
-        q, k, v, key_mask=key_mask, attn_dropout=model.config.dropout,
-        rng=rng, train=train)
-    out = model._linear(_merge_heads(out), f"{p}.wo")
+    q = _split_heads(model, _linear(model, qk_src, f"{p}.wq"))
+    k = _split_heads(model, _linear(model, qk_src, f"{p}.wk"))
+    v = _split_heads(model, _linear(model, v_src, f"{p}.wv"))
+    out, attn = attention(q, k, v, key_mask, model.config.dropout, rng, train)
+    out = _linear(model, _merge_heads(out), f"{p}.wo")
     return T.dropout(out, model.config.dropout, rng, train), attn
 
 
@@ -41,7 +61,8 @@ def _sublayers(model, layer, x, attn_out, train, rng):
     p, params = f"layer{layer}", model.params
     x = T.layer_norm(T.add(x, attn_out), params[f"{p}.ln1.g"],
                      params[f"{p}.ln1.b"])
-    f = T.dropout(model._ffn(x, layer), model.config.dropout, rng, train)
+    f = _linear(model, T.gelu(_linear(model, x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
+    f = T.dropout(f, model.config.dropout, rng, train)
     return T.layer_norm(T.add(x, f), params[f"{p}.ln2.g"],
                         params[f"{p}.ln2.b"])
 

@@ -56,10 +56,9 @@ def test_residual_identity_with_zero_weights():
         if ".attn." in name or ".ffn." in name:
             p.data[:] = 0.0
     x = T.Tensor(np.random.default_rng(0).standard_normal((2, 4, 8)))
-    pad_mask = np.ones((2, 4), dtype=bool)
+    layout = T.AttentionLayout(np.ones((2, 4), dtype=bool))
     # the layer reads the real-token rows, here all 2 * 4 of them
-    out, _ = model.invasive_layer(0, T.reshape(x, (8, 8)), pad_mask,
-                                  np.arange(8))
+    out, _ = model.invasive_layer(0, T.reshape(x, (8, 8)), layout)
     # attention output is zero, so the block reduces to LN(LN(x))
     ln = model.params["layer0.ln1.g"].data
     expect = T.layer_norm(T.layer_norm(x, T.Tensor(ln), T.Tensor(np.zeros(8))),
@@ -73,9 +72,9 @@ def test_invasive_single_head_hand_case():
                               h=2, heads=1, layers=1, L=2, m=5)
     p = {k: v.data for k, v in model.params.items()}
     x = np.random.default_rng(1).standard_normal((1, 2, 2))
-    pad_mask = np.ones((1, 2), dtype=bool)
-    out, attn = model.invasive_layer(0, T.Tensor(x.reshape(2, 2)), pad_mask,
-                                     np.arange(2))
+    layout = T.AttentionLayout(np.ones((1, 2), dtype=bool))
+    out, attn = model.invasive_layer(0, T.Tensor(x.reshape(2, 2)), layout,
+                                     collect=True)
 
     q = x @ p["layer0.attn.wq.w"] + p["layer0.attn.wq.b"]
     k = x @ p["layer0.attn.wk.w"]

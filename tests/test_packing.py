@@ -7,6 +7,8 @@ in the same state), and zero pad rows; and they guard that the FFN really
 runs on the real-token rows.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -93,10 +95,39 @@ def test_packed_encode_zero_pad_rows_and_dense_real_rows(attention):
         expect, expect_attns = dense_oracle.encode(model, batch)
         assert np.all(hidden.data[~real] == 0.0)
         assert np.abs(hidden.data[real] - expect.data[real]).max() < TOL
+        uniform = real / real.sum(axis=1, keepdims=True)
         for a, e in zip(attns, expect_attns):
-            # rows of real queries; the rows of pad queries mean nothing
+            assert a.shape == e.shape
             q = real[:, None, :].repeat(a.shape[1], axis=1)
             assert np.abs(a.data[q] - e.data[q]).max() < TOL
+            # a pad query's row is uniform over its sequence's real keys
+            pad_rows = np.broadcast_to(uniform[:, None, None, :], a.shape)
+            assert np.array_equal(a.data[~q], pad_rows[~q])
+
+
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+def test_encode_at_positions_gives_those_rows(attention):
+    """With read positions, encode returns the hidden rows at exactly those
+    positions, as the full encode computes them, with or without dropout,
+    and leaves the generator where the full encode leaves it."""
+    model, batches = padded_setup(attention, "gating")
+    for batch in batches:
+        B, L = batch.pad_mask.shape
+        for pos in (np.flatnonzero(batch.labels), np.arange(B) * L + L - 1):
+            for train in (False, True):
+                rngs = np.random.default_rng(3), np.random.default_rng(3)
+                got, _ = model.encode(batch, train=train, rng=rngs[0],
+                                      positions=pos)
+                full, _ = model.encode(batch, train=train, rng=rngs[1])
+                assert got.shape == (len(pos), model.config.hidden_size)
+                flat = full.data.reshape(B * L, -1)[pos]
+                assert np.abs(got.data - flat).max() < TOL
+                assert (rngs[0].bit_generator.state
+                        == rngs[1].bit_generator.state)
+        with pytest.raises(ValueError, match="collect_attn"):
+            model.encode(batch, collect_attn=True, positions=pos)
+        with pytest.raises(ValueError, match="real-token"):
+            model.encode(batch, positions=[0])   # slot 0 of row 0 is a pad
 
 
 def _recorded_arrays(loss):
@@ -115,13 +146,16 @@ def _recorded_arrays(loss):
 @pytest.mark.parametrize("attention", ["invasive", "nova"])
 def test_ffn_runs_on_real_tokens_only(attention):
     """Every FFN-width array of a padded training loss has one row per real
-    token, not one per slot."""
+    token in the layers before the last, and one per labelled token in the
+    last layer, never one per slot."""
     model, (batch, _) = padded_setup(attention, "gating")
     n_real = int(batch.pad_mask.sum())
-    assert n_real < batch.pad_mask.size
+    n_labelled = int((batch.labels != 0).sum())
+    assert n_labelled < n_real < batch.pad_mask.size
     width = FFN_MULT * model.config.hidden_size
     loss = model.loss(batch, train=True, rng=np.random.default_rng(0))
-    wide = [a.shape for a in _recorded_arrays(loss) if a.shape[-1:] == (width,)]
-    # W1 x, + b and GELU in every layer
-    assert len(wide) >= 3 * model.config.num_layers
-    assert set(wide) == {(n_real, width)}
+    wide = Counter(a.shape for a in _recorded_arrays(loss)
+                   if a.shape[-1:] == (width,))
+    # W1 x + b and GELU in every layer
+    layers = model.config.num_layers
+    assert wide == {(n_real, width): 2 * (layers - 1), (n_labelled, width): 2}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from novabert import tensor as T
 
 
@@ -120,49 +121,96 @@ def test_softmax_rows_sum_to_one_and_nonneg(row, nrows):
 # attention
 # ---------------------------------------------------------------------------
 
+def right_aligned(lengths, L):
+    """The attention layout of rows with these real lengths, right-aligned
+    in L slots."""
+    lengths = np.asarray(lengths)
+    return T.AttentionLayout(np.arange(L) >= L - lengths[:, None])
+
+
 def test_attention_uniform_when_q_k_zero():
     rng = np.random.default_rng(2)
-    v = rng.standard_normal((1, 1, 3, 4))
+    v = rng.standard_normal((1, 1, 3, 4))[0, 0]
     z = np.zeros_like(v)
-    out, attn = T.scaled_dot_attention(T.Tensor(z), T.Tensor(z), T.Tensor(v))
-    assert np.allclose(out.data, np.broadcast_to(v.mean(axis=2, keepdims=True), v.shape))
+    out, attn = T.scaled_dot_attention(T.Tensor(z), T.Tensor(z), T.Tensor(v),
+                                       right_aligned([3], 3), 1, collect=True)
+    assert np.allclose(out.data, np.broadcast_to(v.mean(axis=0, keepdims=True),
+                                                 v.shape))
     assert np.allclose(attn.data, 1 / 3)
 
 
 def test_attention_single_key():
-    v = np.array([[[[2.0, 5.0]]]])
-    q = np.array([[[[1.0, -1.0]]]])
-    out, attn = T.scaled_dot_attention(T.Tensor(q), T.Tensor(q), T.Tensor(v))
+    v = np.array([[2.0, 5.0]])
+    q = np.array([[1.0, -1.0]])
+    out, attn = T.scaled_dot_attention(T.Tensor(q), T.Tensor(q), T.Tensor(v),
+                                       right_aligned([1], 1), 1, collect=True)
     assert np.array_equal(out.data, v)
     assert np.array_equal(attn.data, [[[[1.0]]]])
 
 
 def test_attention_hand_case():
     # L=2, d=1: Q=K=[1,0], V=[2,4]
-    q = np.array([[1.0], [0.0]]).reshape(1, 2, 1)
-    v = np.array([[2.0], [4.0]]).reshape(1, 2, 1)
-    out, attn = T.scaled_dot_attention(T.Tensor(q), T.Tensor(q), T.Tensor(v))
+    q = np.array([[1.0], [0.0]])
+    v = np.array([[2.0], [4.0]])
+    out, attn = T.scaled_dot_attention(T.Tensor(q), T.Tensor(q), T.Tensor(v),
+                                       right_aligned([2], 2), 1, collect=True)
     row0 = np.exp([1.0, 0.0])
     row0 /= row0.sum()
-    assert np.allclose(attn.data[0, 0], row0)
-    assert np.allclose(out.data[0, 0, 0], row0 @ np.array([2.0, 4.0]))
+    assert np.allclose(attn.data[0, 0, 0], row0)
+    assert np.allclose(out.data[0, 0], row0 @ np.array([2.0, 4.0]))
 
 
 def test_attention_all_masked_row_errors():
-    q = np.zeros((1, 3, 4))
-    mask = np.zeros((1, 1, 3), dtype=bool)
+    q = np.zeros((0, 4))
+    mask = np.zeros((1, 3), dtype=bool)
     with pytest.raises(ValueError, match="masked"):
-        T.scaled_dot_attention(T.Tensor(q), T.Tensor(q), T.Tensor(q), key_mask=mask)
+        T.scaled_dot_attention(T.Tensor(q), T.Tensor(q), T.Tensor(q),
+                               T.AttentionLayout(mask), 1)
 
 
 def test_attention_rows_stochastic_with_mask():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((2, 4, 3))
-    mask = np.array([[True, True, False, False]]).reshape(1, 1, 4)
-    out, attn = T.scaled_dot_attention(T.Tensor(q), T.Tensor(q), T.Tensor(q),
-                                       key_mask=mask)
+    mask = np.array([[False, False, True, True]] * 2)
+    out, attn = T.scaled_dot_attention(
+        T.Tensor(q[mask]), T.Tensor(q[mask]), T.Tensor(q[mask]),
+        T.AttentionLayout(mask), 1, collect=True)
     assert np.abs(attn.data.sum(-1) - 1).max() < 1e-12
-    assert np.all(attn.data[..., 2:] == 0)
+    assert np.all(attn.data[..., :2] == 0)
+
+
+def test_attention_layout_rejects_left_aligned_rows():
+    with pytest.raises(ValueError, match="right-aligned"):
+        T.AttentionLayout(np.array([[True, True, False]]))
+
+
+@pytest.mark.parametrize("lengths,groups", [
+    ([8], [(1, 8)]),                          # a single row at the full length
+    ([5, 5, 5, 5, 5], [(5, 5)]),              # one length: one bucket
+    ([8, 8, 8, 8, 2, 8, 8, 8], [(8, 8)]),     # 2 shares a group with an 8
+    ([8, 8, 1, 8, 8, 1, 8, 8], [(2, 1), (6, 8)]),   # equal-max groups merge
+    ([2, 6, 8, 3, 7, 1, 4, 5], [(2, 2), (2, 4), (2, 6), (2, 8)]),
+])
+def test_attention_layout_buckets(lengths, groups):
+    """Rows sorted by length, cut into at most 4 equal-count groups, equal
+    neighbours merged; each group runs at its longest row over the last l
+    slots, which hold every real token of its rows."""
+    layout = right_aligned(lengths, 8)
+    assert [(len(bi), l) for bi, l, _, _ in layout.keys] == groups
+    seen = np.concatenate([bi for bi, _, _, _ in layout.keys])
+    assert sorted(seen) == list(range(len(lengths)))
+    for bi, l, idx, real in layout.keys:
+        assert np.array_equal(real.sum(axis=1), np.asarray(lengths)[bi])
+        expect = [b * 8 + s for b in bi for s in range(8 - lengths[b], 8)]
+        assert np.array_equal(layout.rows[idx[real]], expect)
+
+
+def test_attention_layout_query_positions_checked():
+    layout = right_aligned([2, 3], 4)   # real slots 2, 3, 5, 6, 7
+    assert np.array_equal(layout.at([3, 7]).picked, [1, 4])
+    for bad in ([7, 3], [3, 3], [1], [8], [-1]):
+        with pytest.raises(ValueError, match="real-token"):
+            layout.at(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +342,99 @@ def test_fd_cross_entropy_masked():
 
 def test_fd_attention_masked():
     rng = np.random.default_rng(18)
-    q, k, v = rand((1, 2, 4, 3), rng), rand((1, 2, 4, 3), rng), rand((1, 2, 4, 3), rng)
-    mask = np.array([True, True, True, False]).reshape(1, 1, 1, 4)
-    w = rng.standard_normal((1, 2, 4, 3))
+    q, k, v = rand((3, 6), rng), rand((3, 6), rng), rand((3, 6), rng)
+    layout = right_aligned([3], 4)   # the first key slot is a pad
+    w = rng.standard_normal((3, 6))
 
     def loss():
-        out, _ = T.scaled_dot_attention(q, k, v, key_mask=mask)
+        out, _ = T.scaled_dot_attention(q, k, v, layout, 2)
         return T.tsum(T.mul(out, w))
 
     check_grads(loss, [q, k, v])
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("subset", [False, True])
+def test_fd_attention_buckets(subset, dropout):
+    """The fused backward against finite differences: pad keys inside a
+    bucket, a query subset with fewer rows than keys, and dropout with a
+    fixed keep mask (the generator is re-seeded for every evaluation)."""
+    rng = np.random.default_rng(24)
+    layout = right_aligned([3, 1, 4, 2, 4], 4)
+    assert any((~real).any() for _, _, _, real in layout.keys)
+    if subset:
+        layout = layout.at(layout.rows[[0, 2, 5, 7, 9, 13]])
+        assert any(idx.shape[1] < l for (_, l, _, _), (idx, _, _)
+                   in zip(layout.keys, layout.queries))
+    n, h = len(layout.rows), 6
+    q, k, v = (rand((len(layout.pos), h), rng), rand((n, h), rng),
+               rand((n, h), rng))
+    w = rng.standard_normal((len(layout.pos), h))
+
+    def loss():
+        out, _ = T.scaled_dot_attention(
+            q, k, v, layout, 2, attn_dropout=dropout,
+            rng=np.random.default_rng(5), train=True)
+        return T.tsum(T.mul(out, w))
+
+    check_grads(loss, [q, k, v])
+
+
+@pytest.mark.parametrize("queries", ["all", "every_third", "last"])
+@pytest.mark.parametrize("lengths", [
+    [8],                      # a single row, at the full length
+    [5, 5, 5, 5, 5],          # all rows the same length: one bucket
+    [2, 6, 8, 3, 7, 1, 4],    # a length-2 (eval-sized) row and a full row
+])
+def test_attention_matches_dense_chain(lengths, queries):
+    """The fused op against the dense chain of separate ops in
+    dense_oracle.attention, with dropout on: output rows, gradients of Q, K
+    and V, the collected maps (every row, pad queries included) and the
+    generator's state afterwards."""
+    B, L, H, d = len(lengths), 8, 2, 3
+    layout = right_aligned(lengths, L)
+    rows = layout.rows
+    pos = {"all": rows, "every_third": rows[::3],
+           "last": np.arange(B) * L + L - 1}[queries]
+    rng = np.random.default_rng(25)
+    q, k, v = (rand((len(rows), H * d), rng) for _ in range(3))
+    w = rng.standard_normal((len(pos), H * d))
+
+    def fused(gen):
+        lay = layout if queries == "all" else layout.at(pos)
+        qq = q if lay.picked is None else T.take_rows(q, lay.picked)
+        out, attn = T.scaled_dot_attention(qq, k, v, lay, H, attn_dropout=0.2,
+                                           rng=gen, train=True,
+                                           collect=queries == "all")
+        return T.tsum(T.mul(out, w)), attn
+
+    def dense(gen):
+        def heads(x):
+            full = T.reshape(T.put_rows(x, rows, B * L), (B, L, H, d))
+            return T.transpose(full, (0, 2, 1, 3))
+
+        out, attn = dense_oracle.attention(
+            heads(q), heads(k), heads(v), layout.pad_mask[:, None, None, :],
+            0.2, gen, True)
+        flat = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B * L, H * d))
+        return T.tsum(T.mul(T.take_rows(flat, pos), w)), attn
+
+    results = []
+    for fn in (fused, dense):
+        gen = np.random.default_rng(9)
+        for t in (q, k, v):
+            t.zero_grad()
+        loss, attn = fn(gen)
+        T.backward(loss)
+        results.append((loss.item(), [t.grad.copy() for t in (q, k, v)],
+                        attn, gen.bit_generator.state))
+    (fl, fg, fa, fs), (dl, dg, da, ds) = results
+    assert abs(fl - dl) < 1e-12
+    for a, b in zip(fg, dg):
+        assert np.abs(a - b).max() < 1e-12
+    assert fs == ds
+    if fa is not None:
+        assert np.abs(fa.data - da.data).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

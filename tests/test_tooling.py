@@ -1,15 +1,62 @@
-"""The benchmark's tracer finds every function it wraps."""
+"""The benchmark's tracer finds every function it wraps, and sees the calls
+of a training step and an evaluation."""
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from novabert import data as D
+from novabert import tensor as T
+from novabert import train as TR
+from novabert.model import Model, ModelConfig
+from novabert.synthetic import branching_dataset
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_names_resolve(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans")
+
+
+def test_traced_names_resolve(spans):
     """perfbench/spans.py wraps program functions by name; a rename in src/
     must fail here rather than break a traced benchmark run."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
     for owner, attr, name in spans.WRAPPED:
         assert callable(getattr(owner, attr, None)), name
+
+
+def test_tracer_sees_a_training_step_and_an_evaluation(spans):
+    """A path that bypasses a wrapped function (say, evaluation not going
+    through Model.encode) would zero its per-layer metrics silently."""
+    schema, catalog, seqs = branching_dataset(m=11, n_seq=8, length=7, seed=0)
+    split = D.leave_one_out_split(seqs)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=6,
+                      attention="nova", fusion="gating", dropout=0.1)
+    model = Model(cfg, schema, catalog, seed=0)
+    opt = TR.Adam(model.params, TR.TrainConfig())
+    rng = np.random.default_rng(0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 0
+        batch = D.make_masked_batch(split.train, schema, catalog,
+                                    cfg.mask_prob, rng, cfg.max_len)
+        model.zero_grads()
+        T.backward(model.loss(batch, train=True, rng=rng))
+        opt.step(1e-3)
+        TR.score_pairs(model, split.validation, batch_size=4)
+    finally:
+        tracer.uninstall()
+    out = tracer.layer_metrics(units=1, builds=1, flops_per_seq=0.0,
+                               traced_s=[1.0], untraced_s=[1.0])
+    for name in ("model.encode", "model.nova_layer",
+                 "tensor.scaled_dot_attention", "kernels.softmax_rows",
+                 "model.decode_scores", "model.masked_loss",
+                 "train.score_pairs"):
+        assert out[name + ".calls"] >= 1, name
+    assert out["kernels.softmax_rows.bytes"] > 0
+    assert out["model.decode_useful_ratio"] == 1.0
