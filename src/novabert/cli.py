@@ -385,8 +385,9 @@ def build_parser():
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
         "--precision", choices=["f32", "f64"], default="f64",
-        help="parameter storage dtype; f32 stores parameters in float32, "
-             "but compute still runs in float64")
+        help="training dtype; f32 stores parameters and computes in "
+             "float32, but Adam's moments stay float64 and a checkpoint "
+             "is reloaded in float64")
 
     sp = add("prepare-data", cmd_prepare_data,
              help="convert ::-separated rating/movie files to TSV")

@@ -261,6 +261,10 @@ def load_interactions(path, schema, catalog):
     # cold-start filter first so vocabularies only reflect retained users
     kept = [(u, sorted(recs, key=lambda r: r[0]))
             for u, recs in per_user.items() if len(recs) >= MIN_SEQUENCE_LEN]
+    if not kept:
+        raise DataError(f"{path}: no user has the MIN_SEQUENCE_LEN = "
+                        f"{MIN_SEQUENCE_LEN} interactions that the cold-start "
+                        f"filter keeps")
     for i, f in enumerate(beh_feats):
         f.freeze(raw[i] for _, recs in kept for _, _, raw in recs)
 

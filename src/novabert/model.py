@@ -206,22 +206,21 @@ class Model:
                positions=None):
         """Run the full stack; returns (hidden, attention maps per layer).
 
-        Every position-wise op (lookups, fusion, projections, FFN, layer
-        norm, dropout) runs on the N real tokens only, as [N, h]. The
-        attention core runs over length buckets (see
-        :class:`tensor.AttentionLayout`), built once per batch from its pad
-        mask. Dropout draws its masks at the dense shapes, so the random
-        stream is that of the unpacked model.
+        hidden holds one row [h] per read position: the flat slots
+        positions (b * L + l, strictly increasing, real tokens), or by
+        default every real token in flat order. Every position-wise op
+        (lookups, fusion, projections, FFN, layer norm, dropout) runs on the
+        N real tokens only, as [N, h]. The attention core runs over length
+        buckets (see :class:`tensor.AttentionLayout`), built once per batch
+        from its pad mask. The last layer runs its query side for the read
+        rows only, while its K and V still read every real token. Dropout
+        draws its masks at the dense shapes, so the random stream is that of
+        the unpacked model.
 
-        Without positions, hidden is [B, L, h] with pad rows exactly zero.
-        positions are the flat slots (b * L + l, strictly increasing, real
-        tokens) the caller reads: the last layer then runs its query side
-        for those rows only, while its K and V still read every real token,
-        and hidden is [len(positions), h], one row per position. The maps
-        (collect_attn, which needs every query row) are [B, H, L, L]; a pad
-        query's row is uniform over its sequence's real keys."""
+        The maps (collect_attn, which needs every query row) are
+        [B, H, L, L], zero at pad query rows and pad keys."""
         cfg = self.config
-        B, L = batch.items.shape
+        L = batch.items.shape[1]
         if L != cfg.max_len:
             raise ValueError(
                 f"batch length {L} != model max_len {cfg.max_len}")
@@ -251,10 +250,7 @@ class Model:
                                               collect_attn)
             if collect_attn:
                 attns.append(attn)
-        if positions is not None:
-            return x, attns
-        full = T.put_rows(x, rows, B * L)
-        return T.reshape(full, (B, L, cfg.hidden_size)), attns
+        return x, attns
 
     def decode_scores(self, hidden):
         """Tied-embedding logits over items 1..m plus a per-item bias."""
@@ -263,17 +259,16 @@ class Model:
                         self.params["dec.bias"])
 
     def masked_loss(self, logits, labels):
-        """Mean full-vocabulary cross-entropy over the masked positions."""
-        m = self.catalog.m
-        flat = T.reshape(logits, (-1, m))
-        return T.cross_entropy_masked(flat, labels.reshape(-1))
+        """Mean full-vocabulary cross-entropy of logits [n, m] against the
+        masked items labels [n] (each in 1..m)."""
+        return T.cross_entropy_masked(logits, labels)
 
     def loss(self, batch, train=False, rng=None):
         """Masked-item cross-entropy of one batch.
 
         Only the rows whose label is non-zero are computed past the last
         layer's keys and values and decoded: encode returns them as an
-        [N, h] matrix for the tied decoder (BERT's masked-LM head). Loss and
+        [n, h] matrix for the tied decoder (BERT's masked-LM head). Loss and
         gradients equal those of decoding every position and reading the
         masked ones, up to summation order."""
         labels = batch.labels.reshape(-1)

@@ -5,11 +5,13 @@ their inputs and a backward closure on the output node; :func:`backward`
 linearizes the recorded graph into a tape (topological order) and replays
 it in reverse, accumulating gradients into every ``requires_grad`` leaf.
 
-Multi-head attention is one node (:func:`scaled_dot_attention`) over the
-real tokens of a batch, grouped into length buckets by an
-:class:`AttentionLayout`; it saves only its probabilities and dropout keep
-mask and has a hand-written backward. :func:`linear` is matmul plus bias as
-one node.
+Activations are packed rows: one row per real token of a padded batch,
+never a padded [B, L, ...] array. Multi-head attention is one node
+(:func:`scaled_dot_attention`) over those rows, grouped into length
+buckets by an :class:`AttentionLayout`; it saves only its probabilities
+and dropout keep mask and has a hand-written backward. :func:`take_rows`
+picks the rows a later op reads, and :func:`cross_entropy_masked` scores
+every row it is given. :func:`linear` is matmul plus bias as one node.
 
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
@@ -119,9 +121,6 @@ def _accumulate(t, g):
     nothing writes into one in place."""
     if not t.requires_grad:
         return
-    # an f32 graph still yields some f64 gradients; keep .grad in t's dtype
-    if g.dtype != t.data.dtype:
-        g = g.astype(t.data.dtype)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -456,38 +455,27 @@ def take_rows(x, rows):
     return _make(out_data, (x,), bw)
 
 
-def put_rows(x, rows, n):
-    """Scatter the rows of x into zeros of n rows: out[rows] = x.
+def cross_entropy_masked(logits, labels):
+    """Mean cross-entropy over every row of logits.
 
-    The inverse of :func:`take_rows`; rows are unique indices, one per row
-    of x. The backward gathers g[rows]."""
-    x = _as_tensor(x)
-    out_data = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
-    out_data[rows] = x.data
-
-    def bw(g):
-        _accumulate(x, g[rows])
-
-    return _make(out_data, (x,), bw)
-
-
-def cross_entropy_masked(logits, labels, ignore_index=0):
-    """Mean cross-entropy over positions whose label != ignore_index.
-
-    logits: [N, m]; labels: [N] with values in 1..m (class = label - 1) or
-    ignore_index. Softmax is over the full last dimension. When every label
-    is valid, the logits are read in place and the gradient is handed back
-    as computed, with no row gather or zero-filled [N, m] buffer.
+    logits: [n, m]; labels: [n] with values in 1..m (class = label - 1).
+    Softmax is over the full last dimension. The caller passes only the rows
+    a loss reads (for a masked-item loss, the masked rows); a label outside
+    1..m raises ValueError.
     """
     logits = _as_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    valid = labels != ignore_index
-    n = int(valid.sum())
+    labels = np.asarray(labels, dtype=np.int64)
+    n, m = logits.shape
+    if labels.shape != (n,):
+        raise ShapeMismatchError(
+            f"cross_entropy_masked: {n} rows of logits, labels {labels.shape}")
     if n == 0:
-        raise ValueError("cross_entropy_masked: no unmasked labels in batch")
-    rows = None if n == labels.size else np.nonzero(valid)[0]
-    cls = labels[valid] - 1
-    z = logits.data if rows is None else logits.data[rows]
+        raise ValueError("cross_entropy_masked: no rows to score")
+    if labels.min() < 1 or labels.max() > m:
+        raise ValueError(f"cross_entropy_masked: labels must be in 1..{m}, "
+                         f"got {labels.min()}..{labels.max()}")
+    cls = labels - 1
+    z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
     loss = (lse - z[np.arange(n), cls]).sum() / n
@@ -496,10 +484,6 @@ def cross_entropy_masked(logits, labels, ignore_index=0):
         p = kernels.softmax_rows(np.ascontiguousarray(z))
         p[np.arange(n), cls] -= 1.0
         p *= float(g) / n
-        if rows is not None:
-            full = np.zeros_like(logits.data)
-            full[rows] = p
-            p = full
         _accumulate(logits, p)
 
     return _make(np.asarray(loss), (logits,), bw)
@@ -541,7 +525,7 @@ class AttentionLayout:
                 "attention row with every key masked (empty sequence)")
         if not np.array_equal(pad_mask, np.arange(L) >= L - lengths[:, None]):
             raise ValueError("real tokens must be right-aligned in each row")
-        self.shape, self.pad_mask, self.lengths = (B, L), pad_mask, lengths
+        self.shape, self.pad_mask = (B, L), pad_mask
         self.rows = self.pos = np.flatnonzero(pad_mask)
         self.picked = None
         groups = []
@@ -612,9 +596,8 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     rows with plain index writes.
 
     Returns (out [len(layout.pos), h], attn). With collect, attn is the
-    dense [B, H, L, L] constant of the probabilities before dropout, in
-    which a pad query's row is uniform over its sequence's real keys;
-    otherwise it is None.
+    dense [B, H, L, L] constant of the probabilities before dropout, zero
+    at pad query rows and pad keys; otherwise it is None.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     n, h = k.shape
@@ -632,11 +615,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     if train and attn_dropout > 0.0:
         keep = rng.random((B, heads, L, L)) >= attn_dropout
     record = _grad_mode.enabled and _needs_grad(q, k, v)
-    attn = None
-    if collect:
-        uniform = np.where(layout.pad_mask, 1.0 / layout.lengths[:, None], 0.0)
-        attn = np.broadcast_to(uniform[:, None, None, :],
-                               (B, heads, L, L)).astype(q.dtype)
+    attn = np.zeros((B, heads, L, L), dtype=q.dtype) if collect else None
     hh = np.arange(heads)[:, None]
     out = np.empty_like(q.data)
     oh = out.reshape(-1, heads, d)
@@ -649,7 +628,8 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
         p = kernels.softmax_rows(s.reshape(-1, l)).reshape(s.shape)
         del s
         if collect:
-            attn[bi[:, None, None], hh, qslot[:, None, :], L - l:] = p
+            attn[bi[:, None, None], hh, qslot[:, None, :], L - l:] = (
+                p * qreal[:, None, :, None])
         kept, pd = None, p
         if keep is not None:
             kept = keep[bi[:, None, None], hh, qslot[:, None, :], L - l:]

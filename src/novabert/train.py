@@ -198,17 +198,17 @@ def popularity_baseline(train_seqs):
 
 
 def popularity_metrics(ranking, pairs, m):
-    """Evaluate the static popularity ranking on eval pairs."""
-    pos = {it: i + 1 for i, it in enumerate(ranking)}
-    unseen_base = len(ranking)
-    ranks = []
-    for p in pairs:
-        r = pos.get(p.target)
-        if r is None:  # unseen items follow the ranked ones, ID order
-            seen_unranked = sorted(it for it in range(1, m + 1)
-                                   if it not in pos and it < p.target)
-            r = unseen_base + len(seen_unranked) + 1
-        ranks.append(r)
+    """Evaluate the static popularity ranking on eval pairs.
+
+    The ranking becomes one score per item (unseen items score 0), ranked
+    by the tie rule of :func:`ranks_from_scores`: unseen items follow the
+    ranked ones, in ID order."""
+    ranked = np.asarray(ranking, dtype=np.int64)
+    scores = np.zeros(m)
+    scores[ranked - 1] = np.arange(len(ranked), 0, -1)
+    targets = np.asarray([p.target for p in pairs], dtype=np.int64)
+    ranks = ranks_from_scores(np.broadcast_to(scores, (len(targets), m)),
+                              targets)
     return metrics_from_ranks(ranks)
 
 

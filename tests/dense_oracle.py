@@ -99,10 +99,14 @@ def encode(model, batch, train=False, rng=None):
 
 
 def loss(model, batch, train=False, rng=None):
-    """Masked-item cross-entropy with [B, L, m] logits from a copied table."""
+    """Masked-item cross-entropy of [B, L, m] logits from a copied table,
+    read at the labelled slots."""
     hidden, _ = encode(model, batch, train=train, rng=rng)
     table = T.embedding_lookup(model.params["emb.id"],
                                np.arange(1, model.catalog.m + 1))
     logits = T.add(T.matmul(hidden, T.transpose(table, (1, 0))),
                    model.params["dec.bias"])
-    return model.masked_loss(logits, batch.labels)
+    labels = batch.labels.reshape(-1)
+    pos = np.flatnonzero(labels)
+    flat = T.reshape(logits, (labels.size, model.catalog.m))
+    return model.masked_loss(T.take_rows(flat, pos), labels[pos])

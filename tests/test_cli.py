@@ -113,6 +113,22 @@ def test_evaluate_random_init_is_chance_level(tmp_path):
     assert abs(rep["HR@10"] - 0.5) < 0.15
 
 
+def test_evaluate_with_no_user_past_the_filter_exits_1(tmp_path, capsys):
+    """A log in which no user has MIN_SEQUENCE_LEN interactions is a data
+    error that names the file and the filter, not a crash in scoring."""
+    schema, catalog, seqs = successor_dataset(
+        m=20, n_seq=10, length=D.MIN_SEQUENCE_LEN - 1, seed=1)
+    data = tmp_path / "interactions.tsv"
+    D.write_interactions(seqs, schema, catalog, data)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=6)
+    ckpt = tmp_path / "model.bin"
+    CK.save_checkpoint(ckpt, Model(cfg, schema, catalog, seed=0))
+    assert cli.main(["evaluate", "--checkpoint", str(ckpt),
+                     "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "MIN_SEQUENCE_LEN" in err
+
+
 def test_locked_output_dir_refused(toy, capsys):
     toy["out"].mkdir()
     (toy["out"] / ".lock").write_text("123")

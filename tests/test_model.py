@@ -9,7 +9,8 @@ from novabert.synthetic import branching_dataset, successor_dataset
 
 
 def tiny_setup(attention="nova", fusion="add", with_feature=True, seed=0,
-               h=8, heads=2, layers=2, L=4, m=11, dropout=0.0):
+               h=8, heads=2, layers=2, L=4, m=11, dropout=0.0,
+               dtype=np.float64):
     if with_feature:
         schema, catalog, seqs = branching_dataset(m=m, n_seq=6, length=7, seed=seed)
     else:
@@ -20,7 +21,7 @@ def tiny_setup(attention="nova", fusion="add", with_feature=True, seed=0,
     cfg = ModelConfig(hidden_size=h, num_heads=heads, num_layers=layers,
                       max_len=L, attention=attention, fusion=fusion,
                       dropout=dropout)
-    model = Model(cfg, schema, catalog, seed=seed)
+    model = Model(cfg, schema, catalog, seed=seed, dtype=dtype)
     return model, batch
 
 
@@ -29,7 +30,8 @@ def test_encode_output_shape_grid():
         for layers in (1, 2):
             model, batch = tiny_setup(h=h, heads=heads, layers=layers)
             hidden, _ = model.encode(batch)
-            assert hidden.shape == (batch.items.shape[0], 4, h)
+            # one row per real token
+            assert hidden.shape == (int(batch.pad_mask.sum()), h)
 
 
 def test_config_validation():
@@ -100,14 +102,17 @@ def test_invasive_single_head_hand_case():
 
 
 def test_padding_receives_zero_attention():
-    model, batch = tiny_setup(attention="invasive")
+    # L=6 over 5-item training sequences: every row has a pad slot
+    model, batch = tiny_setup(attention="invasive", L=6)
     hidden, attns = model.encode(batch, collect_attn=True)
     pad = ~batch.pad_mask
+    assert pad.any()
     for attn in attns:
         a = attn.data  # [B,H,L,L]
         for b in range(a.shape[0]):
             assert np.all(a[b][:, :, pad[b]] == 0)
-            assert np.abs(a[b].sum(-1) - 1).max() < 1e-9
+            assert np.abs(a[b][:, ~pad[b]].sum(-1) - 1).max() < 1e-9
+            assert np.all(a[b][:, pad[b]] == 0)
 
 
 def test_degenerate_equivalence_nova_equals_invasive():
@@ -188,15 +193,42 @@ def test_decode_scores_contract():
 def test_masked_loss_values():
     model, batch = tiny_setup(with_feature=False, m=11)
     m = model.catalog.m
-    labels = batch.labels
+    labels = batch.labels[batch.labels != 0]   # the masked rows
+    n = len(labels)
     # uniform logits -> ln(m)
-    uniform = T.Tensor(np.zeros((labels.shape[0], labels.shape[1], m)))
+    uniform = T.Tensor(np.zeros((n, m)))
     assert abs(model.masked_loss(uniform, labels).item() - np.log(m)) < 1e-12
     # perfect logits -> ~0
-    perfect = np.zeros((labels.shape[0], labels.shape[1], m))
-    for b, l in zip(*np.nonzero(labels)):
-        perfect[b, l, labels[b, l] - 1] = 50.0
+    perfect = np.zeros((n, m))
+    perfect[np.arange(n), labels - 1] = 50.0
     assert model.masked_loss(T.Tensor(perfect), labels).item() < 1e-6
+
+
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+def test_f32_model_computes_in_f32(attention, fusion):
+    """A float32 model's training loss records only float32 arrays, its
+    backward pass hands only float32 gradients from node to node, and
+    every parameter gradient is float32 (padded batch, dropout on)."""
+    model, batch = tiny_setup(attention=attention, fusion=fusion, L=6,
+                              dropout=0.1, dtype=np.float32)
+    model.zero_grads()
+    loss = model.loss(batch, train=True, rng=np.random.default_rng(0))
+    seen, stack, passed = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._bw is None:
+            continue
+        seen.add(id(node))
+        assert node.data.dtype == np.float32
+        node._bw = (lambda g, bw=node._bw: (passed.append(g.dtype), bw(g)))
+        stack.extend(node._parents)
+    assert len(seen) > 20
+    T.backward(loss)
+    assert set(passed) == {np.dtype(np.float32)}
+    grads = [p.grad for p in model.params.values() if p.grad is not None]
+    assert len(grads) > 20
+    assert all(g.dtype == np.float32 for g in grads)
 
 
 def test_nova_side_tensors_shared_across_layers():
@@ -241,16 +273,21 @@ def _loss_and_grads(model, loss_fn):
 @pytest.mark.parametrize("attention,fusion", [("nova", "gating"),
                                               ("invasive", "concat")])
 def test_gathered_loss_equals_dense_loss(attention, fusion):
-    """Decoding only the masked rows gives the dense decoder's loss and
-    gradients, on a masked batch and on an appended-mask tail batch."""
+    """Computing and decoding only the masked rows gives the loss and
+    gradients of decoding every real-token row and reading the masked ones,
+    on a masked batch and on an appended-mask tail batch."""
     model, masked = tiny_setup(attention=attention, fusion=fusion, dropout=0.0)
     _, _, seqs = branching_dataset(m=11, n_seq=6, length=7, seed=0)
     tail = D.make_eval_batch(D.leave_one_out_split(seqs).validation,
                              model.schema, model.catalog, L=4)
     for batch in (masked, tail):
+        # the labelled rows among all real-token rows
+        labels = batch.labels[batch.pad_mask]
+        rows = np.flatnonzero(labels)
         gathered, g_grads = _loss_and_grads(model, lambda: model.loss(batch))
         dense, d_grads = _loss_and_grads(model, lambda: model.masked_loss(
-            model.decode_scores(model.encode(batch)[0]), batch.labels))
+            T.take_rows(model.decode_scores(model.encode(batch)[0]), rows),
+            labels[rows]))
         assert abs(gathered - dense) < 1e-12
         assert set(g_grads) == set(d_grads)
         for name, g in g_grads.items():

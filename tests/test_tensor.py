@@ -175,8 +175,9 @@ def test_attention_rows_stochastic_with_mask():
     out, attn = T.scaled_dot_attention(
         T.Tensor(q[mask]), T.Tensor(q[mask]), T.Tensor(q[mask]),
         T.AttentionLayout(mask), 1, collect=True)
-    assert np.abs(attn.data.sum(-1) - 1).max() < 1e-12
+    assert np.abs(attn.data[..., 2:, :].sum(-1) - 1).max() < 1e-12
     assert np.all(attn.data[..., :2] == 0)
+    assert np.all(attn.data[..., :2, :] == 0)   # pad queries have no row
 
 
 def test_attention_layout_rejects_left_aligned_rows():
@@ -336,7 +337,7 @@ def test_fd_embedding_lookup():
 def test_fd_cross_entropy_masked():
     rng = np.random.default_rng(17)
     logits = rand((6, 5), rng)
-    labels = np.array([1, 0, 3, 5, 0, 2])
+    labels = np.array([1, 4, 3, 5, 5, 2])
     check_grads(lambda: T.cross_entropy_masked(logits, labels), [logits])
 
 
@@ -389,8 +390,8 @@ def test_fd_attention_buckets(subset, dropout):
 def test_attention_matches_dense_chain(lengths, queries):
     """The fused op against the dense chain of separate ops in
     dense_oracle.attention, with dropout on: output rows, gradients of Q, K
-    and V, the collected maps (every row, pad queries included) and the
-    generator's state afterwards."""
+    and V, the collected maps (equal at real query rows, zero at pad
+    queries) and the generator's state afterwards."""
     B, L, H, d = len(lengths), 8, 2, 3
     layout = right_aligned(lengths, L)
     rows = layout.rows
@@ -409,9 +410,14 @@ def test_attention_matches_dense_chain(lengths, queries):
         return T.tsum(T.mul(out, w)), attn
 
     def dense(gen):
+        slot_row = np.zeros(B * L, dtype=np.int64)
+        slot_row[rows] = np.arange(len(rows))
+        real = layout.pad_mask.reshape(-1, 1)
+
         def heads(x):
-            full = T.reshape(T.put_rows(x, rows, B * L), (B, L, H, d))
-            return T.transpose(full, (0, 2, 1, 3))
+            # the rows at their slots, zeros at pad slots
+            full = T.mul(T.embedding_lookup(x, slot_row), real)
+            return T.transpose(T.reshape(full, (B, L, H, d)), (0, 2, 1, 3))
 
         out, attn = dense_oracle.attention(
             heads(q), heads(k), heads(v), layout.pad_mask[:, None, None, :],
@@ -434,7 +440,8 @@ def test_attention_matches_dense_chain(lengths, queries):
         assert np.abs(a - b).max() < 1e-12
     assert fs == ds
     if fa is not None:
-        assert np.abs(fa.data - da.data).max() < 1e-12
+        q_real = layout.pad_mask[:, None, :, None]
+        assert np.abs(fa.data - da.data * q_real).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,16 @@ def test_cross_entropy_no_valid_labels_errors():
         T.cross_entropy_masked(T.Tensor(np.zeros((2, 3))), np.array([0, 0]))
 
 
+@pytest.mark.parametrize("labels,match", [
+    ([1, 0, 3], r"1\.\.3"),   # 0 is an error, not an ignored row
+    ([1, 4, 3], r"1\.\.3"),   # above m
+    ([1, 2], "rows"),         # not one label per row
+])
+def test_cross_entropy_rejects_labels_it_cannot_score(labels, match):
+    with pytest.raises(ValueError, match=match):
+        T.cross_entropy_masked(T.Tensor(np.zeros((3, 3))), np.array(labels))
+
+
 def test_embedding_lookup_out_of_range():
     table = T.Tensor(np.zeros((4, 2)))
     with pytest.raises(IndexError):
@@ -462,7 +479,7 @@ def test_embedding_lookup_out_of_range():
 def test_float32_kernel_ops_keep_dtype_and_match_float64():
     rng = np.random.default_rng(23)
     idx = np.array([[0, 3, 3], [6, 1, 0]])  # duplicates exercise scatter-add
-    labels = np.array([2, 0, 6, 1])
+    labels = np.array([2, 5, 6, 1])
     cases = [
         (T.softmax_lastdim, rng.standard_normal((2, 3, 5))),
         (lambda t: T.embedding_lookup(t, idx), rng.standard_normal((7, 4))),

@@ -1,5 +1,6 @@
 """The benchmark's tracer finds every function it wraps, and sees the calls
-of a training step and an evaluation."""
+of a training step and an evaluation; the benchmark's own correctness
+checks pass on the program."""
 
 import importlib
 from pathlib import Path
@@ -20,6 +21,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("spans")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
 
 
 def test_traced_names_resolve(spans):
@@ -60,3 +67,16 @@ def test_tracer_sees_a_training_step_and_an_evaluation(spans):
         assert out[name + ".calls"] >= 1, name
     assert out["kernels.softmax_rows.bytes"] > 0
     assert out["model.decode_useful_ratio"] == 1.0
+
+
+@pytest.mark.slow
+def test_desk_compare_passes_its_benchmark_checks(workloads, tmp_path):
+    """One desk-compare operation at seed 0, as the benchmark runs it:
+    generate, build, warm up, one operation, its check and the final check.
+    A program change that the benchmark would reject fails here first."""
+    wl = workloads.DeskCompare()
+    st = wl.build(wl.generate(0), 0, str(tmp_path))
+    problems, _ = wl.warmup(st)
+    op = wl.op(st)
+    problems += wl.check(st, op.info) + wl.final_check(st)
+    assert problems == []

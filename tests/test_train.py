@@ -177,6 +177,35 @@ def test_popularity_counts_match_hash_oracle():
         assert (counts[a], -a) >= (counts[b], -b)
 
 
+def _popularity_rank_oracle(ranking, target, m):
+    """The rank as a per-pair scan: a ranked item's place in the ranking;
+    an unseen one follows every ranked item and the unseen items of smaller
+    ID."""
+    pos = {it: i + 1 for i, it in enumerate(ranking)}
+    if target in pos:
+        return pos[target]
+    return len(ranking) + len([it for it in range(1, m + 1)
+                               if it not in pos and it < target]) + 1
+
+
+def test_popularity_metrics_match_per_pair_oracle():
+    m = 9
+    # counts: 4 -> 3; 2, 7 and 5 -> 2 each (tied); 1 -> 1; 3, 6, 8, 9 unseen
+    seqs = [D.TrainSequence([4, 2, 7, 5, 4], {}),
+            D.TrainSequence([4, 2, 7, 5, 1], {})]
+    ranking = TR.popularity_baseline(seqs)
+    assert ranking == [4, 2, 5, 7, 1]
+    targets = [4, 2, 5, 7, 1, 3, 6, 8, 9, 5, 9]
+    pairs = [D.EvalPair([1], {}, t) for t in targets]
+    expect = TR.metrics_from_ranks(
+        [_popularity_rank_oracle(ranking, t, m) for t in targets])
+    got = TR.popularity_metrics(ranking, pairs, m)
+    assert got.to_dict() == expect.to_dict()
+    for t, r in zip([5, 7, 3, 9], [3, 4, 6, 9]):   # tied, then unseen
+        one = TR.popularity_metrics(ranking, [D.EvalPair([1], {}, t)], m)
+        assert one.to_dict() == TR.metrics_from_ranks([r]).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -260,7 +289,9 @@ def test_score_pairs_matches_dense_decode_and_records_no_graph():
     scores, targets = TR.score_pairs(model, split.validation, batch_size=7)
     assert all(p.grad is None for p in model.params.values())
     batch = D.make_eval_batch(split.validation, schema, catalog, cfg.max_len)
-    dense = model.decode_scores(model.encode(batch)[0]).data[:, -1, :]
+    # every real-token row; a row's last real token is the appended mask
+    last = np.cumsum(batch.pad_mask.sum(axis=1)) - 1
+    dense = model.decode_scores(model.encode(batch)[0]).data[last]
     assert scores.shape == dense.shape
     assert np.abs(scores - dense).max() < 1e-12
     assert list(targets) == [p.target for p in split.validation]
