@@ -3,8 +3,9 @@
 One ``.npy`` member per tensor, named as in ``Model.params`` (``opt.m.<name>``
 and ``opt.v.<name>`` for the Adam moments) and stored in its own dtype, plus
 an ``index`` member: canonical JSON of the format version, model config,
-feature schema, item catalog, metadata and optimizer scalars. The float64
-model is rebuilt from the file alone; the catalog is rebuilt from the raw
+feature schema, item catalog, metadata and optimizer scalars. The model is
+rebuilt from the file alone, in the dtype its parameters were stored in
+(float32 or float64, one for all); the catalog is rebuilt from the raw
 item values and must match the encoded features the index stores. Sorted
 members, canonical JSON and zip's fixed entry dates make save -> load ->
 save byte-identical. Every member's CRC-32 is checked on load and nothing is
@@ -93,7 +94,7 @@ def _read_archive(path):
 
 
 def load_checkpoint(path):
-    """Rebuild the model from a checkpoint file.
+    """Rebuild the model from a checkpoint file, in its stored dtype.
 
     Returns (model, metadata, optimizer_state) where optimizer_state is
     {"t": int, "m": dict, "v": dict} or None.
@@ -105,7 +106,16 @@ def load_checkpoint(path):
     if catalog.features != stored["features"]:
         raise CheckpointError(
             f"{path}: stored item features do not match their raw values")
-    model = Model(ModelConfig(**index["config"]), schema, catalog, seed=0)
+    dtypes = {a.dtype for name, a in arrays.items()
+              if not name.startswith("opt.")}
+    if len(dtypes) > 1 or not dtypes <= {np.dtype(np.float32),
+                                         np.dtype(np.float64)}:
+        raise CheckpointError(
+            f"{path}: parameters must be all float32 or all float64, got "
+            f"{sorted(str(d) for d in dtypes)}")
+    dtype = next(iter(dtypes), np.dtype(np.float64)).type
+    model = Model(ModelConfig(**index["config"]), schema, catalog, seed=0,
+                  dtype=dtype)
 
     expected = set(model.params)
     if index["optimizer"] is not None:

@@ -386,8 +386,8 @@ def build_parser():
     precision.add_argument(
         "--precision", choices=["f32", "f64"], default="f64",
         help="training dtype; f32 stores parameters and computes in "
-             "float32, but Adam's moments stay float64 and a checkpoint "
-             "is reloaded in float64")
+             "float32 (Adam's moments stay float64), and a checkpoint "
+             "reloads in the dtype it was saved in")
 
     sp = add("prepare-data", cmd_prepare_data,
              help="convert ::-separated rating/movie files to TSV")

@@ -86,22 +86,12 @@ def fuse_concat(features, w, b):
 def fuse_gating(features, wf, mode="softmax"):
     """Convex (softmax mode) or independent (sigmoid mode) gated sum.
 
-    Gate logits are each feature's inner product with the gate vector wf.
-    Returns (fused, gates) with gates shaped [..., k].
+    Gate logits are each feature's inner product with the gate vector wf
+    [h, 1]. One graph node, :func:`tensor.gated_sum`, forms the logits, the
+    gates and the sum, and has a hand-written backward. Returns (fused,
+    gates) with gates a constant shaped [..., k].
     """
-    fmat = T.stack(features, axis=-2)                       # [..., k, h]
-    logits = T.matmul(fmat, wf)                             # [..., k, 1]
-    k = len(features)
-    logits = T.reshape(logits, logits.shape[:-2] + (k,))    # [..., k]
-    if mode == "softmax":
-        gates = T.softmax_lastdim(logits)
-    elif mode == "sigmoid":
-        gates = T.sigmoid(logits)
-    else:
-        raise ValueError(f"unknown gating mode {mode!r}")
-    grow = T.reshape(gates, gates.shape[:-1] + (1, k))      # [..., 1, k]
-    out = T.matmul(grow, fmat)                              # [..., 1, h]
-    return T.reshape(out, out.shape[:-2] + (out.shape[-1],)), gates
+    return T.gated_sum(features, wf, mode)
 
 
 def real_rows(idx, rows):

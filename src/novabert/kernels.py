@@ -14,8 +14,15 @@ def softmax_rows(x):
 
 
 def scatter_add_rows(out, idx, grad):
-    """out[idx[i]] += grad[i] for every row i (duplicate indices accumulate)."""
-    np.add.at(out, idx, grad)
+    """out[idx[i]] += grad[i] for every row i (duplicate indices accumulate).
+
+    out is [rows, h], idx [n] and grad [n, h]. One ``np.bincount`` over the
+    flat indices idx * h + column sums the rows in float64, in the order of
+    i, and the sums are added to out in its own dtype."""
+    rows, h = out.shape
+    flat = (idx[:, None] * h + np.arange(h)).reshape(-1)
+    out += np.bincount(flat, weights=grad.reshape(-1),
+                       minlength=rows * h).reshape(rows, h)
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):

@@ -11,14 +11,20 @@ never a padded [B, L, ...] array. Multi-head attention is one node
 buckets by an :class:`AttentionLayout`; it saves only its probabilities
 and dropout keep mask and has a hand-written backward. :func:`take_rows`
 picks the rows a later op reads, and :func:`cross_entropy_masked` scores
-every row it is given. :func:`linear` is matmul plus bias as one node.
+every row it is given. :func:`linear` is matmul plus bias as one node, and
+:func:`gated_sum` is the gated fusion of side information as one node. The
+per-token backwards reuse their forward work: the loss normalizes the
+exponentials its forward kept, GELU keeps only its input and ``tanh``, and
+the embedding scatter-add is one ``np.bincount``.
 
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
 attention dumps) frees each intermediate as soon as it is no longer
 referenced; the switch is per thread. Float32, float64 and longdouble
-arrays keep their dtype; anything else becomes float64. Debug finiteness
-checks are enabled with ``NOVABERT_DEBUG=1``.
+arrays keep their dtype; anything else becomes float64. With
+``NOVABERT_DEBUG=1`` (read once, at import) a non-finite op output or
+backward gradient raises ``FloatingPointError`` naming the op's backward
+closure; when it is off, the check costs one boolean test per op.
 """
 
 from __future__ import annotations
@@ -59,8 +65,6 @@ class Tensor:
         self._parents = _parents
         self._bw = _bw
         self._done = False
-        if _DEBUG and not np.all(np.isfinite(arr)):
-            raise FloatingPointError("non-finite values in tensor")
 
     # -- convenience -------------------------------------------------------
     @property
@@ -107,7 +111,14 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+def _check_finite(arr, what, bw):
+    if not np.all(np.isfinite(arr)):
+        raise FloatingPointError(f"non-finite {what} of {bw.__qualname__}")
+
+
 def _make(data, parents, bw):
+    if _DEBUG:
+        _check_finite(data, "output", bw)
     if _grad_mode.enabled and _needs_grad(*parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _bw=bw)
     return Tensor(data)
@@ -176,6 +187,11 @@ def backward(loss):
         if node.grad is None or node._bw is None:
             continue
         node._bw(node.grad)
+        if _DEBUG:
+            for p in node._parents:
+                if p.grad is not None:
+                    _check_finite(p.grad, "gradient from the backward",
+                                  node._bw)
         node._done = True
         if node is not loss:
             node.grad = None
@@ -352,16 +368,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x):
-    """GELU, tanh approximation (as in the original BERT)."""
+    """GELU, tanh approximation (as in the original BERT).
+
+    Forward and backward build their [N, 4h] temporaries in place. Only x
+    and tanh(u) are saved; the backward recomputes x*x."""
     x = _as_tensor(x)
-    u = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
+    xd = x.data
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = t + 1.0
+    out_data *= xd
+    out_data *= 0.5
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        _accumulate(x, g * d)
+        # d = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
+        du = xd * xd
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= xd
+        d *= 0.5
+        d *= du
+        np.add(t, 1.0, out=du)
+        du *= 0.5
+        du += d
+        du *= g
+        _accumulate(x, du)
 
     return _make(out_data, (x,), bw)
 
@@ -412,6 +450,71 @@ def dropout(x, p, rng, train, rows=None, n=None):
 
 
 # ---------------------------------------------------------------------------
+# gated fusion
+# ---------------------------------------------------------------------------
+
+def gated_sum(features, wf, mode="softmax"):
+    """sum_i gate_i * f_i over k same-shape features [..., h], as one node.
+
+    The logit of feature i is f_i @ wf (wf: [h, 1]), one GEMV per feature
+    with no [..., k, h] stack. The gates are the softmax of the k logits
+    (mode "softmax": convex) or their sigmoids (mode "sigmoid":
+    independent); the weighted sum is accumulated in place. Only the gates
+    are saved. The backward takes dgate_i as row dot products of the output
+    gradient g with f_i, dlogit_i through the softmax or sigmoid Jacobian,
+    df_i = g * gate_i + dlogit_i wf^T and dwf = sum_i f_i^T dlogit_i.
+
+    Returns (out [..., h], gates [..., k]); gates is a constant tensor.
+    """
+    features = [_as_tensor(f) for f in features]
+    wf = _as_tensor(wf)
+    if not features:
+        raise ValueError("gated_sum needs at least one feature")
+    shp = features[0].shape
+    h = shp[-1]
+    if wf.shape != (h, 1) or any(f.shape != shp for f in features[1:]):
+        raise ShapeMismatchError(
+            f"gated_sum expects features of one shape [..., h] and wf [h, 1], "
+            f"got {[f.shape for f in features]} and {wf.shape}")
+    if mode not in ("softmax", "sigmoid"):
+        raise ValueError(f"unknown gating mode {mode!r}")
+    k = len(features)
+    fs = [f.data.reshape(-1, h) for f in features]
+    w = wf.data[:, 0]
+    logits = np.stack([f @ w for f in fs], axis=1)    # [n, k]
+    if mode == "softmax":
+        gates = kernels.softmax_rows(logits)
+    else:
+        gates = 1.0 / (1.0 + np.exp(-logits))
+    out = fs[0] * gates[:, :1]
+    tmp = np.empty_like(out)
+    for i in range(1, k):
+        np.multiply(fs[i], gates[:, i:i + 1], out=tmp)
+        out += tmp
+
+    def bw(g):
+        g2 = g.reshape(-1, h)
+        dg = np.stack([np.einsum("ij,ij->i", g2, f) for f in fs], axis=1)
+        if mode == "softmax":
+            dlogit = gates * (dg - (dg * gates).sum(axis=1, keepdims=True))
+        else:
+            dlogit = dg * gates * (1.0 - gates)
+        for i, f in enumerate(features):
+            if f.requires_grad:
+                d = g2 * gates[:, i:i + 1]
+                d += dlogit[:, i:i + 1] * w
+                _accumulate(f, d.reshape(shp))
+        if wf.requires_grad:
+            dw = fs[0].T @ dlogit[:, 0]
+            for i in range(1, k):
+                dw += fs[i].T @ dlogit[:, i]
+            _accumulate(wf, dw[:, None])
+
+    fused = _make(out.reshape(shp), tuple(features) + (wf,), bw)
+    return fused, Tensor(gates.reshape(shp[:-1] + (k,)))
+
+
+# ---------------------------------------------------------------------------
 # lookup / loss
 # ---------------------------------------------------------------------------
 
@@ -427,9 +530,9 @@ def embedding_lookup(table, idx):
 
     def bw(g):
         # a .grad may be shared (see _accumulate): scatter into a fresh
-        # buffer, seeded with the gradient so far to keep the summation order
-        buf = (np.zeros_like(table.data) if table.grad is None
-               else table.grad.copy())
+        # buffer, zeroed by the allocator or seeded with the gradient so far
+        buf = (np.zeros(table.shape, dtype=table.dtype)
+               if table.grad is None else table.grad.copy())
         h = table.shape[-1]
         kernels.scatter_add_rows(buf, idx.reshape(-1),
                                  np.ascontiguousarray(g.reshape(-1, h)))
@@ -461,7 +564,8 @@ def cross_entropy_masked(logits, labels):
     logits: [n, m]; labels: [n] with values in 1..m (class = label - 1).
     Softmax is over the full last dimension. The caller passes only the rows
     a loss reads (for a masked-item loss, the masked rows); a label outside
-    1..m raises ValueError.
+    1..m raises ValueError. The forward's exp(z - max) [n, m] and its row
+    sums are kept; the backward turns them into the gradient in place.
     """
     logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
@@ -477,11 +581,16 @@ def cross_entropy_masked(logits, labels):
     cls = labels - 1
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    e = z - zmax
+    np.exp(e, out=e)
+    s = e.sum(axis=1, keepdims=True)
+    lse = np.log(s[:, 0]) + zmax[:, 0]
     loss = (lse - z[np.arange(n), cls]).sum() / n
 
     def bw(g):
-        p = kernels.softmax_rows(np.ascontiguousarray(z))
+        # the softmax is the forward's exponentials over their row sums,
+        # normalized in place (backward runs once per graph)
+        p = np.divide(e, s, out=e)
         p[np.arange(n), cls] -= 1.0
         p *= float(g) / n
         _accumulate(logits, p)

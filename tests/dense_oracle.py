@@ -3,11 +3,12 @@
 Every position-wise op (lookups, fusion, projections, FFN, layer norm,
 dropout) runs on all B*L positions, pad slots included; the attention core
 is the dense [B, H, L, L] chain of separate ops (matmul, scale, additive
-mask, softmax, dropout, matmul), not the fused op it checks; and the decoder
-scores every position. It reads a Model's parameters and draws dropout
-masks in the same order as Model.encode, so with the same generator the
-two must give the same loss, the same gradients up to summation order,
-and leave the generator in the same state.
+mask, softmax, dropout, matmul), not the fused op it checks; gated fusion is
+the chain stack, matmul, softmax or sigmoid, matmul, not ``T.gated_sum``;
+and the decoder scores every position. It reads a Model's parameters and
+draws dropout masks in the same order as Model.encode, so with the same
+generator the two must give the same loss, the same gradients up to
+summation order, and leave the generator in the same state.
 """
 
 import numpy as np
@@ -47,6 +48,29 @@ def attention(q, k, v, key_mask, p, rng, train):
     return T.matmul(T.dropout(attn, p, rng, train), v), attn
 
 
+def gating(features, wf, mode):
+    """Gated sum of features [..., h] with gate vector wf [h, 1] as a chain
+    of separate ops. Returns (fused [..., h], gates [..., k])."""
+    k = len(features)
+    fmat = T.stack(features, axis=-2)                       # [..., k, h]
+    logits = T.matmul(fmat, wf)                             # [..., k, 1]
+    logits = T.reshape(logits, logits.shape[:-2] + (k,))    # [..., k]
+    gates = (T.softmax_lastdim(logits) if mode == "softmax"
+             else T.sigmoid(logits))
+    grow = T.reshape(gates, gates.shape[:-1] + (1, k))      # [..., 1, k]
+    out = T.matmul(grow, fmat)                              # [..., 1, h]
+    return T.reshape(out, out.shape[:-2] + (out.shape[-1],)), gates
+
+
+def _fuse(model, first, side, site):
+    cfg = model.config
+    if cfg.fusion == "gating":
+        return gating([first] + list(side), model.fusion[site]["wf"],
+                      cfg.gating_mode)[0]
+    return EF.integrated_embeddings(first, side, cfg.fusion,
+                                    model.fusion[site], cfg.gating_mode)
+
+
 def _attention_block(model, layer, qk_src, v_src, key_mask, train, rng):
     p = f"layer{layer}.attn"
     q = _split_heads(model, _linear(model, qk_src, f"{p}.wq"))
@@ -76,9 +100,8 @@ def encode(model, batch, train=False, rng=None):
                                   use_position=cfg.use_position)
     attns = []
     if cfg.attention == "invasive":
-        r = EF.integrated_embeddings(
-            T.embedding_lookup(params["emb.id"], batch.items), side,
-            cfg.fusion, model.fusion[0], cfg.gating_mode)
+        r = _fuse(model, T.embedding_lookup(params["emb.id"], batch.items),
+                  side, 0)
         x = T.dropout(r, cfg.dropout, rng, train)
         for i in range(cfg.num_layers):
             attn_out, attn = _attention_block(model, i, x, x, key_mask,
@@ -89,8 +112,7 @@ def encode(model, batch, train=False, rng=None):
         x = T.embedding_lookup(params["emb.id"], batch.items)
         x = T.dropout(x, cfg.dropout, rng, train)
         for i in range(cfg.num_layers):
-            r = EF.integrated_embeddings(x, side, cfg.fusion, model.fusion[i],
-                                         cfg.gating_mode)
+            r = _fuse(model, x, side, i)
             attn_out, attn = _attention_block(model, i, r, x, key_mask,
                                               train, rng)
             x = _sublayers(model, i, x, attn_out, train, rng)

@@ -146,9 +146,20 @@ def test_float32_parameters_round_trip(tmp_path):
     path = tmp_path / "model.bin"
     CK.save_checkpoint(path, model)
     loaded, _, _ = CK.load_checkpoint(path)
+    assert loaded.dtype == np.float32
     for name, p in model.params.items():
-        assert loaded.params[name].data.dtype == np.float64
+        assert loaded.params[name].data.dtype == np.float32
         assert np.array_equal(loaded.params[name].data, p.data)
+
+
+def test_mixed_parameter_dtypes_rejected(tmp_path):
+    model, _ = build_model()
+    model.params["layer0.ffn.w1.w"].data = (
+        model.params["layer0.ffn.w1.w"].data.astype(np.float32))
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model)
+    with pytest.raises(CK.CheckpointError, match="float32 or all float64"):
+        CK.load_checkpoint(path)
 
 
 def test_flipped_bit_rejected(tmp_path):

@@ -158,7 +158,8 @@ def test_nova_value_probe_zero_grad_to_side_tables():
 
 def test_nova_small_case_matches_straight_line_oracle():
     model, batch = tiny_setup(attention="nova", fusion="add", h=4, heads=1,
-                              layers=1, L=4, m=7)
+                              layers=1, L=6, m=7)
+    assert (~batch.pad_mask).any()
     p = {k: v.data for k, v in model.params.items()}
     hidden0 = p["emb.id"][batch.items]
     side = (p["emb.f.rating"][batch.features["rating"]]
@@ -171,6 +172,7 @@ def test_nova_small_case_matches_straight_line_oracle():
     s = np.where(batch.pad_mask[:, None, :], s, -1e30)
     e = np.exp(s - s.max(-1, keepdims=True))
     a = e / e.sum(-1, keepdims=True)
+    a *= batch.pad_mask[:, :, None]     # the maps are zero at pad queries
     _, attns = model.encode(batch, collect_attn=True)
     assert np.allclose(attns[0].data[:, 0], a, atol=1e-12)
 
@@ -275,12 +277,14 @@ def _loss_and_grads(model, loss_fn):
 def test_gathered_loss_equals_dense_loss(attention, fusion):
     """Computing and decoding only the masked rows gives the loss and
     gradients of decoding every real-token row and reading the masked ones,
-    on a masked batch and on an appended-mask tail batch."""
-    model, masked = tiny_setup(attention=attention, fusion=fusion, dropout=0.0)
+    on a padded masked batch and a padded appended-mask tail batch."""
+    model, masked = tiny_setup(attention=attention, fusion=fusion, dropout=0.0,
+                               L=8)
     _, _, seqs = branching_dataset(m=11, n_seq=6, length=7, seed=0)
     tail = D.make_eval_batch(D.leave_one_out_split(seqs).validation,
-                             model.schema, model.catalog, L=4)
+                             model.schema, model.catalog, L=8)
     for batch in (masked, tail):
+        assert (~batch.pad_mask).any()
         # the labelled rows among all real-token rows
         labels = batch.labels[batch.pad_mask]
         rows = np.flatnonzero(labels)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+from novabert import kernels
 from novabert import tensor as T
 
 
@@ -442,6 +443,98 @@ def test_attention_matches_dense_chain(lengths, queries):
     if fa is not None:
         q_real = layout.pad_mask[:, None, :, None]
         assert np.abs(fa.data - da.data * q_real).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# gated fusion
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+def test_gated_sum_matches_dense_chain(mode, k):
+    """The one-node gated sum against the chain of separate ops in
+    dense_oracle.gating: output, gates and every input gradient, with the
+    second feature (when there is one) a constant and a feature repeated."""
+    rng = np.random.default_rng(30)
+    feats = [rand((3, 4, 6), rng) for _ in range(k)]
+    if k > 1:
+        feats[1] = T.Tensor(feats[1].data)
+        feats[-1] = feats[0]
+    wf = rand((6, 1), rng)
+    w = rng.standard_normal((3, 4, 6))
+    leaves = [f for f in feats if f.requires_grad] + [wf]
+    results = []
+    for fuse in (T.gated_sum, dense_oracle.gating):
+        for t in leaves:
+            t.zero_grad()
+        out, gates = fuse(feats, wf, mode)
+        T.backward(T.tsum(T.mul(out, w)))
+        results.append((out.data, gates.data, [t.grad.copy() for t in leaves]))
+    (fo, fgates, fgrads), (do, dgates, dgrads) = results
+    assert fgates.shape == (3, 4, k)
+    assert np.abs(fo - do).max() < 1e-12
+    assert np.abs(fgates - dgates).max() < 1e-12
+    for a, b in zip(fgrads, dgrads):
+        assert np.abs(a - b).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+def test_fd_gated_sum(mode):
+    rng = np.random.default_rng(31)
+    feats = [rand((2, 5), rng) for _ in range(3)]
+    wf = rand((5, 1), rng)
+    w = rng.standard_normal((2, 5))
+    check_grads(lambda: T.tsum(T.mul(T.gated_sum(feats, wf, mode)[0], w)),
+                feats + [wf])
+
+
+def test_gated_sum_rejects_bad_shapes_and_mode():
+    f = T.Tensor(np.zeros((2, 4)))
+    with pytest.raises(T.ShapeMismatchError):
+        T.gated_sum([f, T.Tensor(np.zeros((2, 3)))],
+                    T.Tensor(np.zeros((4, 1))))
+    with pytest.raises(T.ShapeMismatchError):
+        T.gated_sum([f], T.Tensor(np.zeros((4,))))
+    with pytest.raises(ValueError, match="mode"):
+        T.gated_sum([f], T.Tensor(np.zeros((4, 1))), "relu")
+
+
+def test_debug_names_the_op_with_a_non_finite_value(monkeypatch):
+    """With the debug switch on, a NaN in the gated node's output, or in a
+    gradient its backward hands on, raises naming that op."""
+    monkeypatch.setattr(T, "_DEBUG", True)
+    rng = np.random.default_rng(32)
+    feats = [rand((3, 4), rng) for _ in range(2)]
+    wf = rand((4, 1), rng)
+    bad = feats[1].data.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="output of gated_sum"):
+        T.gated_sum([feats[0], T.Tensor(bad)], wf)
+    loss = T.tsum(T.gated_sum(feats, wf)[0])
+    wf.data[2, 0] = np.nan      # read by the gated node's backward only
+    with pytest.raises(FloatingPointError, match="backward of gated_sum"):
+        T.backward(loss)
+
+
+# ---------------------------------------------------------------------------
+# scatter-add
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scatter_add_rows_matches_sequential_loop(dtype):
+    """Into a table that already holds a gradient: duplicate rows
+    accumulate, unused rows keep their values, and the dtype stays."""
+    rng = np.random.default_rng(33)
+    idx = np.array([4, 1, 4, 0, 4, 1])          # rows 2, 3, 5 unused
+    grad = rng.standard_normal((6, 3)).astype(dtype)
+    out = rng.standard_normal((6, 3)).astype(dtype)
+    expect = out.astype(np.float64)
+    for i, r in enumerate(idx):
+        expect[r] += grad[i]
+    kernels.scatter_add_rows(out, idx, grad)
+    assert out.dtype == dtype
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    assert np.abs(out - expect).max() < tol
 
 
 # ---------------------------------------------------------------------------
