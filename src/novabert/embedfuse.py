@@ -1,4 +1,5 @@
-"""Embedding tables and the one fusion call producing integrated vectors.
+"""Side-feature embedding and the one fusion call producing integrated
+vectors.
 
 All tables share width h. :func:`integrated_embeddings` always receives the
 item-ID representation as its first input, then item-related features,
@@ -10,55 +11,9 @@ parameters: the input of the invasive stack, or every NOVA layer.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from novabert import tensor as T
-from novabert.tensor import Tensor
-
-EMB_INIT = 0.02  # uniform [-EMB_INIT, EMB_INIT] for all embedding tables
-
-
-def init_embeddings(schema, catalog, h, L, rng, features=None, use_position=True,
-                    dtype=np.float64):
-    """Parameter tensors for the ID table, position table and feature tables.
-
-    features limits which schema features get tables (None = all).
-    """
-    def table(rows):
-        return Tensor(rng.uniform(-EMB_INIT, EMB_INIT, size=(rows, h)).astype(dtype),
-                      requires_grad=True)
-
-    params = {"emb.id": table(catalog.m + 2)}
-    if use_position:
-        params["emb.pos"] = table(L + 1)
-    for f in schema.features:
-        if features is not None and f.name not in features:
-            continue
-        params[f"emb.f.{f.name}"] = table(f.vocab_size)
-    return params
-
-
-def init_fusion_params(kind, k, h, rng, dtype=np.float64):
-    """Trainable fusion parameters for k fused inputs of width h.
-
-    concat: FC from k*h back to h (Xavier-uniform weight, zero bias).
-    gating: the h->1 gate projection, zero-initialized so gates start uniform.
-    add: parameter-free.
-    """
-    if kind == "add":
-        return {}
-    if kind == "concat":
-        bound = math.sqrt(6.0 / (k * h + h))
-        return {
-            "w": Tensor(rng.uniform(-bound, bound, size=(k * h, h)).astype(dtype),
-                        requires_grad=True),
-            "b": Tensor(np.zeros(h, dtype=dtype), requires_grad=True),
-        }
-    if kind == "gating":
-        return {"wf": Tensor(np.zeros((h, 1), dtype=dtype), requires_grad=True)}
-    raise ValueError(f"unknown fusion kind {kind!r}")
 
 
 def fuse_add(features):
@@ -81,17 +36,6 @@ def fuse_concat(features, w, b):
         raise ValueError(f"concat FC expects {w.shape[0] // h} inputs, got {k}")
     cat = T.concat_lastdim(features)
     return T.linear(cat, w, b)
-
-
-def fuse_gating(features, wf, mode="softmax"):
-    """Convex (softmax mode) or independent (sigmoid mode) gated sum.
-
-    Gate logits are each feature's inner product with the gate vector wf
-    [h, 1]. One graph node, :func:`tensor.gated_sum`, forms the logits, the
-    gates and the sum, and has a hand-written backward. Returns (fused,
-    gates) with gates a constant shaped [..., k].
-    """
-    return T.gated_sum(features, wf, mode)
 
 
 def real_rows(idx, rows):
@@ -121,8 +65,9 @@ def embed_side_features(batch, params, schema, features=None, use_position=True,
             emb = T.embedding_lookup(table, idx)
             if multi:  # mean over the real entries
                 present = (idx != 0)
-                count = np.maximum(present.sum(axis=-1, keepdims=True), 1)
-                weights = present.astype(table.dtype) / count
+                # a count in the table's dtype keeps the weights in it
+                count = present.sum(axis=-1, keepdims=True).astype(table.dtype)
+                weights = present.astype(table.dtype) / np.maximum(count, 1)
                 emb = T.tsum(T.mul(emb, weights[..., None]), axis=-2)
             out.append(emb)
     if use_position:
@@ -139,7 +84,8 @@ def integrated_embeddings(first, side, kind, fusion_params,
     stack's input, the running hidden state in a NOVA layer. side is the
     output of :func:`embed_side_features`, row-aligned with first.
     fusion_params are one fusion site's parameters (see
-    :func:`init_fusion_params`).
+    :func:`model.param_shapes`): concat an FC ``w``, ``b`` from k*h back to
+    h, gating the gate vector ``wf`` [h, 1] of :func:`tensor.gated_sum`.
     """
     features = [first] + list(side)
     if kind == "add":
@@ -147,5 +93,5 @@ def integrated_embeddings(first, side, kind, fusion_params,
     if kind == "concat":
         return fuse_concat(features, fusion_params["w"], fusion_params["b"])
     if kind == "gating":
-        return fuse_gating(features, fusion_params["wf"], mode=gating_mode)[0]
+        return T.gated_sum(features, fusion_params["wf"], gating_mode)[0]
     raise ValueError(f"unknown fusion kind {kind!r}")

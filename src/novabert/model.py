@@ -12,7 +12,7 @@ hidden state alone. The decoder is tied to the item-ID table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from novabert import tensor as T
 from novabert.tensor import Tensor
 
 FFN_MULT = 4  # inner feed-forward width, per original BERT
+EMB_INIT = 0.02  # uniform [-EMB_INIT, EMB_INIT] for all embedding tables
 
 
 @dataclass
@@ -69,9 +70,50 @@ class ModelConfig:
         return list(self.features)
 
 
-def _xavier(rng, fan_in, fan_out, dtype):
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+def param_shapes(config, schema, m):
+    """Every parameter's name and shape, in initialisation order, for a
+    catalog of m items.
+
+    Each fusion site (every NOVA layer, or the invasive stack's input) has
+    the parameters of its fusion kind: concat an FC from k*h back to h,
+    gating the h->1 gate vector, add none."""
+    h = config.hidden_size
+    feats = config.active_features(schema)
+    shapes = {"emb.id": (m + 2, h)}
+    if config.use_position:
+        shapes["emb.pos"] = (config.max_len + 1, h)
+    for f in schema.features:
+        if f.name in feats:
+            shapes[f"emb.f.{f.name}"] = (f.vocab_size, h)
+    k = 1 + len(feats) + (1 if config.use_position else 0)
+
+    def linear(prefix, fan_in, fan_out, bias=True):
+        shapes[prefix + ".w"] = (fan_in, fan_out)
+        if bias:
+            shapes[prefix + ".b"] = (fan_out,)
+
+    def site(prefix):
+        if config.fusion == "concat":
+            linear(prefix, k * h, h)
+        elif config.fusion == "gating":
+            shapes[prefix + ".wf"] = (h, 1)
+
+    for i in range(config.num_layers):
+        p = f"layer{i}"
+        for name in ("wq", "wk", "wv", "wo"):
+            # the K bias is inert (softmax ignores per-row constant shifts),
+            # so it is omitted
+            linear(f"{p}.attn.{name}", h, h, bias=name != "wk")
+        linear(f"{p}.ffn.w1", h, FFN_MULT * h)
+        linear(f"{p}.ffn.w2", FFN_MULT * h, h)
+        for ln in ("ln1", "ln2"):
+            shapes[f"{p}.{ln}.g"] = shapes[f"{p}.{ln}.b"] = (h,)
+        if config.attention == "nova":
+            site(f"{p}.fuse")
+    if config.attention == "invasive":
+        site("fuse")
+    shapes["dec.bias"] = (m,)
+    return shapes
 
 
 class Model:
@@ -87,52 +129,25 @@ class Model:
         self.catalog = catalog
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        h = config.hidden_size
-        feats = config.active_features(schema)
-        self.params = EF.init_embeddings(
-            schema, catalog, h, config.max_len, rng,
-            features=feats, use_position=config.use_position, dtype=dtype)
-
-        n_fused = 1 + len(feats) + (1 if config.use_position else 0)
+        # embedding tables uniform in +-EMB_INIT, weights Xavier-uniform,
+        # layer-norm gains one; biases and the gate vectors (so gates start
+        # uniform) zero
+        self.params = {}
+        for name, shape in param_shapes(config, schema, catalog.m).items():
+            if name.startswith("emb."):
+                a = rng.uniform(-EMB_INIT, EMB_INIT, size=shape)
+            elif name.endswith(".w"):
+                bound = math.sqrt(6.0 / sum(shape))
+                a = rng.uniform(-bound, bound, size=shape)
+            else:
+                a = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+            self.params[name] = Tensor(a.astype(dtype), requires_grad=True)
         # one parameter dict per fusion site, in site order: one per layer
         # (NOVA) or the single input site (invasive)
-        self.fusion = []
-
-        def linear(prefix, fan_in, fan_out, bias=True):
-            self.params[prefix + ".w"] = Tensor(
-                _xavier(rng, fan_in, fan_out, dtype), requires_grad=True)
-            if bias:
-                self.params[prefix + ".b"] = Tensor(
-                    np.zeros(fan_out, dtype=dtype), requires_grad=True)
-
-        for i in range(config.num_layers):
-            p = f"layer{i}"
-            for name in ("wq", "wk", "wv", "wo"):
-                # the K bias is inert (softmax ignores per-row constant
-                # shifts), so it is omitted
-                linear(f"{p}.attn.{name}", h, h, bias=name != "wk")
-            linear(f"{p}.ffn.w1", h, FFN_MULT * h)
-            linear(f"{p}.ffn.w2", FFN_MULT * h, h)
-            for ln in ("ln1", "ln2"):
-                self.params[f"{p}.{ln}.g"] = Tensor(
-                    np.ones(h, dtype=dtype), requires_grad=True)
-                self.params[f"{p}.{ln}.b"] = Tensor(
-                    np.zeros(h, dtype=dtype), requires_grad=True)
-            if config.attention == "nova":
-                self._add_fusion_params(f"{p}.fuse", n_fused, rng)
-        if config.attention == "invasive":
-            self._add_fusion_params("fuse", n_fused, rng)
-
-        self.params["dec.bias"] = Tensor(
-            np.zeros(catalog.m, dtype=dtype), requires_grad=True)
-
-    def _add_fusion_params(self, prefix, k, rng):
-        site = EF.init_fusion_params(self.config.fusion, k,
-                                     self.config.hidden_size, rng,
-                                     dtype=self.dtype)
-        for name, t in site.items():
-            self.params[f"{prefix}.{name}"] = t
-        self.fusion.append(site)
+        sites = ([f"layer{i}.fuse." for i in range(config.num_layers)]
+                 if config.attention == "nova" else ["fuse."])
+        self.fusion = [{n[len(p):]: t for n, t in self.params.items()
+                        if n.startswith(p)} for p in sites]
 
     def zero_grads(self):
         for p in self.params.values():
@@ -143,11 +158,6 @@ class Model:
     def _linear(self, x, prefix):
         return T.linear(x, self.params[prefix + ".w"],
                         self.params.get(prefix + ".b"))
-
-    def _dropout(self, x, layout, train, rng):
-        B, L = layout.shape
-        return T.dropout(x, self.config.dropout, rng, train, rows=layout.pos,
-                         n=B * L)
 
     def _ffn(self, x, layer):
         h = T.gelu(self._linear(x, f"layer{layer}.ffn.w1"))
@@ -177,11 +187,11 @@ class Model:
             self._linear(x, f"{p}.attn.wv"), layout, self.config.num_heads,
             attn_dropout=self.config.dropout, rng=rng, train=train,
             collect=collect)
-        out = self._dropout(self._linear(out, f"{p}.attn.wo"), layout, train,
-                            rng)
+        out = T.dropout(self._linear(out, f"{p}.attn.wo"), self.config.dropout,
+                        rng, train)
         x = T.layer_norm(T.add(res, out),
                          self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
-        f = self._dropout(self._ffn(x, layer), layout, train, rng)
+        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng, train)
         return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
                             self.params[f"{p}.ln2.b"]), attn
 
@@ -214,8 +224,8 @@ class Model:
         buckets (see :class:`tensor.AttentionLayout`), built once per batch
         from its pad mask. The last layer runs its query side for the read
         rows only, while its K and V still read every real token. Dropout
-        draws its masks at the dense shapes, so the random stream is that of
-        the unpacked model.
+        draws its masks at these packed shapes, so the random stream
+        depends on which rows are read.
 
         The maps (collect_attn, which needs every query row) are
         [B, H, L, L], zero at pad query rows and pad keys."""
@@ -238,7 +248,7 @@ class Model:
         nova = cfg.attention == "nova"
         if not nova:
             x = self._fuse(x, side, 0)
-        x = self._dropout(x, layout, train, rng)
+        x = T.dropout(x, cfg.dropout, rng, train)
         attns = []
         for i in range(cfg.num_layers):
             lay = last if i == cfg.num_layers - 1 else layout

@@ -20,10 +20,10 @@ configurations profiled under the same conventions do not.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from novabert.model import FFN_MULT, Model
-from novabert.synthetic import make_catalog
+from novabert.model import FFN_MULT, param_shapes
 
 MAC = 2
 SOFTMAX_COST = 5
@@ -134,8 +134,8 @@ def _decoder_flops(config, num_items):
 
 def count_params(config, schema, num_items):
     """Parameter count: the sizes a Model of this shape allocates."""
-    model = Model(config, schema, make_catalog(num_items))
-    return sum(p.data.size for p in model.params.values())
+    return sum(math.prod(s)
+               for s in param_shapes(config, schema, num_items).values())
 
 
 def profile_cost(config, schema, num_items):

@@ -9,9 +9,11 @@ Activations are packed rows: one row per real token of a padded batch,
 never a padded [B, L, ...] array. Multi-head attention is one node
 (:func:`scaled_dot_attention`) over those rows, grouped into length
 buckets by an :class:`AttentionLayout`; it saves only its probabilities
-and dropout keep mask and has a hand-written backward. :func:`take_rows`
-picks the rows a later op reads, and :func:`cross_entropy_masked` scores
-every row it is given. :func:`linear` is matmul plus bias as one node, and
+and dropout keep mask and has a hand-written backward. Dropout draws its
+masks at these packed shapes: :func:`dropout` at the rows it is given,
+attention one mask per length bucket. :func:`take_rows` picks the rows a
+later op reads, and :func:`cross_entropy_masked` scores every row it is
+given. :func:`linear` is matmul plus bias as one node, and
 :func:`gated_sum` is the gated fusion of side information as one node. The
 per-token backwards reuse their forward work: the loss normalizes the
 exponentials its forward kept, GELU keeps only its input and ``tanh``, and
@@ -229,22 +231,6 @@ def mul(a, b):
     return _make(out_data, (a, b), bw)
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeMismatchError(
-            f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out_data = np.matmul(a.data, b.data)
-
-    def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
 def linear(x, w, b=None):
     """x @ w (+ b) as one node; x is [..., k], w [k, n], b [n] or None.
 
@@ -275,16 +261,6 @@ def linear(x, w, b=None):
     return _make(out.reshape(x.shape[:-1] + (w.shape[1],)), parents, bw)
 
 
-def reshape(a, shape):
-    a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def bw(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(out_data, (a,), bw)
-
-
 def transpose(a, axes):
     a = _as_tensor(a)
     out_data = np.transpose(a.data, axes)
@@ -310,19 +286,6 @@ def concat_lastdim(tensors):
     return _make(out_data, tuple(tensors), bw)
 
 
-def stack(tensors, axis):
-    """Stack along a new axis (negative axes count from the result's end)."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    ax = axis if axis >= 0 else out_data.ndim + axis
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            _accumulate(t, np.take(g, i, axis=ax))
-
-    return _make(out_data, tuple(tensors), bw)
-
-
 def tsum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -339,30 +302,6 @@ def tsum(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
-
-def softmax_lastdim(x):
-    """Stable softmax along the last dimension (max-subtraction)."""
-    x = _as_tensor(x)
-    shp = x.shape
-    flat = np.ascontiguousarray(x.data.reshape(-1, shp[-1]))
-    s = kernels.softmax_rows(flat).reshape(shp)
-
-    def bw(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - dot))
-
-    return _make(s, (x,), bw)
-
-
-def sigmoid(x):
-    x = _as_tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bw(g):
-        _accumulate(x, g * s * (1.0 - s))
-
-    return _make(s, (x,), bw)
-
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -426,19 +365,13 @@ def layer_norm(x, gain, bias, eps=1e-12):
     return _make(out_data, (x, gain, bias), bw)
 
 
-def dropout(x, p, rng, train, rows=None, n=None):
-    """Inverted dropout; identity when train is False or p == 0.
-
-    When x holds the rows ``rows`` of an n-row array (see :func:`take_rows`),
-    the mask is drawn for all n rows and only those rows are kept, so the
-    random stream and each row's mask are those of the unpacked array."""
+def dropout(x, p, rng, train):
+    """Inverted dropout with a mask drawn at x's shape; identity when train
+    is False or p == 0."""
     x = _as_tensor(x)
     if not train or p <= 0.0:
         return x
-    if rows is None:
-        keep = rng.random(x.shape) >= p
-    else:
-        keep = (rng.random((n,) + x.shape[1:]) >= p)[rows]
+    keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
     m = keep.astype(x.data.dtype) * scale
     out_data = x.data * m
@@ -698,11 +631,11 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     [layout.rows, h]; h = heads * d. Each length group of the layout runs
     at its own length: 1/sqrt(d) is folded into Q, pad keys get the score
     NEG_INF in place (no mask array), and the query rows of one sequence
-    attend to its own keys only. Attention dropout draws its mask at the
-    full [B, H, L, L] shape and crops it, so the random stream is that of
-    the dense computation. Only the probabilities and the boolean keep mask
-    are saved; the backward gathers Q, K, V again and writes dQ, dK, dV
-    rows with plain index writes.
+    attend to its own keys only. Attention dropout draws one keep mask per
+    group at the shape of its probabilities [b, H, r, l], in group order.
+    Only the probabilities and the boolean keep masks are saved; the
+    backward gathers Q, K, V again and writes dQ, dK, dV rows with plain
+    index writes.
 
     Returns (out [len(layout.pos), h], attn). With collect, attn is the
     dense [B, H, L, L] constant of the probabilities before dropout, zero
@@ -720,9 +653,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     d = h // heads
     c = 1.0 / math.sqrt(d)
     qh, kh, vh = (t.data.reshape(-1, heads, d) for t in (q, k, v))
-    keep, scale = None, 1.0 / (1.0 - attn_dropout)
-    if train and attn_dropout > 0.0:
-        keep = rng.random((B, heads, L, L)) >= attn_dropout
+    drop, scale = train and attn_dropout > 0.0, 1.0 / (1.0 - attn_dropout)
     record = _grad_mode.enabled and _needs_grad(q, k, v)
     attn = np.zeros((B, heads, L, L), dtype=q.dtype) if collect else None
     hh = np.arange(heads)[:, None]
@@ -740,8 +671,8 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
             attn[bi[:, None, None], hh, qslot[:, None, :], L - l:] = (
                 p * qreal[:, None, :, None])
         kept, pd = None, p
-        if keep is not None:
-            kept = keep[bi[:, None, None], hh, qslot[:, None, :], L - l:]
+        if drop:
+            kept = rng.random(p.shape) >= attn_dropout
             pd = p * (kept.astype(p.dtype) * scale)
         o = pd @ _gather_heads(vh, kidx)
         oh[qidx[qreal]] = o.transpose(0, 2, 1, 3)[qreal]

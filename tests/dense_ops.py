@@ -1,0 +1,76 @@
+"""Differentiable ops that only the dense test oracle (dense_oracle.py)
+builds its reference chains from: batched matmul, stack, reshape, a
+last-axis softmax and the sigmoid. The packed model has fused nodes in
+their place (``tensor.linear``, ``tensor.gated_sum``,
+``tensor.scaled_dot_attention``); these are kept as the separate ops those
+nodes are checked against, on the autodiff core of novabert.tensor.
+"""
+
+import numpy as np
+
+from novabert import kernels
+from novabert.tensor import (ShapeMismatchError, _accumulate, _as_tensor,
+                             _make, _unbroadcast)
+
+
+def matmul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeMismatchError(
+            f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    out_data = np.matmul(a.data, b.data)
+
+    def bw(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        _accumulate(a, _unbroadcast(ga, a.shape))
+        _accumulate(b, _unbroadcast(gb, b.shape))
+
+    return _make(out_data, (a, b), bw)
+
+
+def reshape(a, shape):
+    a = _as_tensor(a)
+    out_data = a.data.reshape(shape)
+
+    def bw(g):
+        _accumulate(a, g.reshape(a.shape))
+
+    return _make(out_data, (a,), bw)
+
+
+def stack(tensors, axis):
+    """Stack along a new axis (negative axes count from the result's end)."""
+    tensors = [_as_tensor(t) for t in tensors]
+    out_data = np.stack([t.data for t in tensors], axis=axis)
+    ax = axis if axis >= 0 else out_data.ndim + axis
+
+    def bw(g):
+        for i, t in enumerate(tensors):
+            _accumulate(t, np.take(g, i, axis=ax))
+
+    return _make(out_data, tuple(tensors), bw)
+
+
+def softmax_lastdim(x):
+    """Stable softmax along the last dimension (max-subtraction)."""
+    x = _as_tensor(x)
+    shp = x.shape
+    flat = np.ascontiguousarray(x.data.reshape(-1, shp[-1]))
+    s = kernels.softmax_rows(flat).reshape(shp)
+
+    def bw(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        _accumulate(x, s * (g - dot))
+
+    return _make(s, (x,), bw)
+
+
+def sigmoid(x):
+    x = _as_tensor(x)
+    s = 1.0 / (1.0 + np.exp(-x.data))
+
+    def bw(g):
+        _accumulate(x, g * s * (1.0 - s))
+
+    return _make(s, (x,), bw)

@@ -5,20 +5,79 @@ dropout) runs on all B*L positions, pad slots included; the attention core
 is the dense [B, H, L, L] chain of separate ops (matmul, scale, additive
 mask, softmax, dropout, matmul), not the fused op it checks; gated fusion is
 the chain stack, matmul, softmax or sigmoid, matmul, not ``T.gated_sum``;
-and the decoder scores every position. It reads a Model's parameters and
-draws dropout masks in the same order as Model.encode, so with the same
-generator the two must give the same loss, the same gradients up to
-summation order, and leave the generator in the same state.
+and the decoder scores every position. It reads a Model's parameters.
+
+The packed model draws its dropout masks at packed shapes: one row per row
+it computes, and one [b, H, r, l] mask per attention length group. A
+:class:`Recorder`, passed to the packed model as its generator, keeps each
+draw; a :class:`Replay` of those draws, passed here, places each one at its
+dense positions, in the order Model.encode draws them, and keeps every slot
+no draw covers (pad slots, pad keys, rows no loss reads). Under the same
+masks the two must give the same loss and the same gradients up to
+summation order, and the dense chain must consume every recorded draw.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
+import dense_ops as DO
 from novabert import embedfuse as EF
 from novabert import tensor as T
 
 
+class Recorder:
+    """A generator that keeps every array it draws, in order."""
+
+    def __init__(self, seed):
+        self._gen = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, shape):
+        out = self._gen.random(shape)
+        self.draws.append(out)
+        return out
+
+
+class Replay:
+    """Recorded packed draws, handed out in order, each at its dense
+    positions; every other dense slot gets 1.0, which dropout keeps."""
+
+    def __init__(self, draws):
+        self.draws, self.used = draws, 0
+
+    def _next(self):
+        self.used += 1
+        return self.draws[self.used - 1]
+
+    def rows(self, pos):
+        """A generator whose draw [B, L, h] holds the next recorded draw
+        [len(pos), h] at the flat slots pos."""
+        def random(shape):
+            dense = np.ones((math.prod(shape[:-1]), shape[-1]))
+            dense[pos] = self._next()
+            return dense.reshape(shape)
+        return SimpleNamespace(random=random)
+
+    def attention(self, layout):
+        """A generator whose draw [B, H, L, L] holds the next recorded draw
+        [b, H, r, l] of each length group of layout at its batch rows, its
+        real query slots and its last l key slots."""
+        def random(shape):
+            dense = np.ones(shape)
+            heads, L = np.arange(shape[1]), shape[-1]
+            for (bi, l, _, _), (_, qslot, qreal) in zip(layout.keys,
+                                                        layout.queries):
+                b, r = np.nonzero(qreal)
+                dense[bi[b][:, None], heads, qslot[b, r][:, None], L - l:] = (
+                    self._next()[b, :, r])
+            return dense
+        return SimpleNamespace(random=random)
+
+
 def _linear(model, x, prefix):
-    out = T.matmul(x, model.params[prefix + ".w"])
+    out = DO.matmul(x, model.params[prefix + ".w"])
     if prefix + ".b" in model.params:
         out = T.add(out, model.params[prefix + ".b"])
     return out
@@ -27,12 +86,12 @@ def _linear(model, x, prefix):
 def _split_heads(model, x):
     B, L, h = x.shape
     H, d = model.config.num_heads, model.config.d_k
-    return T.transpose(T.reshape(x, (B, L, H, d)), (0, 2, 1, 3))
+    return T.transpose(DO.reshape(x, (B, L, H, d)), (0, 2, 1, 3))
 
 
 def _merge_heads(x):
     B, H, L, d = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (B, L, H * d))
+    return DO.reshape(T.transpose(x, (0, 2, 1, 3)), (B, L, H * d))
 
 
 def attention(q, k, v, key_mask, p, rng, train):
@@ -42,24 +101,24 @@ def attention(q, k, v, key_mask, p, rng, train):
     Returns (out, attention probabilities before dropout)."""
     d = q.shape[-1]
     axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
-    scores = T.mul(T.matmul(q, T.transpose(k, axes)), 1.0 / np.sqrt(d))
+    scores = T.mul(DO.matmul(q, T.transpose(k, axes)), 1.0 / np.sqrt(d))
     scores = T.add(scores, np.where(key_mask, 0.0, T.NEG_INF))
-    attn = T.softmax_lastdim(scores)
-    return T.matmul(T.dropout(attn, p, rng, train), v), attn
+    attn = DO.softmax_lastdim(scores)
+    return DO.matmul(T.dropout(attn, p, rng, train), v), attn
 
 
 def gating(features, wf, mode):
     """Gated sum of features [..., h] with gate vector wf [h, 1] as a chain
     of separate ops. Returns (fused [..., h], gates [..., k])."""
     k = len(features)
-    fmat = T.stack(features, axis=-2)                       # [..., k, h]
-    logits = T.matmul(fmat, wf)                             # [..., k, 1]
-    logits = T.reshape(logits, logits.shape[:-2] + (k,))    # [..., k]
-    gates = (T.softmax_lastdim(logits) if mode == "softmax"
-             else T.sigmoid(logits))
-    grow = T.reshape(gates, gates.shape[:-1] + (1, k))      # [..., 1, k]
-    out = T.matmul(grow, fmat)                              # [..., 1, h]
-    return T.reshape(out, out.shape[:-2] + (out.shape[-1],)), gates
+    fmat = DO.stack(features, axis=-2)                      # [..., k, h]
+    logits = DO.matmul(fmat, wf)                            # [..., k, 1]
+    logits = DO.reshape(logits, logits.shape[:-2] + (k,))   # [..., k]
+    gates = (DO.softmax_lastdim(logits) if mode == "softmax"
+             else DO.sigmoid(logits))
+    grow = DO.reshape(gates, gates.shape[:-1] + (1, k))     # [..., 1, k]
+    out = DO.matmul(grow, fmat)                             # [..., 1, h]
+    return DO.reshape(out, out.shape[:-2] + (out.shape[-1],)), gates
 
 
 def _fuse(model, first, side, site):
@@ -71,64 +130,68 @@ def _fuse(model, first, side, site):
                                     model.fusion[site], cfg.gating_mode)
 
 
-def _attention_block(model, layer, qk_src, v_src, key_mask, train, rng):
+def _attention_block(model, layer, qk_src, v_src, key_mask, train, rng,
+                     layout):
     p = f"layer{layer}.attn"
     q = _split_heads(model, _linear(model, qk_src, f"{p}.wq"))
     k = _split_heads(model, _linear(model, qk_src, f"{p}.wk"))
     v = _split_heads(model, _linear(model, v_src, f"{p}.wv"))
-    out, attn = attention(q, k, v, key_mask, model.config.dropout, rng, train)
+    out, attn = attention(q, k, v, key_mask, model.config.dropout,
+                          rng.attention(layout), train)
     out = _linear(model, _merge_heads(out), f"{p}.wo")
-    return T.dropout(out, model.config.dropout, rng, train), attn
+    return T.dropout(out, model.config.dropout, rng.rows(layout.pos),
+                     train), attn
 
 
-def _sublayers(model, layer, x, attn_out, train, rng):
+def _sublayers(model, layer, x, attn_out, train, rng, layout):
     p, params = f"layer{layer}", model.params
     x = T.layer_norm(T.add(x, attn_out), params[f"{p}.ln1.g"],
                      params[f"{p}.ln1.b"])
     f = _linear(model, T.gelu(_linear(model, x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
-    f = T.dropout(f, model.config.dropout, rng, train)
+    f = T.dropout(f, model.config.dropout, rng.rows(layout.pos), train)
     return T.layer_norm(T.add(x, f), params[f"{p}.ln2.g"],
                         params[f"{p}.ln2.b"])
 
 
-def encode(model, batch, train=False, rng=None):
-    """(hidden [B, L, h], attention maps per layer), every slot computed."""
+def encode(model, batch, train=False, rng=None, positions=None):
+    """(hidden [B, L, h], attention maps per layer), every slot computed.
+
+    In training, rng is a :class:`Replay` of the draws of Model.encode
+    with the same positions, which only decide where the last layer's
+    draws go."""
     cfg, params = model.config, model.params
+    rng = Replay([]) if rng is None else rng
+    layout = T.AttentionLayout(batch.pad_mask)
+    last = layout if positions is None else layout.at(positions)
     key_mask = batch.pad_mask[:, None, None, :]
     feats = cfg.active_features(model.schema)
     side = EF.embed_side_features(batch, params, model.schema, features=feats,
                                   use_position=cfg.use_position)
+    x = T.embedding_lookup(params["emb.id"], batch.items)
+    nova = cfg.attention == "nova"
+    if not nova:
+        x = _fuse(model, x, side, 0)
+    x = T.dropout(x, cfg.dropout, rng.rows(layout.rows), train)
     attns = []
-    if cfg.attention == "invasive":
-        r = _fuse(model, T.embedding_lookup(params["emb.id"], batch.items),
-                  side, 0)
-        x = T.dropout(r, cfg.dropout, rng, train)
-        for i in range(cfg.num_layers):
-            attn_out, attn = _attention_block(model, i, x, x, key_mask,
-                                              train, rng)
-            x = _sublayers(model, i, x, attn_out, train, rng)
-            attns.append(attn)
-    else:
-        x = T.embedding_lookup(params["emb.id"], batch.items)
-        x = T.dropout(x, cfg.dropout, rng, train)
-        for i in range(cfg.num_layers):
-            r = _fuse(model, x, side, i)
-            attn_out, attn = _attention_block(model, i, r, x, key_mask,
-                                              train, rng)
-            x = _sublayers(model, i, x, attn_out, train, rng)
-            attns.append(attn)
+    for i in range(cfg.num_layers):
+        lay = last if i == cfg.num_layers - 1 else layout
+        r = _fuse(model, x, side, i) if nova else x
+        attn_out, attn = _attention_block(model, i, r, x, key_mask, train,
+                                          rng, lay)
+        x = _sublayers(model, i, x, attn_out, train, rng, lay)
+        attns.append(attn)
     return x, attns
 
 
 def loss(model, batch, train=False, rng=None):
     """Masked-item cross-entropy of [B, L, m] logits from a copied table,
     read at the labelled slots."""
-    hidden, _ = encode(model, batch, train=train, rng=rng)
-    table = T.embedding_lookup(model.params["emb.id"],
-                               np.arange(1, model.catalog.m + 1))
-    logits = T.add(T.matmul(hidden, T.transpose(table, (1, 0))),
-                   model.params["dec.bias"])
     labels = batch.labels.reshape(-1)
     pos = np.flatnonzero(labels)
-    flat = T.reshape(logits, (labels.size, model.catalog.m))
+    hidden, _ = encode(model, batch, train=train, rng=rng, positions=pos)
+    table = T.embedding_lookup(model.params["emb.id"],
+                               np.arange(1, model.catalog.m + 1))
+    logits = T.add(DO.matmul(hidden, T.transpose(table, (1, 0))),
+                   model.params["dec.bias"])
+    flat = DO.reshape(logits, (labels.size, model.catalog.m))
     return model.masked_loss(T.take_rows(flat, pos), labels[pos])

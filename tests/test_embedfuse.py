@@ -4,12 +4,19 @@ import pytest
 from novabert import data as D
 from novabert import embedfuse as EF
 from novabert import tensor as T
+from novabert.model import Model, ModelConfig, param_shapes
 from novabert.synthetic import branching_dataset
 
 
 def rand_feats(rng, k, shape=(2, 3, 4)):
     return [T.Tensor(rng.standard_normal(shape), requires_grad=True)
             for _ in range(k)]
+
+
+def concat_params(rng, k, h):
+    """A concat site's FC from k*h back to h."""
+    return (T.Tensor(rng.standard_normal((k * h, h)), requires_grad=True),
+            T.Tensor(rng.standard_normal(h), requires_grad=True))
 
 
 # ---------------------------------------------------------------------------
@@ -58,27 +65,26 @@ def test_concat_identity_construction():
 def test_concat_zero_inputs_give_bias():
     z = [T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((2, 4)))]
     rng = np.random.default_rng(4)
-    p = EF.init_fusion_params("concat", 2, 4, rng)
-    p["b"].data[:] = rng.standard_normal(4)
-    out = EF.fuse_concat(z, p["w"], p["b"])
-    assert np.allclose(out.data, p["b"].data)
+    w, b = concat_params(rng, 2, 4)
+    out = EF.fuse_concat(z, w, b)
+    assert np.allclose(out.data, b.data)
 
 
 def test_concat_matches_composition_oracle():
     rng = np.random.default_rng(5)
     feats = rand_feats(rng, 3)
-    p = EF.init_fusion_params("concat", 3, 4, rng)
-    out = EF.fuse_concat(feats, p["w"], p["b"])
+    w, b = concat_params(rng, 3, 4)
+    out = EF.fuse_concat(feats, w, b)
     cat = np.concatenate([f.data for f in feats], axis=-1)
-    assert np.allclose(out.data, cat @ p["w"].data + p["b"].data)
+    assert np.allclose(out.data, cat @ w.data + b.data)
 
 
 def test_concat_k_mismatch():
     rng = np.random.default_rng(6)
     feats = rand_feats(rng, 2)
-    p = EF.init_fusion_params("concat", 3, 4, rng)
+    w, b = concat_params(rng, 3, 4)
     with pytest.raises(ValueError, match="inputs"):
-        EF.fuse_concat(feats, p["w"], p["b"])
+        EF.fuse_concat(feats, w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +95,7 @@ def test_gating_identical_features_symmetric():
     rng = np.random.default_rng(7)
     (f,) = rand_feats(rng, 1)
     wf = T.Tensor(rng.standard_normal((4, 1)), requires_grad=True)
-    out, gates = EF.fuse_gating([f, f], wf)
+    out, gates = T.gated_sum([f, f], wf)
     assert np.allclose(gates.data, 0.5)
     assert np.allclose(out.data, f.data)
 
@@ -98,7 +104,7 @@ def test_gating_singleton():
     rng = np.random.default_rng(8)
     (f,) = rand_feats(rng, 1)
     wf = T.Tensor(rng.standard_normal((4, 1)))
-    out, gates = EF.fuse_gating([f], wf)
+    out, gates = T.gated_sum([f], wf)
     assert np.allclose(gates.data, 1.0)
     assert np.allclose(out.data, f.data)
 
@@ -107,7 +113,7 @@ def test_gating_matches_matrix_oracle():
     rng = np.random.default_rng(9)
     feats = rand_feats(rng, 3)
     wf = T.Tensor(rng.standard_normal((4, 1)))
-    out, gates = EF.fuse_gating(feats, wf)
+    out, gates = T.gated_sum(feats, wf)
     fmat = np.stack([f.data for f in feats], axis=-2)          # [...,3,4]
     logits = (fmat @ wf.data)[..., 0]
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -121,7 +127,7 @@ def test_gating_gates_convex():
     rng = np.random.default_rng(10)
     feats = rand_feats(rng, 4)
     wf = T.Tensor(rng.standard_normal((4, 1)))
-    _, gates = EF.fuse_gating(feats, wf)
+    _, gates = T.gated_sum(feats, wf)
     assert np.all(gates.data >= 0)
     assert np.abs(gates.data.sum(-1) - 1).max() < 1e-12
 
@@ -130,7 +136,7 @@ def test_gating_sigmoid_mode():
     rng = np.random.default_rng(11)
     feats = rand_feats(rng, 2)
     wf = T.Tensor(rng.standard_normal((4, 1)))
-    _, gates = EF.fuse_gating(feats, wf, mode="sigmoid")
+    _, gates = T.gated_sum(feats, wf, mode="sigmoid")
     assert np.all((gates.data > 0) & (gates.data < 1))
 
 
@@ -147,11 +153,55 @@ def small_batch():
     return schema, catalog, batch
 
 
+def small_model(schema, catalog, seed, fusion="add", **kw):
+    """An invasive model of width 8 over L=5; its one fusion site is
+    model.fusion[0]."""
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=5,
+                      attention="invasive", fusion=fusion, **kw)
+    return Model(cfg, schema, catalog, seed=seed)
+
+
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+def test_param_shapes_of_tables_and_fusion_sites(small_batch, attention,
+                                                 fusion):
+    """Tables of width h for ID (m + pad + mask rows), position (L + 1) and
+    each active feature; per fusion site an FC from k*h to h (concat) or a
+    zero gate vector (gating); a Model allocates exactly these, in order."""
+    schema, catalog, _ = small_batch
+    h, L, m = 8, 5, catalog.m
+    vocab = schema.features[0].vocab_size
+    sites = ["fuse"] if attention == "invasive" else ["layer0.fuse",
+                                                      "layer1.fuse"]
+    for kw, tables, k in (
+            ({}, {"emb.id": (m + 2, h), "emb.pos": (L + 1, h),
+                  "emb.f.rating": (vocab, h)}, 3),
+            ({"features": [], "use_position": False},
+             {"emb.id": (m + 2, h)}, 1)):
+        cfg = ModelConfig(hidden_size=h, num_heads=2, num_layers=2,
+                          max_len=L, attention=attention, fusion=fusion, **kw)
+        shapes = param_shapes(cfg, schema, m)
+        fuse = {"add": {}, "concat": {"w": (k * h, h), "b": (h,)},
+                "gating": {"wf": (h, 1)}}[fusion]
+        expect = {f"{p}.{n}": s for p in sites for n, s in fuse.items()}
+        assert {n: s for n, s in shapes.items()
+                if n.startswith("emb.")} == tables
+        assert {n: s for n, s in shapes.items()
+                if ".fuse." in f".{n}"} == expect
+        model = Model(cfg, schema, catalog, seed=1)
+        assert [(n, t.shape) for n, t in model.params.items()] == list(
+            shapes.items())
+        for site in model.fusion:
+            assert set(site) == set(fuse)
+            for name in ("b", "wf"):
+                if name in site:
+                    assert not site[name].data.any()
+
+
 def test_integrated_no_side_add_equals_id(small_batch):
     schema, catalog, batch = small_batch
-    rng = np.random.default_rng(1)
-    params = EF.init_embeddings(schema, catalog, 8, 5, rng, features=[],
-                                use_position=False)
+    params = small_model(schema, catalog, 1, features=[],
+                         use_position=False).params
     side = EF.embed_side_features(batch, params, schema, features=[],
                                   use_position=False)
     r_id = T.embedding_lookup(params["emb.id"], batch.items)
@@ -161,8 +211,7 @@ def test_integrated_no_side_add_equals_id(small_batch):
 
 def test_integrated_position_only_is_additive(small_batch):
     schema, catalog, batch = small_batch
-    rng = np.random.default_rng(2)
-    params = EF.init_embeddings(schema, catalog, 8, 5, rng, features=[])
+    params = small_model(schema, catalog, 2, features=[]).params
     side = EF.embed_side_features(batch, params, schema, features=[])
     r_id = T.embedding_lookup(params["emb.id"], batch.items)
     r = EF.integrated_embeddings(r_id, side, "add", {})
@@ -172,10 +221,9 @@ def test_integrated_position_only_is_additive(small_batch):
 
 def test_integrated_full_matches_straight_line_oracle(small_batch):
     schema, catalog, batch = small_batch
-    rng = np.random.default_rng(3)
-    params = EF.init_embeddings(schema, catalog, 8, 5, rng)
-    fp = EF.init_fusion_params("gating", 3, 8, rng)
-    fp["wf"].data[:] = rng.standard_normal((8, 1))
+    model = small_model(schema, catalog, 3, fusion="gating")
+    params, fp = model.params, model.fusion[0]
+    fp["wf"].data[:] = np.random.default_rng(3).standard_normal((8, 1))
     side = EF.embed_side_features(batch, params, schema)
     r = EF.integrated_embeddings(
         T.embedding_lookup(params["emb.id"], batch.items), side, "gating", fp)
@@ -193,12 +241,15 @@ def test_integrated_full_matches_straight_line_oracle(small_batch):
 
 def test_gradients_reach_all_tables(small_batch):
     schema, catalog, batch = small_batch
-    rng = np.random.default_rng(4)
-    params = EF.init_embeddings(schema, catalog, 8, 5, rng)
-    fp = EF.init_fusion_params("concat", 3, 8, rng)
+    model = small_model(schema, catalog, 4, fusion="concat")
+    params = model.params
     side = EF.embed_side_features(batch, params, schema)
     r = EF.integrated_embeddings(
-        T.embedding_lookup(params["emb.id"], batch.items), side, "concat", fp)
+        T.embedding_lookup(params["emb.id"], batch.items), side, "concat",
+        model.fusion[0])
     T.backward(T.tsum(T.mul(r, r)))
-    for name, p in {**params, **{f"fuse.{k}": v for k, v in fp.items()}}.items():
+    tables = [n for n in params if n.startswith(("emb.", "fuse."))]
+    assert len(tables) == 5
+    for name in tables:
+        p = params[name]
         assert p.grad is not None and np.any(p.grad != 0), name

@@ -6,6 +6,7 @@ from novabert import data as D
 from novabert import tensor as T
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import branching_dataset, successor_dataset
+from test_packing import padded_setup
 
 
 def tiny_setup(attention="nova", fusion="add", with_feature=True, seed=0,
@@ -60,7 +61,7 @@ def test_residual_identity_with_zero_weights():
     x = T.Tensor(np.random.default_rng(0).standard_normal((2, 4, 8)))
     layout = T.AttentionLayout(np.ones((2, 4), dtype=bool))
     # the layer reads the real-token rows, here all 2 * 4 of them
-    out, _ = model.invasive_layer(0, T.reshape(x, (8, 8)), layout)
+    out, _ = model.invasive_layer(0, T.Tensor(x.data.reshape(8, 8)), layout)
     # attention output is zero, so the block reduces to LN(LN(x))
     ln = model.params["layer0.ln1.g"].data
     expect = T.layer_norm(T.layer_norm(x, T.Tensor(ln), T.Tensor(np.zeros(8))),
@@ -211,26 +212,33 @@ def test_masked_loss_values():
 def test_f32_model_computes_in_f32(attention, fusion):
     """A float32 model's training loss records only float32 arrays, its
     backward pass hands only float32 gradients from node to node, and
-    every parameter gradient is float32 (padded batch, dropout on)."""
-    model, batch = tiny_setup(attention=attention, fusion=fusion, L=6,
-                              dropout=0.1, dtype=np.float32)
-    model.zero_grads()
-    loss = model.loss(batch, train=True, rng=np.random.default_rng(0))
-    seen, stack, passed = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node._bw is None:
-            continue
-        seen.add(id(node))
-        assert node.data.dtype == np.float32
-        node._bw = (lambda g, bw=node._bw: (passed.append(g.dtype), bw(g)))
-        stack.extend(node._parents)
-    assert len(seen) > 20
-    T.backward(loss)
-    assert set(passed) == {np.dtype(np.float32)}
-    grads = [p.grad for p in model.params.values() if p.grad is not None]
-    assert len(grads) > 20
-    assert all(g.dtype == np.float32 for g in grads)
+    every parameter gradient is float32 (padded batches, dropout on): on a
+    schema with one categorical feature, and on one whose item feature is
+    multi-valued (mean-pooled)."""
+    single = tiny_setup(attention=attention, fusion=fusion, L=6, dropout=0.1,
+                        dtype=np.float32)
+    multi_model, (multi, _) = padded_setup(attention, fusion,
+                                           dtype=np.float32)
+    assert multi.features["genre"].ndim == 3
+    for model, batch in (single, (multi_model, multi)):
+        model.zero_grads()
+        loss = model.loss(batch, train=True, rng=np.random.default_rng(0))
+        seen, stack, passed = set(), [loss], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._bw is None:
+                continue
+            seen.add(id(node))
+            assert node.data.dtype == np.float32
+            node._bw = (lambda g, bw=node._bw: (passed.append(g.dtype),
+                                                bw(g)))
+            stack.extend(node._parents)
+        assert len(seen) > 20
+        T.backward(loss)
+        assert set(passed) == {np.dtype(np.float32)}
+        grads = [p.grad for p in model.params.values() if p.grad is not None]
+        assert len(grads) > 20
+        assert all(g.dtype == np.float32 for g in grads)
 
 
 def test_nova_side_tensors_shared_across_layers():

@@ -1,11 +1,13 @@
 """The packed encoder against the dense oracle in dense_oracle.py.
 
-Model.encode runs its position-wise ops on the real tokens only. These tests
-hold it to the dense computation on padded batches: the same loss, the same
-gradients up to summation order, the same dropout masks (the generator ends
-in the same state), one hidden row per real token and attention maps that
-are zero at pad queries; and they guard that the FFN really runs on the
-real-token rows.
+Model.encode runs its position-wise ops on the real tokens only, and draws
+its dropout masks at those packed shapes. These tests hold it to the dense
+computation on padded batches: under the packed model's recorded dropout
+masks, placed at their dense positions, the same loss and the same
+gradients up to summation order, with every recorded draw used and none
+drawn at a dense shape; one hidden row per real token and attention maps
+that are zero at pad queries; and they guard that the FFN really runs on
+the real-token rows.
 """
 
 from collections import Counter
@@ -24,7 +26,7 @@ TOL = 1e-12
 LENGTHS = (2, 5, 8, 3)   # real tokens per sequence, L = 8
 
 
-def padded_setup(attention, fusion, dropout=0.1, seed=0):
+def padded_setup(attention, fusion, dropout=0.1, seed=0, dtype=np.float64):
     """A model with a multi-valued item feature and a behavior feature, and
     two batches whose rows have 0 to 6 pad slots: a masked training batch
     and an appended-mask tail batch."""
@@ -52,7 +54,7 @@ def padded_setup(attention, fusion, dropout=0.1, seed=0):
     tail = D.make_eval_batch(pairs, schema, catalog, L)
     cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=L,
                       attention=attention, fusion=fusion, dropout=dropout)
-    return Model(cfg, schema, catalog, seed=seed), (masked, tail)
+    return Model(cfg, schema, catalog, seed=seed, dtype=dtype), (masked, tail)
 
 
 def loss_and_grads(model, loss_fn):
@@ -67,22 +69,28 @@ def loss_and_grads(model, loss_fn):
 @pytest.mark.parametrize("attention", ["invasive", "nova"])
 def test_packed_loss_matches_dense_oracle(attention, fusion):
     model, batches = padded_setup(attention, fusion)
+    H = model.config.num_heads
     for batch in batches:
         assert not batch.pad_mask.all()
+        B, L = batch.pad_mask.shape
         eval_loss = model.loss(batch).item()
         for train in (False, True):
-            rngs = np.random.default_rng(7), np.random.default_rng(7)
+            rec = dense_oracle.Recorder(7)
             packed, p_grads = loss_and_grads(
-                model, lambda: model.loss(batch, train=train, rng=rngs[0]))
+                model, lambda: model.loss(batch, train=train, rng=rec))
+            replay = dense_oracle.Replay(rec.draws)
             dense, d_grads = loss_and_grads(
                 model, lambda: dense_oracle.loss(model, batch, train=train,
-                                                 rng=rngs[1]))
+                                                 rng=replay))
             assert abs(packed - dense) < TOL
             assert set(p_grads) == set(d_grads)
             for name, g in p_grads.items():
                 assert np.abs(g - d_grads[name]).max() < TOL, name
-            assert (rngs[0].bit_generator.state
-                    == rngs[1].bit_generator.state)
+            assert bool(rec.draws) == train
+            assert replay.used == len(rec.draws)
+            # no mask is drawn for every slot, or for every query-key pair
+            assert not [d.shape for d in rec.draws
+                        if d.shape[0] == B * L or d.shape == (B, H, L, L)]
             # dropout did act in training
             assert (packed != eval_loss) == train
 
@@ -108,22 +116,26 @@ def test_packed_encode_rows_match_dense_real_rows(attention):
 @pytest.mark.parametrize("attention", ["invasive", "nova"])
 def test_encode_at_positions_gives_those_rows(attention):
     """With read positions, encode returns the hidden rows at exactly those
-    positions, as the full encode computes them, with or without dropout,
-    and leaves the generator where the full encode leaves it."""
+    positions: without dropout as the full encode computes them, and with
+    dropout as the dense chain computes them under the recorded masks."""
     model, batches = padded_setup(attention, "gating")
+    h = model.config.hidden_size
     for batch in batches:
         B, L = batch.pad_mask.shape
         for pos in (np.flatnonzero(batch.labels), np.arange(B) * L + L - 1):
-            for train in (False, True):
-                rngs = np.random.default_rng(3), np.random.default_rng(3)
-                got, _ = model.encode(batch, train=train, rng=rngs[0],
-                                      positions=pos)
-                full, _ = model.encode(batch, train=train, rng=rngs[1])
-                assert got.shape == (len(pos), model.config.hidden_size)
-                at = np.searchsorted(np.flatnonzero(batch.pad_mask), pos)
-                assert np.abs(got.data - full.data[at]).max() < TOL
-                assert (rngs[0].bit_generator.state
-                        == rngs[1].bit_generator.state)
+            got, _ = model.encode(batch, positions=pos)
+            full, _ = model.encode(batch)
+            assert got.shape == (len(pos), h)
+            at = np.searchsorted(np.flatnonzero(batch.pad_mask), pos)
+            assert np.abs(got.data - full.data[at]).max() < TOL
+            rec = dense_oracle.Recorder(3)
+            got, _ = model.encode(batch, train=True, rng=rec, positions=pos)
+            replay = dense_oracle.Replay(rec.draws)
+            dense, _ = dense_oracle.encode(model, batch, train=True,
+                                           rng=replay, positions=pos)
+            dense = dense.data.reshape(-1, h)[pos]
+            assert np.abs(got.data - dense).max() < TOL
+            assert replay.used == len(rec.draws) > 0
         with pytest.raises(ValueError, match="collect_attn"):
             model.encode(batch, collect_attn=True, positions=pos)
         with pytest.raises(ValueError, match="real-token"):

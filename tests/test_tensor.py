@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+import dense_ops as DO
 from novabert import kernels
 from novabert import tensor as T
 
@@ -44,17 +45,17 @@ def rand(shape, rng, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# matmul (an op of the dense oracle, dense_ops.py)
 # ---------------------------------------------------------------------------
 
 def test_matmul_identity():
     a = T.Tensor([[1.0, 0.0], [0.0, 1.0]])
     b = T.Tensor([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(T.matmul(a, b).data, b.data)
+    assert np.array_equal(DO.matmul(a, b).data, b.data)
 
 
 def test_matmul_dot():
-    out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
+    out = DO.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
     assert out.data[0, 0] == 11.0
 
 
@@ -67,34 +68,34 @@ def test_matmul_matches_triple_loop_oracle():
         for j in range(2):
             for k in range(4):
                 expect[i, j] += a[i, k] * b[k, j]
-    got = T.matmul(T.Tensor(a), T.Tensor(b)).data
+    got = DO.matmul(T.Tensor(a), T.Tensor(b)).data
     assert np.abs(got - expect).max() < 1e-12
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(T.ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
+        DO.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
 
 
 def test_matmul_associativity():
     rng = np.random.default_rng(1)
     a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-    left = T.matmul(T.matmul(T.Tensor(a), T.Tensor(b)), T.Tensor(c)).data
-    right = T.matmul(T.Tensor(a), T.matmul(T.Tensor(b), T.Tensor(c))).data
+    left = DO.matmul(DO.matmul(T.Tensor(a), T.Tensor(b)), T.Tensor(c)).data
+    right = DO.matmul(T.Tensor(a), DO.matmul(T.Tensor(b), T.Tensor(c))).data
     assert np.abs(left - right).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax (an op of the dense oracle, dense_ops.py)
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():
-    out = T.softmax_lastdim(T.Tensor([0.0, 0.0, 0.0]))
+    out = DO.softmax_lastdim(T.Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3] * 3)
 
 
 def test_softmax_no_overflow():
-    out = T.softmax_lastdim(T.Tensor([1000.0, 0.0]))
+    out = DO.softmax_lastdim(T.Tensor([1000.0, 0.0]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0] > 0.999999
 
@@ -105,7 +106,7 @@ def test_softmax_high_precision_oracle():
     es = [mpmath.e ** xi for xi in x]
     s = sum(es)
     expect = np.array([float(e / s) for e in es])
-    out = T.softmax_lastdim(T.Tensor(x)).data
+    out = DO.softmax_lastdim(T.Tensor(x)).data
     assert np.abs(out - expect).max() < 1e-12
 
 
@@ -113,7 +114,7 @@ def test_softmax_high_precision_oracle():
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.integers(1, 5))
 def test_softmax_rows_sum_to_one_and_nonneg(row, nrows):
     x = np.array([row] * nrows)
-    out = T.softmax_lastdim(T.Tensor(x)).data
+    out = DO.softmax_lastdim(T.Tensor(x)).data
     assert np.all(out >= 0)
     assert np.abs(out.sum(axis=-1) - 1).max() < 1e-6
 
@@ -289,21 +290,21 @@ def test_fd_add_mul_broadcast():
 def test_fd_matmul_batched():
     rng = np.random.default_rng(11)
     a, b = rand((2, 3, 4), rng), rand((4, 5), rng)
-    check_grads(lambda: T.tsum(T.mul(T.matmul(a, b), T.matmul(a, b))), [a, b])
+    check_grads(lambda: T.tsum(T.mul(DO.matmul(a, b), DO.matmul(a, b))), [a, b])
 
 
 def test_fd_softmax():
     rng = np.random.default_rng(12)
     x = rand((3, 5), rng)
     w = rng.standard_normal((3, 5))
-    check_grads(lambda: T.tsum(T.mul(T.softmax_lastdim(x), w)), [x])
+    check_grads(lambda: T.tsum(T.mul(DO.softmax_lastdim(x), w)), [x])
 
 
 def test_fd_gelu_sigmoid():
     rng = np.random.default_rng(13)
     x = rand((4, 3), rng)
     check_grads(lambda: T.tsum(T.gelu(x)), [x])
-    check_grads(lambda: T.tsum(T.sigmoid(x)), [x])
+    check_grads(lambda: T.tsum(DO.sigmoid(x)), [x])
 
 
 def test_fd_layer_norm():
@@ -320,10 +321,10 @@ def test_fd_concat_stack_reshape_transpose():
         lambda: T.tsum(T.mul(T.concat_lastdim([a, b]), T.concat_lastdim([a, b]))),
         [a, b])
     c, d = rand((2, 3), rng), rand((2, 3), rng)
-    check_grads(lambda: T.tsum(T.mul(T.stack([c, d], axis=-2), 2.0)), [c, d])
+    check_grads(lambda: T.tsum(T.mul(DO.stack([c, d], axis=-2), 2.0)), [c, d])
     e = rand((2, 6), rng)
     check_grads(
-        lambda: T.tsum(T.mul(T.transpose(T.reshape(e, (2, 3, 2)), (1, 0, 2)), 3.0)),
+        lambda: T.tsum(T.mul(T.transpose(DO.reshape(e, (2, 3, 2)), (1, 0, 2)), 3.0)),
         [e])
 
 
@@ -390,20 +391,22 @@ def test_fd_attention_buckets(subset, dropout):
 ])
 def test_attention_matches_dense_chain(lengths, queries):
     """The fused op against the dense chain of separate ops in
-    dense_oracle.attention, with dropout on: output rows, gradients of Q, K
-    and V, the collected maps (equal at real query rows, zero at pad
-    queries) and the generator's state afterwards."""
+    dense_oracle.attention, with dropout on: the fused op draws one keep
+    mask per length group, and the dense chain runs under those masks placed
+    at their dense positions. Compared: output rows, gradients of Q, K and
+    V, the collected maps (equal at real query rows, zero at pad queries),
+    and that the dense chain consumed one recorded draw per group."""
     B, L, H, d = len(lengths), 8, 2, 3
     layout = right_aligned(lengths, L)
     rows = layout.rows
     pos = {"all": rows, "every_third": rows[::3],
            "last": np.arange(B) * L + L - 1}[queries]
+    lay = layout if queries == "all" else layout.at(pos)
     rng = np.random.default_rng(25)
     q, k, v = (rand((len(rows), H * d), rng) for _ in range(3))
     w = rng.standard_normal((len(pos), H * d))
 
     def fused(gen):
-        lay = layout if queries == "all" else layout.at(pos)
         qq = q if lay.picked is None else T.take_rows(q, lay.picked)
         out, attn = T.scaled_dot_attention(qq, k, v, lay, H, attn_dropout=0.2,
                                            rng=gen, train=True,
@@ -418,28 +421,32 @@ def test_attention_matches_dense_chain(lengths, queries):
         def heads(x):
             # the rows at their slots, zeros at pad slots
             full = T.mul(T.embedding_lookup(x, slot_row), real)
-            return T.transpose(T.reshape(full, (B, L, H, d)), (0, 2, 1, 3))
+            return T.transpose(DO.reshape(full, (B, L, H, d)), (0, 2, 1, 3))
 
         out, attn = dense_oracle.attention(
             heads(q), heads(k), heads(v), layout.pad_mask[:, None, None, :],
             0.2, gen, True)
-        flat = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B * L, H * d))
+        flat = DO.reshape(T.transpose(out, (0, 2, 1, 3)), (B * L, H * d))
         return T.tsum(T.mul(T.take_rows(flat, pos), w)), attn
 
-    results = []
-    for fn in (fused, dense):
-        gen = np.random.default_rng(9)
+    def run(fn, gen):
         for t in (q, k, v):
             t.zero_grad()
         loss, attn = fn(gen)
         T.backward(loss)
-        results.append((loss.item(), [t.grad.copy() for t in (q, k, v)],
-                        attn, gen.bit_generator.state))
-    (fl, fg, fa, fs), (dl, dg, da, ds) = results
+        return loss.item(), [t.grad.copy() for t in (q, k, v)], attn
+
+    rec = dense_oracle.Recorder(9)
+    fl, fg, fa = run(fused, rec)
+    replay = dense_oracle.Replay(rec.draws)
+    dl, dg, da = run(dense, replay.attention(lay))
     assert abs(fl - dl) < 1e-12
     for a, b in zip(fg, dg):
         assert np.abs(a - b).max() < 1e-12
-    assert fs == ds
+    assert [r.shape for r in rec.draws] == [
+        (len(bi), H, idx.shape[1], l)
+        for (bi, l, _, _), (idx, _, _) in zip(lay.keys, lay.queries)]
+    assert replay.used == len(rec.draws)
     if fa is not None:
         q_real = layout.pad_mask[:, None, :, None]
         assert np.abs(fa.data - da.data * q_real).max() < 1e-12
@@ -574,7 +581,7 @@ def test_float32_kernel_ops_keep_dtype_and_match_float64():
     idx = np.array([[0, 3, 3], [6, 1, 0]])  # duplicates exercise scatter-add
     labels = np.array([2, 5, 6, 1])
     cases = [
-        (T.softmax_lastdim, rng.standard_normal((2, 3, 5))),
+        (DO.softmax_lastdim, rng.standard_normal((2, 3, 5))),
         (lambda t: T.embedding_lookup(t, idx), rng.standard_normal((7, 4))),
         (lambda t: T.cross_entropy_masked(t, labels), rng.standard_normal((4, 6))),
     ]
@@ -616,7 +623,7 @@ def test_determinism_same_seed_bitwise():
     def run():
         rng = np.random.default_rng(42)
         x = T.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        h = T.gelu(T.matmul(x, x))
+        h = T.gelu(T.linear(x, x))
         h = T.dropout(h, 0.1, rng, train=True)
         loss = T.tsum(T.mul(h, h))
         T.backward(loss)

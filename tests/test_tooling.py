@@ -1,7 +1,9 @@
 """The benchmark's tracer finds every function it wraps, and sees the calls
 of a training step and an evaluation; the benchmark's own correctness
-checks pass on the program."""
+checks pass on the program; every public op of the tensor module has a
+caller in the program."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from novabert.model import Model, ModelConfig
 from novabert.synthetic import branching_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "novabert"
 
 
 @pytest.fixture
@@ -80,3 +83,43 @@ def test_desk_compare_passes_its_benchmark_checks(workloads, tmp_path):
     op = wl.op(st)
     problems += wl.check(st, op.info) + wl.final_check(st)
     assert problems == []
+
+
+def _tensor_calls(path, own):
+    """Names of novabert.tensor called in the module at path: as
+    ``alias.name(...)`` after ``from novabert import tensor as alias``, as
+    ``name(...)`` after ``from novabert.tensor import name``, or, in
+    tensor.py itself, as a bare call of one of its own names."""
+    tree = ast.parse(path.read_text())
+    aliases, direct = set(), set(own) if path.name == "tensor.py" else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.asname or a.name: a.name for a in node.names}
+            if node.module == "novabert":
+                aliases |= {n for n, orig in names.items() if orig == "tensor"}
+            elif node.module == "novabert.tensor":
+                direct |= set(names)
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in direct:
+            called.add(f.id)
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and f.value.id in aliases):
+            called.add(f.attr)
+    return called
+
+
+def test_every_public_tensor_op_is_called_from_src():
+    """An op that only tests use lives with them (tests/dense_ops.py holds
+    the dense oracle's), not in the program's tensor module."""
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)
+              and not n.name.startswith("_")}
+    called = set()
+    for path in SRC.glob("*.py"):
+        called |= _tensor_calls(path, public)
+    assert len(public) > 10
+    assert sorted(public - called) == []
