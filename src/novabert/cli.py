@@ -142,31 +142,36 @@ def _write_json(path, obj):
 _YEAR_RE = re.compile(r"\((\d{4})\)\s*$")
 
 
+def _dat_rows(path, n):
+    """The ::-separated fields of each non-blank line of a .dat file; a
+    line without n fields is a DataError naming the file and line."""
+    with open(path, encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("::")
+            if len(fields) != n:
+                raise D.DataError(f"{path}:{lineno}: expected {n} "
+                                  f"::-separated fields, got {len(fields)}")
+            yield fields
+
+
 def cmd_prepare_data(args):
     """Convert MovieLens ::-separated .dat files to the TSV layout."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     items_out = out / "items.tsv"
-    with open(args.items, encoding="latin-1") as fh, \
-            open(items_out, "w", encoding="utf-8") as dst:
+    with open(items_out, "w", encoding="utf-8") as dst:
         dst.write("item_id\tyear\tgenre\n")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            movie_id, title, genres = line.split("::")
+        for movie_id, title, genres in _dat_rows(args.items, 3):
             m = _YEAR_RE.search(title)
             year = m.group(1) if m else ""
             dst.write(f"{movie_id}\t{year}\t{genres}\n")
     inter_out = out / "interactions.tsv"
-    with open(args.data, encoding="latin-1") as fh, \
-            open(inter_out, "w", encoding="utf-8") as dst:
+    with open(inter_out, "w", encoding="utf-8") as dst:
         dst.write("user_id\titem_id\ttimestamp\trating\n")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            user, item, rating, ts = line.split("::")
+        for user, item, rating, ts in _dat_rows(args.data, 4):
             dst.write(f"{user}\t{item}\t{ts}\t{rating}\n")
     schema = D.SideInfoSchema([
         D.FeatureSpec("year", "item", "bucketed",
@@ -184,24 +189,15 @@ def cmd_prepare_data(args):
 # train / evaluate / ablate / compare
 # ---------------------------------------------------------------------------
 
-def _train_one(schema, catalog, split, mcfg, tcfg, precision, log=print):
-    model = Model(mcfg, schema, catalog, seed=tcfg.seed,
-                  dtype=_dtype_for(precision))
-    result = TR.train(model, split, tcfg, log=log)
-    TR.load_params(model, result.best_params)
-    return model, result
-
-
 def cmd_train(args):
     mcfg, tcfg = read_config(args.config, overrides={
         "attention": args.attention, "fusion": args.fusion,
         "seed": args.seed})
     schema, catalog, split = _load_split(args)
     with OutputDir(args.out) as out:
-        model, result = _train_one(schema, catalog, split, mcfg, tcfg,
-                                   args.precision)
-        test = TR.rank_all(model, split.test,
-                           fingerprint=TR.config_fingerprint(mcfg, tcfg))
+        model = Model(mcfg, schema, catalog, seed=tcfg.seed,
+                      dtype=_dtype_for(args.precision))
+        result, test = TR.fit(model, split, tcfg, log=print)
         pop = TR.popularity_metrics(
             TR.popularity_baseline(split.train), split.test, catalog.m)
         CK.save_checkpoint(out / "checkpoint.bin", model,
@@ -222,8 +218,7 @@ def cmd_train(args):
 def cmd_evaluate(args):
     model, meta, _ = CK.load_checkpoint(args.checkpoint)
     sequences = D.load_interactions(args.data, model.schema, model.catalog)
-    split = D.leave_one_out_split(sequences)
-    report = TR.rank_all(model, split.test)
+    report = TR.rank_all(model, D.leave_one_out_split(sequences).test)
     payload = {"test": report.to_dict(), "checkpoint_metadata": meta}
     if args.out:
         with OutputDir(args.out) as out:
@@ -262,10 +257,11 @@ def cmd_compare(args):
             mcfg, tcfg = read_config(args.config, overrides={
                 "attention": attention, "fusion": args.fusion,
                 "seed": args.seed})
-            model, result = _train_one(schema, catalog, split, mcfg, tcfg,
-                                       args.precision,
-                                       log=lambda m, a=attention: print(f"[{a}] {m}"))
-            rows[attention] = TR.rank_all(model, split.test).to_dict()
+            model = Model(mcfg, schema, catalog, seed=tcfg.seed,
+                          dtype=_dtype_for(args.precision))
+            _, test = TR.fit(model, split, tcfg,
+                             log=lambda m, a=attention: print(f"[{a}] {m}"))
+            rows[attention] = test.to_dict()
         diff = {c: rows["nova"][c] - rows["invasive"][c]
                 for c in _METRIC_COLS if c != "users"}
         _write_json(out / "compare.json",
@@ -301,8 +297,7 @@ def cmd_dump_attention(args):
         raise CliError(f"layer {args.layer} out of range "
                        f"(model has {model.config.num_layers} layers)")
     sequences = D.load_interactions(args.data, model.schema, model.catalog)
-    split = D.leave_one_out_split(sequences)
-    pairs = split.test
+    pairs = D.leave_one_out_split(sequences).test
     n = args.samples
     if n > len(pairs):
         print(f"warning: only {len(pairs)} samples available, "

@@ -122,25 +122,26 @@ class SideInfoSchema:
     def behavior_features(self):
         return [f for f in self.features if f.kind == "behavior"]
 
-    def get(self, name):
-        for f in self.features:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 def load_schema(path):
+    """Read a schema file; a malformed one raises DataError naming the file
+    and the section at fault."""
     cp = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except configparser.Error as e:
+        raise DataError(f"schema {path}: {e}") from None
     feats = []
-    for section in cp.sections():
-        kind = cp.get(section, "kind")
-        encoding = cp.get(section, "encoding")
-        buckets = None
-        if cp.has_option(section, "buckets"):
-            buckets = sorted(float(x) for x in cp.get(section, "buckets").split(","))
-        feats.append(FeatureSpec(section, kind, encoding, buckets))
+    for name in cp.sections():
+        try:
+            raw = cp.get(name, "buckets", fallback=None)
+            buckets = None if raw is None else sorted(
+                float(x) for x in raw.split(","))
+            feats.append(FeatureSpec(name, cp.get(name, "kind"),
+                                     cp.get(name, "encoding"), buckets))
+        except (configparser.Error, ValueError) as e:
+            raise DataError(f"schema {path}: [{name}]: {e}") from None
     return SideInfoSchema(feats)
 
 
@@ -332,21 +333,30 @@ class SplitDataset:
     test: list[EvalPair]
 
 
+def held_out(seq):
+    """The evaluation pair that holds out seq's last item: every earlier
+    item and its behavior as the prefix, the last item as the target."""
+    return EvalPair(seq.items[:-1],
+                    {k: v[:-1] for k, v in seq.behavior.items()},
+                    seq.items[-1])
+
+
 def leave_one_out_split(sequences):
-    """Per user: last item -> test, second-to-last -> validation, rest train."""
+    """Per user: last item -> test, second-to-last -> validation, rest train.
+
+    Each pair is the previous one with its target held out: the test pair
+    holds out the last item, the validation pair the test prefix's last,
+    and the training sequence is the validation prefix itself (the same
+    lists, which nothing mutates)."""
     train, validation, test = [], [], []
     for seq in sequences:
         if len(seq) < MIN_SEQUENCE_LEN:
             raise DataError(f"user {seq.user}: sequence shorter than "
                             f"{MIN_SEQUENCE_LEN} after filtering")
-        n = len(seq)
-
-        def cut(k):
-            return {name: vals[:k] for name, vals in seq.behavior.items()}
-
-        train.append(TrainSequence(seq.items[:n - 2], cut(n - 2)))
-        validation.append(EvalPair(seq.items[:n - 2], cut(n - 2), seq.items[n - 2]))
-        test.append(EvalPair(seq.items[:n - 1], cut(n - 1), seq.items[n - 1]))
+        test.append(held_out(seq))
+        validation.append(held_out(test[-1]))
+        train.append(TrainSequence(validation[-1].items,
+                                   validation[-1].behavior))
     return SplitDataset(train, validation, test)
 
 
@@ -365,11 +375,6 @@ class Batch:
     def pad_mask(self):
         """True at real (non-pad) positions."""
         return self.items != PAD
-
-    @property
-    def mask_pos(self):
-        """True where the item was masked (it carries a label)."""
-        return self.labels != 0
 
 
 def _window(values, L):

@@ -39,18 +39,19 @@ def fuse_concat(features, w, b):
 
 
 def real_rows(idx, rows):
-    """An index array [B, L, ...] at the flat positions rows (b * L + l) only,
-    as [N, ...]; rows None keeps idx whole."""
-    return idx if rows is None else idx.reshape((-1,) + idx.shape[2:])[rows]
+    """An index array [B, L, ...] at the flat positions rows (b * L + l)
+    only, as [N, ...]."""
+    return idx.reshape((-1,) + idx.shape[2:])[rows]
 
 
-def embed_side_features(batch, params, schema, features=None, use_position=True,
-                        rows=None):
-    """Embed every side feature of a batch; multi-valued ones are mean-pooled.
+def embed_side_features(batch, params, schema, rows, features=None,
+                        use_position=True):
+    """Embed every side feature of a batch at the flat positions rows (see
+    :func:`real_rows`); multi-valued ones are mean-pooled.
 
-    Returns width-h tensors ordered: item features, behavior features,
-    position. They are [B, L, h], or [N, h] for the flat positions rows
-    when rows is given (see :func:`real_rows`)."""
+    Returns [N, h] tensors ordered: item features, behavior features,
+    position. A multi field's all-pad slot (a pad slot passed as a row)
+    pools to zero."""
     out = []
     for group in ("item", "behavior"):
         for f in schema.features:
@@ -59,11 +60,9 @@ def embed_side_features(batch, params, schema, features=None, use_position=True,
             if features is not None and f.name not in features:
                 continue
             table = params[f"emb.f.{f.name}"]
-            idx = batch.features[f.name]
-            multi = idx.ndim == 3
-            idx = real_rows(idx, rows)
+            idx = real_rows(batch.features[f.name], rows)
             emb = T.embedding_lookup(table, idx)
-            if multi:  # mean over the real entries
+            if idx.ndim == 2:  # multi-valued: mean over the real entries
                 present = (idx != 0)
                 # a count in the table's dtype keeps the weights in it
                 count = present.sum(axis=-1, keepdims=True).astype(table.dtype)

@@ -60,10 +60,6 @@ class ModelConfig:
             raise ValueError(
                 f"mask_prob must be in (0, 1], got {self.mask_prob}")
 
-    @property
-    def d_k(self):
-        return self.hidden_size // self.num_heads
-
     def active_features(self, schema):
         if self.features is None:
             return [f.name for f in schema.features]
@@ -240,9 +236,9 @@ class Model:
         layout = T.AttentionLayout(batch.pad_mask)
         last = layout if positions is None else layout.at(positions)
         rows = layout.rows
-        side = EF.embed_side_features(batch, self.params, self.schema,
+        side = EF.embed_side_features(batch, self.params, self.schema, rows,
                                       features=cfg.active_features(self.schema),
-                                      use_position=cfg.use_position, rows=rows)
+                                      use_position=cfg.use_position)
         x = T.embedding_lookup(self.params["emb.id"],
                                EF.real_rows(batch.items, rows))
         nova = cfg.attention == "nova"
@@ -287,8 +283,10 @@ class Model:
         return self.masked_loss(self.decode_scores(hidden), labels[pos])
 
     def first_layer_values(self, batch):
-        """Layer-1 value-path input V*W_V (the ID-branch purity probe)."""
+        """Layer-1 value-path input V*W_V of the real tokens, [N, h] in flat
+        order (the ID-branch purity probe)."""
         if self.config.attention != "nova":
             raise ValueError("value probe is defined for NOVA mode")
-        hidden = T.embedding_lookup(self.params["emb.id"], batch.items)
+        hidden = T.embedding_lookup(self.params["emb.id"],
+                                    batch.items[batch.pad_mask])
         return self._linear(hidden, "layer0.attn.wv")

@@ -62,9 +62,6 @@ class MetricsReport:
                 "NDCG@5": self.ndcg5, "NDCG@10": self.ndcg10,
                 "users": self.users, "fingerprint": self.fingerprint}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def config_fingerprint(*cfgs):
     blob = json.dumps([vars(c) for c in cfgs], sort_keys=True, default=str)
@@ -263,11 +260,8 @@ def train(model, split, train_cfg, log=None):
                 k = max(1, int(round(cfg.last_mask_frac * len(seqs))))
                 chosen = rng.choice(len(seqs), size=min(k, len(seqs)),
                                     replace=False)
-                pairs = [D.EvalPair(seqs[i].items[:-1],
-                                    {name: vals[:-1] for name, vals
-                                     in seqs[i].behavior.items()},
-                                    seqs[i].items[-1]) for i in chosen]
-                tail = D.make_eval_batch(pairs, model.schema, model.catalog,
+                tail = D.make_eval_batch([D.held_out(seqs[i]) for i in chosen],
+                                         model.schema, model.catalog,
                                          model.config.max_len)
                 loss = T.add(loss, model.loss(tail, train=True, rng=rng))
             if not np.isfinite(loss.data):
@@ -302,16 +296,29 @@ def train(model, split, train_cfg, log=None):
     return best
 
 
+def fit(model, split, train_cfg, log=None):
+    """Train, load the parameters of the best validation epoch and rank the
+    test users with them.
+
+    Returns (TrainResult, test MetricsReport); the report carries the
+    fingerprint of the model and training configs."""
+    result = train(model, split, train_cfg, log=log)
+    load_params(model, result.best_params)
+    fp = config_fingerprint(model.config, train_cfg)
+    return result, rank_all(model, split.test, fingerprint=fp)
+
+
 # ---------------------------------------------------------------------------
 # ablation harness
 # ---------------------------------------------------------------------------
 
 def ablate(schema, catalog, split, model_cfg, train_cfg, subsets=None, log=None):
-    """Train+evaluate once per side-information subset (shared seed).
+    """Train and test once per side-information subset, each by :func:`fit`
+    from a model of seed train_cfg.seed.
 
     subsets: name -> list of feature names (position always included).
     Defaults to the four canonical rows: none / item / behavior / all.
-    Returns name -> MetricsReport on the test pairs."""
+    Returns name -> the test MetricsReport of the best validation epoch."""
     if subsets is None:
         subsets = {
             "none": [],
@@ -321,11 +328,9 @@ def ablate(schema, catalog, split, model_cfg, train_cfg, subsets=None, log=None)
         }
     results = {}
     for name, feats in subsets.items():
-        cfg = replace(model_cfg, features=list(feats))
-        model = Model(cfg, schema, catalog, seed=train_cfg.seed)
-        res = train(model, split, train_cfg,
-                    log=(lambda msg, n=name: log(f"[{n}] {msg}")) if log else None)
-        load_params(model, res.best_params)
-        results[name] = rank_all(model, split.test,
-                                 fingerprint=config_fingerprint(cfg, train_cfg))
+        model = Model(replace(model_cfg, features=list(feats)), schema,
+                      catalog, seed=train_cfg.seed)
+        results[name] = fit(
+            model, split, train_cfg,
+            log=(lambda msg, n=name: log(f"[{n}] {msg}")) if log else None)[1]
     return results

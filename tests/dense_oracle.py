@@ -85,7 +85,8 @@ def _linear(model, x, prefix):
 
 def _split_heads(model, x):
     B, L, h = x.shape
-    H, d = model.config.num_heads, model.config.d_k
+    H = model.config.num_heads
+    d = model.config.hidden_size // H
     return T.transpose(DO.reshape(x, (B, L, H, d)), (0, 2, 1, 3))
 
 
@@ -165,8 +166,11 @@ def encode(model, batch, train=False, rng=None, positions=None):
     last = layout if positions is None else layout.at(positions)
     key_mask = batch.pad_mask[:, None, None, :]
     feats = cfg.active_features(model.schema)
-    side = EF.embed_side_features(batch, params, model.schema, features=feats,
-                                  use_position=cfg.use_position)
+    # every slot is a row, pad slots included, laid back out as [B, L, h]
+    B, L = batch.items.shape
+    side = [DO.reshape(t, (B, L, t.shape[-1])) for t in EF.embed_side_features(
+        batch, params, model.schema, np.arange(B * L), features=feats,
+        use_position=cfg.use_position)]
     x = T.embedding_lookup(params["emb.id"], batch.items)
     nova = cfg.attention == "nova"
     if not nova:

@@ -162,6 +162,21 @@ def test_compare_writes_diff_table(toy, capsys):
     assert "HR@10" in payload["diff"]
 
 
+def test_compare_reports_equal_train_test_reports(toy, tmp_path):
+    """compare trains and tests each stack as train does, so each of its
+    reports equals train's test report for that stack, fingerprint
+    included."""
+    assert cli.main(["compare"] + flags(toy)) == 0
+    rows = json.loads((toy["out"] / "compare.json").read_text())
+    for attention in ("invasive", "nova"):
+        paths = dict(toy, out=tmp_path / attention)
+        assert cli.main(["train"] + flags(paths, "--attention",
+                                          attention)) == 0
+        test = json.loads((paths["out"] / "metrics.json").read_text())["test"]
+        assert test["fingerprint"] != ""
+        assert rows[attention] == test
+
+
 @pytest.mark.parametrize("command,flag", [
     ("ablate", ["--precision", "f32"]),    # ablate trains in float64 only
     ("compare", ["--attention", "nova"]),  # compare trains both stacks
@@ -242,3 +257,32 @@ def test_prepare_data_converts_double_colon_files(tmp_path, capsys):
     assert inter[1] == "1\t1\t978300760\t5"
     schema = D.load_schema(out / "schema.ini")
     assert [f.name for f in schema.features] == ["year", "genre", "rating"]
+
+
+@pytest.mark.parametrize("text,section", [
+    ("[rating]\nkind = behavior\n", "[rating]"),
+    ("[year]\nkind = item\nencoding = bucketed\nbuckets = 1990, x\n",
+     "[year]"),
+    ("kind = item\nencoding = categorical\n", ""),
+], ids=["no-encoding", "bad-bucket-edge", "no-section-header"])
+def test_malformed_schema_exits_1_naming_it(toy, capsys, text, section):
+    toy["schema"].write_text(text)
+    assert cli.main(["profile", "--config", str(toy["config"]),
+                     "--items", str(toy["items"]),
+                     "--schema", str(toy["schema"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(toy["schema"]) in err and section in err
+
+
+def test_prepare_data_short_line_exits_1_naming_it(tmp_path, capsys):
+    movies = tmp_path / "movies.dat"
+    ratings = tmp_path / "ratings.dat"
+    movies.write_text("1::Toy Story (1995)::Animation|Comedy\n"
+                      "2::Heat (1995)\n", encoding="latin-1")
+    ratings.write_text("1::1::5::978300760\n", encoding="latin-1")
+    assert cli.main(["prepare-data", "--data", str(ratings),
+                     "--items", str(movies),
+                     "--out", str(tmp_path / "prepared")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{movies}:2:" in err

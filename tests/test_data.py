@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from novabert import checkpoint as CK
 from novabert import data as D
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import branching_dataset, make_catalog
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SCHEMA_TEXT = """\
 [year]
@@ -75,13 +80,17 @@ def test_sequences_sorted_by_timestamp(dataset):
     assert alice.items == [2, 1, 3, 4, 1]
 
 
+def _feature(schema, name):
+    return next(f for f in schema.features if f.name == name)
+
+
 def test_bucketed_and_multi_encoding(dataset):
     schema, catalog, _ = dataset
-    year = schema.get("year")
+    year = _feature(schema, "year")
     # edges 1990,1995,2000: 1989 -> first bucket (index 2), 2001 -> last (5)
     assert catalog.features["year"][1] == 2
     assert catalog.features["year"][3] == 5
-    genre = schema.get("genre")
+    genre = _feature(schema, "genre")
     assert genre.vocab_size == 2 + 3  # Action, Comedy, Drama
     assert len(catalog.features["genre"][1]) == 2
 
@@ -129,6 +138,59 @@ def test_split_protocol(dataset):
         assert va.target == seq.items[-2]
         assert te.items == seq.items[:-1]
         assert te.target == seq.items[-1]
+
+
+def _split_by_slices(sequences):
+    """The leave-one-out rule as three independent slices of each
+    sequence."""
+    out = D.SplitDataset([], [], [])
+    for seq in sequences:
+        n = len(seq)
+
+        def cut(k):
+            return {name: vals[:k] for name, vals in seq.behavior.items()}
+
+        out.train.append(D.TrainSequence(seq.items[:n - 2], cut(n - 2)))
+        out.validation.append(D.EvalPair(seq.items[:n - 2], cut(n - 2),
+                                         seq.items[n - 2]))
+        out.test.append(D.EvalPair(seq.items[:n - 1], cut(n - 1),
+                                   seq.items[n - 1]))
+    return out
+
+
+@pytest.fixture(params=["branching", "movielens_like"])
+def logs(request, monkeypatch):
+    if request.param == "branching":
+        return branching_dataset(m=30, n_seq=50, length=9, seed=4)[2]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("movielens").movielens_like(0, users=300)[2]
+
+
+def test_split_equals_independent_slices(logs):
+    """Each pair is built from the previous one, and equals slicing the
+    sequence afresh; the training sequence shares the validation pair's
+    lists, and no pair shares the user's own lists."""
+    split = D.leave_one_out_split(logs)
+    assert split == _split_by_slices(logs)
+    assert any(seq.behavior for seq in logs)
+    for seq, tr, va, te in zip(logs, split.train, split.validation,
+                               split.test):
+        assert tr.items is va.items and tr.behavior is va.behavior
+        assert te.items is not seq.items
+        for name in seq.behavior:
+            assert te.behavior[name] is not seq.behavior[name]
+
+
+def test_held_out_pair():
+    """held_out drops the last item and its behavior and makes that item
+    the target; applied to a pair it holds out the pair's last item."""
+    seq = D.TrainSequence([4, 2, 7], {"rating": [3, 2, 3],
+                                      "genre": [[2], [3, 4], [2]]})
+    pair = D.held_out(seq)
+    assert pair == D.EvalPair([4, 2], {"rating": [3, 2],
+                                       "genre": [[2], [3, 4]]}, 7)
+    assert D.held_out(pair) == D.EvalPair([4], {"rating": [3],
+                                                "genre": [[2]]}, 2)
 
 
 def test_split_counts_conserved():
@@ -181,8 +243,8 @@ def _built_three_ways(tmp_path, schema_factory):
 def test_one_encoding_for_one_set_of_strings(tmp_path):
     built = _built_three_ways(tmp_path, _side_schema)
     for schema, catalog in built:
-        assert schema.get("genre").vocab == {"a": 2, "b": 3}
-        assert schema.get("kind").vocab == {"x": 2, "y": 3}
+        assert _feature(schema, "genre").vocab == {"a": 2, "b": 3}
+        assert _feature(schema, "kind").vocab == {"x": 2, "y": 3}
         assert catalog.features["genre"] == [None, [2, 3], [D.UNK], [3]]
         assert catalog.features["kind"] == [None, 2, 3, 2]
         assert catalog.id_map == {"1": 1, "2": 2, "3": 3}
@@ -192,13 +254,13 @@ def test_one_encoding_for_one_set_of_strings(tmp_path):
 def test_frozen_vocabulary_is_kept(tmp_path):
     def frozen_schema():
         schema = _side_schema()
-        schema.get("genre").build_vocab(["b", "c"])
+        _feature(schema, "genre").build_vocab(["b", "c"])
         return schema
 
     for schema, catalog in _built_three_ways(tmp_path, frozen_schema):
-        assert schema.get("genre").vocab == {"b": 2, "c": 3}
+        assert _feature(schema, "genre").vocab == {"b": 2, "c": 3}
         assert catalog.features["genre"] == [None, [D.UNK, 2], [D.UNK], [2]]
-        assert schema.get("kind").vocab == {"x": 2, "y": 3}
+        assert _feature(schema, "kind").vocab == {"x": 2, "y": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +279,19 @@ def test_masked_batch_full_prob(split):
     batch = D.make_masked_batch(sp.train, schema, catalog, 1.0, rng, L=6)
     nonpad = batch.items != D.PAD
     assert np.all(batch.items[nonpad] == catalog.mask_token)
-    assert np.array_equal(batch.mask_pos, nonpad)
-    assert np.all(batch.labels[batch.mask_pos] > 0)
-    assert np.all(batch.labels[~batch.mask_pos] == 0)
+    masked = batch.labels != 0
+    assert np.array_equal(masked, nonpad)
+    assert np.all(batch.labels[masked] > 0)
+    assert np.all(batch.labels[~masked] == 0)
 
 
 def test_masked_batch_pad_never_masked(split):
     schema, catalog, sp = split
     rng = np.random.default_rng(1)
     batch = D.make_masked_batch(sp.train, schema, catalog, 0.5, rng, L=8)
-    assert not np.any(batch.mask_pos[batch.items == D.PAD])
-    assert batch.mask_pos.any(axis=1).all()  # >= 1 mask per sequence
+    masked = batch.labels != 0
+    assert not np.any(masked[batch.items == D.PAD])
+    assert masked.any(axis=1).all()  # >= 1 mask per sequence
 
 
 def test_masked_batch_fraction():
@@ -236,7 +300,7 @@ def test_masked_batch_fraction():
     split = D.leave_one_out_split(seqs)
     rng = np.random.default_rng(2)
     batch = D.make_masked_batch(split.train, schema, catalog, 0.2, rng, L=50)
-    frac = batch.mask_pos.sum() / (batch.items != D.PAD).sum()
+    frac = (batch.labels != 0).sum() / (batch.items != D.PAD).sum()
     assert 0.18 <= frac <= 0.22
 
 

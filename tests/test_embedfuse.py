@@ -6,6 +6,7 @@ from novabert import embedfuse as EF
 from novabert import tensor as T
 from novabert.model import Model, ModelConfig, param_shapes
 from novabert.synthetic import branching_dataset
+from test_packing import padded_setup
 
 
 def rand_feats(rng, k, shape=(2, 3, 4)):
@@ -198,13 +199,21 @@ def test_param_shapes_of_tables_and_fusion_sites(small_batch, attention,
                     assert not site[name].data.any()
 
 
+def _real(batch):
+    """The flat positions of the batch's real tokens, and their items."""
+    rows = np.flatnonzero(batch.pad_mask)
+    return rows, EF.real_rows(batch.items, rows)
+
+
 def test_integrated_no_side_add_equals_id(small_batch):
     schema, catalog, batch = small_batch
     params = small_model(schema, catalog, 1, features=[],
                          use_position=False).params
-    side = EF.embed_side_features(batch, params, schema, features=[],
+    rows, items = _real(batch)
+    side = EF.embed_side_features(batch, params, schema, rows, features=[],
                                   use_position=False)
-    r_id = T.embedding_lookup(params["emb.id"], batch.items)
+    assert side == []
+    r_id = T.embedding_lookup(params["emb.id"], items)
     r = EF.integrated_embeddings(r_id, side, "add", {})
     assert np.array_equal(r.data, r_id.data)
 
@@ -212,22 +221,27 @@ def test_integrated_no_side_add_equals_id(small_batch):
 def test_integrated_position_only_is_additive(small_batch):
     schema, catalog, batch = small_batch
     params = small_model(schema, catalog, 2, features=[]).params
-    side = EF.embed_side_features(batch, params, schema, features=[])
-    r_id = T.embedding_lookup(params["emb.id"], batch.items)
+    rows, items = _real(batch)
+    side = EF.embed_side_features(batch, params, schema, rows, features=[])
+    r_id = T.embedding_lookup(params["emb.id"], items)
     r = EF.integrated_embeddings(r_id, side, "add", {})
-    pos = params["emb.pos"].data[batch.positions]
+    assert r.shape == (len(rows), 8)
+    pos = params["emb.pos"].data[batch.positions][batch.pad_mask]
     assert np.allclose(r.data, r_id.data + pos)
 
 
 def test_integrated_full_matches_straight_line_oracle(small_batch):
     schema, catalog, batch = small_batch
+    assert not batch.pad_mask.all()  # pad slots are left out of the rows
     model = small_model(schema, catalog, 3, fusion="gating")
     params, fp = model.params, model.fusion[0]
     fp["wf"].data[:] = np.random.default_rng(3).standard_normal((8, 1))
-    side = EF.embed_side_features(batch, params, schema)
+    rows, items = _real(batch)
+    side = EF.embed_side_features(batch, params, schema, rows)
     r = EF.integrated_embeddings(
-        T.embedding_lookup(params["emb.id"], batch.items), side, "gating", fp)
-    # oracle: lookups then gating, all in plain numpy
+        T.embedding_lookup(params["emb.id"], items), side, "gating", fp)
+    # oracle: dense lookups then gating, all in plain numpy, read at the
+    # real tokens
     idemb = params["emb.id"].data[batch.items]
     ratemb = params["emb.f.rating"].data[batch.features["rating"]]
     posemb = params["emb.pos"].data[batch.positions]
@@ -235,7 +249,8 @@ def test_integrated_full_matches_straight_line_oracle(small_batch):
     logits = (fmat @ fp["wf"].data)[..., 0]
     e = np.exp(logits - logits.max(-1, keepdims=True))
     g = e / e.sum(-1, keepdims=True)
-    expect = np.einsum("...k,...kh->...h", g, fmat)
+    expect = np.einsum("...k,...kh->...h", g, fmat)[batch.pad_mask]
+    assert r.shape == expect.shape
     assert np.allclose(r.data, expect, atol=1e-12)
 
 
@@ -243,9 +258,10 @@ def test_gradients_reach_all_tables(small_batch):
     schema, catalog, batch = small_batch
     model = small_model(schema, catalog, 4, fusion="concat")
     params = model.params
-    side = EF.embed_side_features(batch, params, schema)
+    rows, items = _real(batch)
+    side = EF.embed_side_features(batch, params, schema, rows)
     r = EF.integrated_embeddings(
-        T.embedding_lookup(params["emb.id"], batch.items), side, "concat",
+        T.embedding_lookup(params["emb.id"], items), side, "concat",
         model.fusion[0])
     T.backward(T.tsum(T.mul(r, r)))
     tables = [n for n in params if n.startswith(("emb.", "fuse."))]
@@ -253,3 +269,26 @@ def test_gradients_reach_all_tables(small_batch):
     for name in tables:
         p = params[name]
         assert p.grad is not None and np.any(p.grad != 0), name
+
+
+def test_multi_feature_mean_pools_the_rows_asked_for():
+    """A multi-valued feature embeds as the mean of its non-pad entries'
+    rows at each flat position asked for. A pad slot passed as a row, as the
+    dense oracle passes every slot, pools to zero instead of dividing by a
+    zero count; the real-token rows equal those of the all-slot call."""
+    model, (batch, _) = padded_setup("nova", "add")
+    assert (~batch.pad_mask).any()
+    B, L = batch.items.shape
+    table = model.params["emb.f.genre"].data
+    idx = batch.features["genre"].reshape(B * L, -1)
+    every, = EF.embed_side_features(batch, model.params, model.schema,
+                                    np.arange(B * L), features=["genre"],
+                                    use_position=False)
+    for r in range(B * L):
+        ids = idx[r][idx[r] != 0]
+        expect = table[ids].mean(axis=0) if len(ids) else 0.0 * table[0]
+        assert np.allclose(every.data[r], expect, atol=1e-15)
+    rows = np.flatnonzero(batch.pad_mask)
+    real, = EF.embed_side_features(batch, model.params, model.schema, rows,
+                                   features=["genre"], use_position=False)
+    assert np.array_equal(real.data, every.data[rows])

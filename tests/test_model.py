@@ -147,6 +147,19 @@ def test_nova_value_path_ignores_side_info():
     assert not np.allclose(a0[0].data, a1[0].data)
 
 
+def test_first_layer_values_are_the_real_token_rows():
+    """The value probe holds one row per real token, in flat order: the
+    layer-0 V projection of the ID embeddings, pad slots left out."""
+    model, (batch, _) = padded_setup("nova", "gating", dropout=0.0)
+    assert (~batch.pad_mask).any()
+    p = model.params
+    dense = (p["emb.id"].data[batch.items] @ p["layer0.attn.wv.w"].data
+             + p["layer0.attn.wv.b"].data)
+    v = model.first_layer_values(batch)
+    assert v.shape == (int(batch.pad_mask.sum()), 8)
+    assert np.array_equal(v.data, dense[batch.pad_mask])
+
+
 def test_nova_value_probe_zero_grad_to_side_tables():
     model, batch = tiny_setup(attention="nova", fusion="add")
     probe = T.tsum(T.mul(model.first_layer_values(batch),

@@ -28,7 +28,7 @@ def numeric_grad(f, x, eps=1e-5):
 def check_grads(build_loss, tensors, tol=1e-4):
     """build_loss() must rebuild the graph from the given leaf tensors."""
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     loss = build_loss()
     T.backward(loss)
     for t in tensors:
@@ -431,7 +431,7 @@ def test_attention_matches_dense_chain(lengths, queries):
 
     def run(fn, gen):
         for t in (q, k, v):
-            t.zero_grad()
+            t.grad = None
         loss, attn = fn(gen)
         T.backward(loss)
         return loss.item(), [t.grad.copy() for t in (q, k, v)], attn
@@ -473,7 +473,7 @@ def test_gated_sum_matches_dense_chain(mode, k):
     results = []
     for fuse in (T.gated_sum, dense_oracle.gating):
         for t in leaves:
-            t.zero_grad()
+            t.grad = None
         out, gates = fuse(feats, wf, mode)
         T.backward(T.tsum(T.mul(out, w)))
         results.append((out.data, gates.data, [t.grad.copy() for t in leaves]))

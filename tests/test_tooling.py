@@ -1,7 +1,7 @@
 """The benchmark's tracer finds every function it wraps, and sees the calls
 of a training step and an evaluation; the benchmark's own correctness
 checks pass on the program; every public op of the tensor module has a
-caller in the program."""
+caller in the program, and every other public name a reader."""
 
 import ast
 import importlib
@@ -112,9 +112,56 @@ def _tensor_calls(path, own):
     return called
 
 
+# public names that nothing in src/ or perfbench/ references, each with
+# the reason it stays in the program
+UNREFERENCED = {
+    "synthetic": "the seeded builders make test and benchmark data",
+    "data.write_items": "the items loader's inverse, writes test fixtures",
+    "data.write_interactions": "the interactions loader's inverse, writes "
+                               "test fixtures",
+    "model.Model.first_layer_values": "the acceptance suite's value-path "
+                                      "probe",
+}
+
+
+def _public_defs(path):
+    """Qualified names (module[.Class].name) of a module's public
+    functions, and of its classes' public methods and properties."""
+    tree = ast.parse(path.read_text())
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    out[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+        elif (isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")):
+            out[f"{path.stem}.{node.name}"] = node.name
+    return out
+
+
+def _referenced_names(path):
+    """Every name a module reads: bare names, attributes, and strings that
+    are identifiers (perfbench/spans.py names what it wraps in strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
 def test_every_public_tensor_op_is_called_from_src():
     """An op that only tests use lives with them (tests/dense_ops.py holds
-    the dense oracle's), not in the program's tensor module."""
+    the dense oracle's), not in the program's tensor module. More widely,
+    every public function, method and property of the program is
+    referenced by name from src/ or perfbench/, or is listed in
+    UNREFERENCED with its reason."""
     tree = ast.parse((SRC / "tensor.py").read_text())
     public = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)
               and not n.name.startswith("_")}
@@ -123,3 +170,20 @@ def test_every_public_tensor_op_is_called_from_src():
         called |= _tensor_calls(path, public)
     assert len(public) > 10
     assert sorted(public - called) == []
+
+    defs, referenced = {}, set()
+    for path in SRC.glob("*.py"):
+        defs |= _public_defs(path)
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        referenced |= _referenced_names(path)
+
+    def covers(key, qualname):
+        return qualname == key or qualname.startswith(key + ".")
+
+    unread = [q for q, name in defs.items() if name not in referenced]
+    assert len(defs) > 50
+    assert sorted(q for q in unread
+                  if not any(covers(k, q) for k in UNREFERENCED)) == []
+    # every entry still covers a definition that nothing references
+    assert [k for k in UNREFERENCED
+            if not any(covers(k, q) for q in unread)] == []

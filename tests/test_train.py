@@ -259,6 +259,21 @@ def test_training_reduces_loss_and_tracks_best():
     assert set(res.best_params) == set(model.params)
 
 
+def test_fit_tests_the_best_validation_epoch():
+    """fit leaves the model at the best epoch's parameters, not the last
+    epoch's, and its test report is rank_all's on them, fingerprinted."""
+    schema, catalog, split, cfg = small_problem()
+    tc = TR.TrainConfig(epochs=6, batch_size=8, learning_rate=5e-3, seed=3)
+    model = Model(cfg, schema, catalog, seed=2)
+    res, test = TR.fit(model, split, tc)
+    assert res.best_epoch < len(res.history) - 1  # best is not the last
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, res.best_params[name])
+    assert test.fingerprint == TR.config_fingerprint(cfg, tc) != ""
+    assert test.to_dict() == TR.rank_all(
+        model, split.test, fingerprint=test.fingerprint).to_dict()
+
+
 def test_evaluation_deterministic_given_params():
     schema, catalog, split, cfg = small_problem()
     model = Model(cfg, schema, catalog, seed=4)
