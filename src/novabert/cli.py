@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import os
 import re
@@ -96,7 +97,12 @@ def _parse_section(path, name, section, parsers):
 
 
 class OutputDir:
-    """Writable output directory guarded by a lock marker file."""
+    """Writable output directory guarded by a lock marker file that holds
+    the pid of the run using it.
+
+    A lock whose pid is not a running process is stale: it is removed and
+    taken once more. Two runs that take over the same stale lock at the
+    same moment are not told apart."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -104,17 +110,47 @@ class OutputDir:
 
     def __enter__(self):
         self.path.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        fd = self._create()
+        if fd is None and self._stale():
+            self.lock.unlink(missing_ok=True)
+            fd = self._create()
+        if fd is None:
             raise CliError(
                 f"output directory {self.path} is locked by another run "
-                f"(remove {self.lock} if stale)") from None
+                f"(remove {self.lock} if stale)")
         try:
             os.write(fd, str(os.getpid()).encode())
         finally:
             os.close(fd)
         return self.path
+
+    def _create(self):
+        """A write descriptor of a newly created lock, or None if the lock
+        exists."""
+        try:
+            return os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return None
+
+    def _stale(self):
+        """Whether the lock names a pid that is not a running process. A
+        lock that cannot be read as a pid (say, one whose writer has not
+        written it yet) is not stale."""
+        try:
+            pid = int(self.lock.read_text())
+        except FileNotFoundError:
+            return True
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except PermissionError:
+            pass  # a process of another user
+        return False
 
     def __exit__(self, *exc):
         self.lock.unlink(missing_ok=True)
@@ -131,8 +167,29 @@ def _load_split(args):
     return schema, catalog, D.leave_one_out_split(sequences)
 
 
+@contextlib.contextmanager
+def _replaced_on_success(*paths):
+    """Yield a temporary path beside each of paths. When the block returns,
+    each temporary file replaces its path (``os.replace``), so a reader
+    never sees a half-written output; when it raises, they are removed and
+    the paths are left as they were."""
+    tmps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+
+
+def _write_text(path, text):
+    with _replaced_on_success(Path(path)) as (tmp,):
+        tmp.write_text(text, encoding="utf-8")
+
+
 def _write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +215,33 @@ def _dat_rows(path, n):
 
 
 def cmd_prepare_data(args):
-    """Convert MovieLens ::-separated .dat files to the TSV layout."""
+    """Convert MovieLens ::-separated .dat files to the TSV layout.
+
+    The three outputs appear together once every input line has parsed; a
+    malformed line leaves none of them behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    items_out = out / "items.tsv"
-    with open(items_out, "w", encoding="utf-8") as dst:
-        dst.write("item_id\tyear\tgenre\n")
-        for movie_id, title, genres in _dat_rows(args.items, 3):
-            m = _YEAR_RE.search(title)
-            year = m.group(1) if m else ""
-            dst.write(f"{movie_id}\t{year}\t{genres}\n")
-    inter_out = out / "interactions.tsv"
-    with open(inter_out, "w", encoding="utf-8") as dst:
-        dst.write("user_id\titem_id\ttimestamp\trating\n")
-        for user, item, rating, ts in _dat_rows(args.data, 4):
-            dst.write(f"{user}\t{item}\t{ts}\t{rating}\n")
-    schema = D.SideInfoSchema([
-        D.FeatureSpec("year", "item", "bucketed",
-                      buckets=[1940.0, 1950.0, 1960.0, 1970.0, 1980.0,
-                               1985.0, 1990.0, 1995.0]),
-        D.FeatureSpec("genre", "item", "multi"),
-        D.FeatureSpec("rating", "behavior", "categorical"),
-    ])
-    D.save_schema(schema, out / "schema.ini")
-    print(f"wrote {items_out}, {inter_out}, {out / 'schema.ini'}")
+    paths = [out / "items.tsv", out / "interactions.tsv", out / "schema.ini"]
+    with _replaced_on_success(*paths) as (items_tmp, inter_tmp, schema_tmp):
+        with open(items_tmp, "w", encoding="utf-8") as dst:
+            dst.write("item_id\tyear\tgenre\n")
+            for movie_id, title, genres in _dat_rows(args.items, 3):
+                m = _YEAR_RE.search(title)
+                year = m.group(1) if m else ""
+                dst.write(f"{movie_id}\t{year}\t{genres}\n")
+        with open(inter_tmp, "w", encoding="utf-8") as dst:
+            dst.write("user_id\titem_id\ttimestamp\trating\n")
+            for user, item, rating, ts in _dat_rows(args.data, 4):
+                dst.write(f"{user}\t{item}\t{ts}\t{rating}\n")
+        schema = D.SideInfoSchema([
+            D.FeatureSpec("year", "item", "bucketed",
+                          buckets=[1940.0, 1950.0, 1960.0, 1970.0, 1980.0,
+                                   1985.0, 1990.0, 1995.0]),
+            D.FeatureSpec("genre", "item", "multi"),
+            D.FeatureSpec("rating", "behavior", "categorical"),
+        ])
+        D.save_schema(schema, schema_tmp)
+    print("wrote " + ", ".join(str(p) for p in paths))
     return 0
 
 
@@ -237,12 +297,12 @@ def cmd_ablate(args):
     schema, catalog, split = _load_split(args)
     with OutputDir(args.out) as out:
         table = TR.ablate(schema, catalog, split, mcfg, tcfg, log=print)
-        with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
-            fh.write("subset," + ",".join(_METRIC_COLS) + "\n")
-            for name, rep in table.items():
-                row = rep.to_dict()
-                fh.write(name + ","
-                         + ",".join(str(row[c]) for c in _METRIC_COLS) + "\n")
+        cols = _METRIC_COLS + ("fingerprint",)
+        lines = ["subset," + ",".join(cols)]
+        for name, rep in table.items():
+            row = rep.to_dict()
+            lines.append(name + "," + ",".join(str(row[c]) for c in cols))
+        _write_text(out / "ablation.csv", "\n".join(lines) + "\n")
         for name, rep in table.items():
             print(f"{name:>10}: HR@10 {rep.hr10:.4f} NDCG@10 {rep.ndcg10:.4f}")
     return 0
@@ -343,7 +403,7 @@ def cmd_profile(args):
     prof = profile_cost(mcfg, schema, catalog.m)
     if args.out:
         with OutputDir(args.out) as out:
-            (out / "profile.json").write_text(prof.to_json() + "\n")
+            _write_text(out / "profile.json", prof.to_json() + "\n")
     print(prof.to_json())
     return 0
 

@@ -7,10 +7,12 @@ import numpy as np
 
 
 def softmax_rows(x):
-    """Row-wise stable softmax of a 2-D array. Returns a new array."""
-    m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise stable softmax of a 2-D array, written over x in place;
+    returns x. Callers pass an array they own, such as fresh scores."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def scatter_add_rows(out, idx, grad):

@@ -22,6 +22,12 @@ from novabert.tensor import Tensor
 
 FFN_MULT = 4  # inner feed-forward width, per original BERT
 EMB_INIT = 0.02  # uniform [-EMB_INIT, EMB_INIT] for all embedding tables
+# Forward-only encoding runs each layer's feed-forward half in row blocks
+# whose [rows, FFN_MULT * h] input takes about this many bytes (256 rows at
+# h=128 in float64): a block's temporaries stay in cache and the allocator
+# reuses them, while a full-width array is given back to the OS after each
+# batch and faulted in again by the next.
+FFN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -164,6 +170,19 @@ class Model:
         return EF.integrated_embeddings(first, side, cfg.fusion,
                                         self.fusion[site], cfg.gating_mode)
 
+    def _feed_forward_half(self, layer, res, out, train, rng):
+        """The part of a layer after attention on the rows of its attention
+        output out: Wo, dropout, residual with res, LN1, FFN, dropout,
+        residual, LN2. Every op is row-wise."""
+        p = f"layer{layer}"
+        out = T.dropout(self._linear(out, f"{p}.attn.wo"), self.config.dropout,
+                        rng, train)
+        x = T.layer_norm(T.add(res, out),
+                         self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
+        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng, train)
+        return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
+                            self.params[f"{p}.ln2.b"])
+
     def _layer(self, layer, qk_src, x, layout, train, rng, collect):
         """One encoder layer: Q and K read qk_src; V and the residual read x.
 
@@ -171,7 +190,11 @@ class Model:
         rows, Wo, the residual, both layer norms and the FFN) runs on the
         query rows of the layout only, so the output is [len(layout.pos), h].
         Q, K and V are not bound to names, so without a graph they are freed
-        before the FFN runs."""
+        before the FFN runs. When a graph is recorded or train is set, the
+        part after attention runs once over all rows; otherwise it runs over
+        consecutive row blocks whose FFN input is about FFN_BLOCK_BYTES, each
+        written into one preallocated output, so no full-width [n, 4h] array
+        exists. The output rows are those of one pass over all rows."""
         p = f"layer{layer}"
         q_src, res = qk_src, x
         if layout.picked is not None:
@@ -183,13 +206,21 @@ class Model:
             self._linear(x, f"{p}.attn.wv"), layout, self.config.num_heads,
             attn_dropout=self.config.dropout, rng=rng, train=train,
             collect=collect)
-        out = T.dropout(self._linear(out, f"{p}.attn.wo"), self.config.dropout,
-                        rng, train)
-        x = T.layer_norm(T.add(res, out),
-                         self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
-        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng, train)
-        return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
-                            self.params[f"{p}.ln2.b"]), attn
+        if train or T.grad_enabled():
+            return self._feed_forward_half(layer, res, out, train, rng), attn
+        n, h = out.shape
+        step = max(3, FFN_BLOCK_BYTES // (FFN_MULT * h * out.dtype.itemsize))
+        edges = list(range(0, n, step)) + [n]
+        if n > step and n % step == 1:
+            # a one-row product runs as a matrix-vector product, which sums
+            # in another order than the matrix product of the whole rows;
+            # step >= 3 leaves the shortened block at least 2 rows
+            edges[-2] -= 1
+        y = np.empty_like(out.data)
+        for lo, hi in zip(edges, edges[1:]):
+            y[lo:hi] = self._feed_forward_half(layer, res.data[lo:hi],
+                                               out.data[lo:hi], train, rng).data
+        return Tensor(y), attn
 
     def invasive_layer(self, layer, x, layout, train=False, rng=None,
                        collect=False):

@@ -22,7 +22,11 @@ the embedding scatter-add is one ``np.bincount``.
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
 attention dumps) frees each intermediate as soon as it is no longer
-referenced; the switch is per thread. Float32, float64 and longdouble
+referenced; the switch is per thread, and :func:`grad_enabled` reads it.
+The forward kernels write over the temporaries they own rather than
+allocate new ones: the softmax over the fresh attention scores and gate
+logits, layer norm's centred copy, the scaled Q of attention, and, when no
+graph is recorded, GELU's ``tanh``. Float32, float64 and longdouble
 arrays keep their dtype; anything else becomes float64. With
 ``NOVABERT_DEBUG=1`` (read once, at import) a non-finite op output or
 backward gradient raises ``FloatingPointError`` naming the op's backward
@@ -99,6 +103,17 @@ class _GradMode(threading.local):
 _grad_mode = _GradMode()
 
 
+def grad_enabled():
+    """Whether ops in this thread record a graph (False inside
+    :func:`no_grad`)."""
+    return _grad_mode.enabled
+
+
+def _records(*parents):
+    """Whether an op on these inputs records a graph node."""
+    return _grad_mode.enabled and _needs_grad(*parents)
+
+
 @contextlib.contextmanager
 def no_grad():
     """Record no graph in this thread: ops return plain constant tensors."""
@@ -118,7 +133,7 @@ def _check_finite(arr, what, bw):
 def _make(data, parents, bw):
     if _DEBUG:
         _check_finite(data, "output", bw)
-    if _grad_mode.enabled and _needs_grad(*parents):
+    if _records(*parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _bw=bw)
     return Tensor(data)
 
@@ -307,7 +322,9 @@ def gelu(x):
     """GELU, tanh approximation (as in the original BERT).
 
     Forward and backward build their [N, 4h] temporaries in place. Only x
-    and tanh(u) are saved; the backward recomputes x*x."""
+    and tanh(u) are saved, and the backward recomputes x*x; with no graph
+    recorded, the output is written over tanh(u), so the forward allocates
+    one array."""
     x = _as_tensor(x)
     xd = x.data
     t = xd * xd
@@ -316,7 +333,11 @@ def gelu(x):
     t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
-    out_data = t + 1.0
+    if _records(x):
+        out_data = t + 1.0
+    else:
+        out_data = t
+        out_data += 1.0
     out_data *= xd
     out_data *= 0.5
 
@@ -341,22 +362,30 @@ def gelu(x):
 
 
 def layer_norm(x, gain, bias, eps=1e-12):
-    """Layer normalization over the last dimension with learnable scale/shift."""
+    """Layer normalization over the last dimension with learnable scale/shift.
+
+    xhat is built in place from the centred copy of x and the bias is added
+    in place into the scaled output; the backward builds dx in place from
+    g * gain, in the operation order of
+    inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def bw(g):
         red = tuple(range(g.ndim - 1))
         _accumulate(gain, (g * xhat).sum(axis=red))
         _accumulate(bias, g.sum(axis=red))
-        dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = g * gain.data
+        m2 = (dx * xhat).mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= xhat * m2
+        dx *= inv
         _accumulate(x, dx)
 
     return _make(out_data, (x, gain, bias), bw)
@@ -626,9 +655,10 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
 
     q: the query rows [layout.pos, h]; k, v: the real-token rows
     [layout.rows, h]; h = heads * d. Each length group of the layout runs
-    at its own length: 1/sqrt(d) is folded into Q, pad keys get the score
-    NEG_INF in place (no mask array), and the query rows of one sequence
-    attend to its own keys only. Attention dropout draws one keep mask per
+    at its own length: 1/sqrt(d) is folded into the gathered Q in place,
+    pad keys get the score NEG_INF in place (no mask array), the softmax
+    is written over the scores, and the query rows of one sequence attend
+    to its own keys only. Attention dropout draws one keep mask per
     group at the shape of its probabilities [b, H, r, l], in group order.
     Only the probabilities and the boolean keep masks are saved; the
     backward gathers Q, K, V again and writes dQ, dK, dV rows with plain
@@ -651,7 +681,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     c = 1.0 / math.sqrt(d)
     qh, kh, vh = (t.data.reshape(-1, heads, d) for t in (q, k, v))
     drop, scale = train and attn_dropout > 0.0, 1.0 / (1.0 - attn_dropout)
-    record = _grad_mode.enabled and _needs_grad(q, k, v)
+    record = _records(q, k, v)
     attn = np.zeros((B, heads, L, L), dtype=q.dtype) if collect else None
     hh = np.arange(heads)[:, None]
     out = np.empty_like(q.data)
@@ -659,11 +689,12 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     saved = []
     for (bi, l, kidx, kreal), (qidx, qslot, qreal) in zip(layout.keys,
                                                           layout.queries):
-        s = (_gather_heads(qh, qidx, qreal) * c) @ _gather_heads(
-            kh, kidx).swapaxes(-1, -2)                        # [b, H, r, l]
+        qg = _gather_heads(qh, qidx, qreal)
+        qg *= c
+        s = qg @ _gather_heads(kh, kidx).swapaxes(-1, -2)     # [b, H, r, l]
+        del qg
         np.copyto(s, NEG_INF, where=~kreal[:, None, None, :])
         p = kernels.softmax_rows(s.reshape(-1, l)).reshape(s.shape)
-        del s
         if collect:
             attn[bi[:, None, None], hh, qslot[:, None, :], L - l:] = (
                 p * qreal[:, None, :, None])
@@ -692,9 +723,12 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
                 ds *= m
             ds -= (ds * p).sum(axis=-1, keepdims=True)
             ds *= p
-            dq_g = (ds @ _gather_heads(kh, kidx)) * c
+            dq_g = ds @ _gather_heads(kh, kidx)
+            dq_g *= c
             dqh[qidx[qreal]] = dq_g.transpose(0, 2, 1, 3)[qreal]
-            dk_g = ds.swapaxes(-1, -2) @ (_gather_heads(qh, qidx, qreal) * c)
+            qg = _gather_heads(qh, qidx, qreal)
+            qg *= c
+            dk_g = ds.swapaxes(-1, -2) @ qg
             dkh[kidx[kreal]] = dk_g.transpose(0, 2, 1, 3)[kreal]
         _accumulate(q, dq)
         _accumulate(k, dk)

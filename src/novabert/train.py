@@ -131,7 +131,9 @@ def score_pairs(model, pairs, batch_size=256):
 
     Only the last position of each sequence is computed past the last
     layer's keys and values, and only it is decoded; no autograd graph is
-    recorded, so every intermediate is freed once used.
+    recorded, so every intermediate is freed once used, and each layer's
+    feed-forward half runs in row blocks (see ``Model._layer``), so no
+    [N, 4h] activation of a batch's N real tokens is held.
     Returns (scores [U, m], targets [U])."""
     L = model.config.max_len
     all_scores, targets = [], []

@@ -56,8 +56,9 @@ def softmax_lastdim(x):
     """Stable softmax along the last dimension (max-subtraction)."""
     x = _as_tensor(x)
     shp = x.shape
-    flat = np.ascontiguousarray(x.data.reshape(-1, shp[-1]))
-    s = kernels.softmax_rows(flat).reshape(shp)
+    # a copy: the kernel writes over its argument, and a reshape of x.data
+    # may be a view of it
+    s = kernels.softmax_rows(x.data.reshape(-1, shp[-1]).copy()).reshape(shp)
 
     def bw(g):
         dot = (g * s).sum(axis=-1, keepdims=True)

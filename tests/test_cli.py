@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,11 +133,29 @@ def test_evaluate_with_no_user_past_the_filter_exits_1(tmp_path, capsys):
 
 
 def test_locked_output_dir_refused(toy, capsys):
+    """A lock that holds the pid of a running process is refused."""
     toy["out"].mkdir()
-    (toy["out"] / ".lock").write_text("123")
-    code = cli.main(["train"] + flags(toy))
+    with subprocess.Popen([sys.executable, "-c",
+                           "import sys; sys.stdin.read()"],
+                          stdin=subprocess.PIPE) as live:
+        (toy["out"] / ".lock").write_text(str(live.pid))
+        code = cli.main(["train"] + flags(toy))
+        live.stdin.close()
+        assert live.wait(timeout=60) == 0
     assert code == 1
     assert "locked" in capsys.readouterr().err
+    assert (toy["out"] / ".lock").read_text() == str(live.pid)
+
+
+def test_stale_lock_taken_over(tmp_path):
+    """A lock that holds the pid of a process that has exited (and been
+    reaped) is stale: the run takes the directory over."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    assert child.wait(timeout=60) == 0
+    (tmp_path / ".lock").write_text(str(child.pid))
+    with cli.OutputDir(tmp_path) as out:
+        assert (out / ".lock").read_text() == str(os.getpid())
+    assert not (tmp_path / ".lock").exists()
 
 
 def test_lock_removed_after_run(toy):
@@ -150,9 +171,20 @@ def test_output_dir_lock_holds_pid(tmp_path):
 def test_ablate_writes_csv(toy):
     assert cli.main(["ablate"] + flags(toy)) == 0
     lines = (toy["out"] / "ablation.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("subset,HR@1,")
-    assert {l.split(",")[0] for l in lines[1:]} == {"none", "item",
-                                                    "behavior", "all"}
+    assert lines[0] == ("subset,HR@1,HR@5,HR@10,NDCG@5,NDCG@10,users,"
+                        "fingerprint")
+    rows = {l.split(",")[0]: l.split(",")[-1] for l in lines[1:]}
+    assert set(rows) == {"none", "item", "behavior", "all"}
+    # each row carries the fingerprint of its subset's configs
+    mcfg, tcfg = cli.read_config(toy["config"])
+    schema = D.load_schema(toy["schema"])
+    feats = {"none": [], "all": [f.name for f in schema.features],
+             "item": [f.name for f in schema.item_features()],
+             "behavior": [f.name for f in schema.behavior_features()]}
+    assert rows == {
+        name: TR.config_fingerprint(dataclasses.replace(mcfg, features=f),
+                                    tcfg)
+        for name, f in feats.items()}
 
 
 def test_compare_writes_diff_table(toy, capsys):
@@ -281,8 +313,11 @@ def test_prepare_data_short_line_exits_1_naming_it(tmp_path, capsys):
     movies.write_text("1::Toy Story (1995)::Animation|Comedy\n"
                       "2::Heat (1995)\n", encoding="latin-1")
     ratings.write_text("1::1::5::978300760\n", encoding="latin-1")
+    out = tmp_path / "prepared"
     assert cli.main(["prepare-data", "--data", str(ratings),
-                     "--items", str(movies),
-                     "--out", str(tmp_path / "prepared")]) == 1
+                     "--items", str(movies), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{movies}:2:" in err
+    # no output appears, not even the items read before the bad line, and
+    # no temporary file is left
+    assert list(out.iterdir()) == []

@@ -3,7 +3,9 @@ import pytest
 
 from novabert import checkpoint as CK
 from novabert import data as D
+from novabert import model as M
 from novabert import tensor as T
+from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import branching_dataset, successor_dataset
 from test_packing import padded_setup
@@ -350,3 +352,66 @@ def test_fusion_sites_survive_checkpoint_round_trip(attention, fusion,
     CK.save_checkpoint(tmp_path / "m.bin", model)
     loaded, _, _ = CK.load_checkpoint(tmp_path / "m.bin")
     assert loaded.loss(batch).item() == model.loss(batch).item()
+
+
+# ---------------------------------------------------------------------------
+# forward-only encoding in row blocks
+# ---------------------------------------------------------------------------
+
+def eval_setup(attention, fusion, dtype=np.float64):
+    """A model (L=8, dropout on) and 12 evaluation pairs of 2 to 7 history
+    items."""
+    schema, catalog, seqs = branching_dataset(m=11, n_seq=12, length=9,
+                                              seed=0)
+    train = D.leave_one_out_split(seqs).train
+    pairs = [D.held_out(D.TrainSequence(
+        s.items[:3 + i % 6], {k: v[:3 + i % 6] for k, v in s.behavior.items()}))
+        for i, s in enumerate(train)]
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=8,
+                      attention=attention, fusion=fusion, dropout=0.1)
+    return Model(cfg, schema, catalog, seed=0, dtype=dtype), pairs
+
+
+def block_bytes(model, rows):
+    """The FFN_BLOCK_BYTES that makes blocks of the given rows."""
+    return (rows * M.FFN_MULT * model.config.hidden_size
+            * np.dtype(model.dtype).itemsize)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+def test_blocked_evaluation_matches_one_block(monkeypatch, attention, fusion,
+                                              dtype):
+    """Evaluation runs the part of each layer after attention in row
+    blocks; 7-row blocks, the last of a layer partial, give the scores of
+    one block over every row."""
+    model, pairs = eval_setup(attention, fusion, dtype)
+    monkeypatch.setattr(M, "FFN_BLOCK_BYTES", 1 << 40)
+    whole, _ = TR.score_pairs(model, pairs)
+    monkeypatch.setattr(M, "FFN_BLOCK_BYTES", block_bytes(model, 7))
+    blocked, _ = TR.score_pairs(model, pairs)
+    assert blocked.dtype == dtype
+    assert np.abs(blocked - whole).max() < 1e-12
+
+
+def test_feed_forward_rows_per_call(monkeypatch):
+    """GELU sees at most a block of rows in evaluation, never a block of
+    one row, and every computed row at once in a training step and in a
+    recorded forward pass."""
+    model, pairs = eval_setup("nova", "gating")
+    monkeypatch.setattr(M, "FFN_BLOCK_BYTES", block_bytes(model, 7))
+    rows, gelu = [], T.gelu
+    monkeypatch.setattr(T, "gelu", lambda x: (rows.append(len(x.data)),
+                                              gelu(x))[1])
+    TR.score_pairs(model, pairs)
+    batch = D.make_eval_batch(pairs, model.schema, model.catalog, 8)
+    n = int(batch.pad_mask.sum())
+    # layer 0 computes the 64 real tokens, 7 * 9 + 1, so its last two
+    # blocks are 6 and 2 rows; the last layer computes the 12 read rows
+    assert n == 64 and len(pairs) == 12
+    assert rows == [7] * 8 + [6, 2] + [7, 5]
+    for train in (True, False):
+        rows.clear()
+        model.loss(batch, train=train, rng=np.random.default_rng(0))
+        assert rows == [n, len(pairs)]

@@ -119,6 +119,15 @@ def test_softmax_rows_sum_to_one_and_nonneg(row, nrows):
     assert np.abs(out.sum(axis=-1) - 1).max() < 1e-6
 
 
+def test_softmax_rows_writes_over_its_argument():
+    x = np.random.default_rng(0).standard_normal((5, 7)) * 20
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    expect = e / e.sum(axis=1, keepdims=True)
+    out = kernels.softmax_rows(x)
+    assert out is x
+    assert np.array_equal(out, expect)
+
+
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------

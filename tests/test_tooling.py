@@ -1,7 +1,8 @@
 """The benchmark's tracer finds every function it wraps, and sees the calls
 of a training step and an evaluation; the benchmark's own correctness
 checks pass on the program; every public op of the tensor module has a
-caller in the program, and every other public name a reader."""
+caller in the program, and every other public name a reader; no module of
+the program reads another's private names."""
 
 import ast
 import importlib
@@ -187,3 +188,50 @@ def test_every_public_tensor_op_is_called_from_src():
     # every entry still covers a definition that nothing references
     assert [k for k in UNREFERENCED
             if not any(covers(k, q) for q in unread)] == []
+
+
+def _foreign_private_reads(source, own):
+    """Underscore names (not dunders) of other novabert modules that the
+    module source reads: imported by ``from novabert.x import _name``, or
+    read as ``alias._name`` where alias is bound to a novabert module by
+    ``from novabert import x [as alias]`` or ``import novabert.x as alias``.
+    own is the module's own name, whose names are its own to read."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    tree = ast.parse(source)
+    aliases, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "novabert":
+                for a in node.names:
+                    aliases[a.asname or a.name] = a.name
+            elif (node.module.startswith("novabert.")
+                  and node.module != f"novabert.{own}"):
+                found += [f"{node.module[len('novabert.'):]}.{a.name}"
+                          for a in node.names if private(a.name)]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("novabert.") and a.asname:
+                    aliases[a.asname] = a.name.split(".", 1)[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and aliases.get(node.value.id, own) != own):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module of the program reaches another only through its public
+    names (tensor.py's grad_enabled, not its _grad_mode), so a private name
+    can change without breaking a caller elsewhere."""
+    probe = ("from novabert import tensor as T\n"
+             "from novabert.data import _tsv_rows\n"
+             "import novabert.kernels as K\n"
+             "T._grad_mode.enabled, K._x, T.__name__, T.no_grad\n")
+    assert sorted(_foreign_private_reads(probe, "model")) == [
+        "data._tsv_rows", "kernels._x", "tensor._grad_mode"]
+    found = {path.name: _foreign_private_reads(path.read_text(), path.stem)
+             for path in SRC.glob("*.py")}
+    assert {k: v for k, v in found.items() if v} == {}
