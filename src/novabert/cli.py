@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -60,6 +61,9 @@ def read_config(path, overrides=None):
         raise CliError(f"cannot read config {path}: {e}")
     except configparser.Error as e:
         raise CliError(f"config parse error in {path}: {e}", code=2)
+    for name in cp.sections():
+        if name not in ("model", "training"):
+            raise CliError(f"config {path}: unknown section '{name}'", code=2)
     model = cp["model"] if cp.has_section("model") else {}
     for key in REQUIRED_MODEL_KEYS:
         if key not in model:
@@ -70,12 +74,8 @@ def read_config(path, overrides=None):
     mc = _parse_section(path, "model", model, _MODEL_KEYS)
     tc = _parse_section(path, "training", tr, _TRAIN_KEYS)
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key in _MODEL_KEYS:
-            mc[key] = val
-        elif key in _TRAIN_KEYS:
-            tc[key] = val
+        if val is not None:
+            (mc if key in _MODEL_KEYS else tc)[key] = val
     try:
         return ModelConfig(**mc), TR.TrainConfig(**tc)
     except ValueError as e:
@@ -83,13 +83,15 @@ def read_config(path, overrides=None):
 
 
 def _parse_section(path, name, section, parsers):
-    """The keys of one INI section that are present, parsed."""
+    """The keys of one INI section, parsed; a key that parsers lacks is an
+    error."""
     out = {}
-    for key, parse in parsers.items():
-        if key not in section:
-            continue
+    for key, raw in section.items():
+        if key not in parsers:
+            raise CliError(f"config {path}: unknown key '{key}' in [{name}]",
+                           code=2)
         try:
-            out[key] = parse(section[key])
+            out[key] = parsers[key](raw)
         except ValueError as e:
             raise CliError(f"config {path}: bad value for '{key}' in "
                            f"[{name}]: {e}", code=2)
@@ -161,8 +163,18 @@ def _dtype_for(precision):
     return np.float32 if precision == "f32" else np.float64
 
 
-def _load_split(args):
+def _load_schema(args, mcfg):
+    """The schema file, checked against the side features mcfg names."""
     schema = D.load_schema(args.schema)
+    try:
+        mcfg.fusion_inputs(schema)
+    except ValueError as e:
+        raise CliError(f"config {args.config}: {e}", code=2)
+    return schema
+
+
+def _load_split(args, mcfg):
+    schema = _load_schema(args, mcfg)
     catalog, sequences = D.load_dataset(args.data, args.items, schema)
     return schema, catalog, D.leave_one_out_split(sequences)
 
@@ -253,7 +265,7 @@ def cmd_train(args):
     mcfg, tcfg = read_config(args.config, overrides={
         "attention": args.attention, "fusion": args.fusion,
         "seed": args.seed})
-    schema, catalog, split = _load_split(args)
+    schema, catalog, split = _load_split(args, mcfg)
     with OutputDir(args.out) as out:
         model = Model(mcfg, schema, catalog, seed=tcfg.seed,
                       dtype=_dtype_for(args.precision))
@@ -294,7 +306,7 @@ def cmd_ablate(args):
     mcfg, tcfg = read_config(args.config, overrides={
         "attention": args.attention, "fusion": args.fusion,
         "seed": args.seed})
-    schema, catalog, split = _load_split(args)
+    schema, catalog, split = _load_split(args, mcfg)
     with OutputDir(args.out) as out:
         table = TR.ablate(schema, catalog, split, mcfg, tcfg, log=print)
         cols = _METRIC_COLS + ("fingerprint",)
@@ -310,14 +322,14 @@ def cmd_ablate(args):
 
 def cmd_compare(args):
     """Invasive vs non-invasive stack under a shared seed."""
-    schema, catalog, split = _load_split(args)
+    mcfg, tcfg = read_config(args.config, overrides={
+        "fusion": args.fusion, "seed": args.seed})
+    schema, catalog, split = _load_split(args, mcfg)
     rows = {}
     with OutputDir(args.out) as out:
         for attention in ("invasive", "nova"):
-            mcfg, tcfg = read_config(args.config, overrides={
-                "attention": attention, "fusion": args.fusion,
-                "seed": args.seed})
-            model = Model(mcfg, schema, catalog, seed=tcfg.seed,
+            model = Model(dataclasses.replace(mcfg, attention=attention),
+                          schema, catalog, seed=tcfg.seed,
                           dtype=_dtype_for(args.precision))
             _, test = TR.fit(model, split, tcfg,
                              log=lambda m, a=attention: print(f"[{a}] {m}"))
@@ -327,11 +339,8 @@ def cmd_compare(args):
         _write_json(out / "compare.json",
                     {"invasive": rows["invasive"], "nova": rows["nova"],
                      "diff": diff})
-        header = f"{'metric':>10} {'invasive':>10} {'nova':>10} {'diff':>10}"
-        print(header)
-        for c in _METRIC_COLS:
-            if c == "users":
-                continue
+        print(f"{'metric':>10} {'invasive':>10} {'nova':>10} {'diff':>10}")
+        for c in diff:
             print(f"{c:>10} {rows['invasive'][c]:>10.4f} "
                   f"{rows['nova'][c]:>10.4f} {diff[c]:>+10.4f}")
     return 0
@@ -395,7 +404,7 @@ def cmd_dump_attention(args):
 def cmd_profile(args):
     mcfg, _ = read_config(args.config, overrides={
         "attention": args.attention, "fusion": args.fusion})
-    schema = D.load_schema(args.schema)
+    schema = _load_schema(args, mcfg)
     catalog = D.load_items(args.items, schema)
     # behavior vocabularies are frozen from the interaction log when given
     if args.data:

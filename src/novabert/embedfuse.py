@@ -44,31 +44,26 @@ def real_rows(idx, rows):
     return idx.reshape((-1,) + idx.shape[2:])[rows]
 
 
-def embed_side_features(batch, params, schema, rows, features=None,
-                        use_position=True):
-    """Embed every side feature of a batch at the flat positions rows (see
-    :func:`real_rows`); multi-valued ones are mean-pooled.
+def embed_side_features(batch, params, features, rows, use_position):
+    """Embed a batch's side features, the FeatureSpecs features in fusion
+    order (see :meth:`model.ModelConfig.fusion_inputs`), at the flat
+    positions rows (see :func:`real_rows`), then position if use_position;
+    multi-valued features are mean-pooled.
 
-    Returns [N, h] tensors ordered: item features, behavior features,
-    position. A multi field's all-pad slot (a pad slot passed as a row)
-    pools to zero."""
+    Returns one [N, h] tensor per input, in that order. A multi field's
+    all-pad slot (a pad slot passed as a row) pools to zero."""
     out = []
-    for group in ("item", "behavior"):
-        for f in schema.features:
-            if f.kind != group:
-                continue
-            if features is not None and f.name not in features:
-                continue
-            table = params[f"emb.f.{f.name}"]
-            idx = real_rows(batch.features[f.name], rows)
-            emb = T.embedding_lookup(table, idx)
-            if idx.ndim == 2:  # multi-valued: mean over the real entries
-                present = (idx != 0)
-                # a count in the table's dtype keeps the weights in it
-                count = present.sum(axis=-1, keepdims=True).astype(table.dtype)
-                weights = present.astype(table.dtype) / np.maximum(count, 1)
-                emb = T.tsum(T.mul(emb, weights[..., None]), axis=-2)
-            out.append(emb)
+    for f in features:
+        table = params[f"emb.f.{f.name}"]
+        idx = real_rows(batch.features[f.name], rows)
+        emb = T.embedding_lookup(table, idx)
+        if idx.ndim == 2:  # multi-valued: mean over the real entries
+            present = (idx != 0)
+            # a count in the table's dtype keeps the weights in it
+            count = present.sum(axis=-1, keepdims=True).astype(table.dtype)
+            weights = present.astype(table.dtype) / np.maximum(count, 1)
+            emb = T.tsum(T.mul(emb, weights[..., None]), axis=-2)
+        out.append(emb)
     if use_position:
         out.append(T.embedding_lookup(params["emb.pos"],
                                       real_rows(batch.positions, rows)))

@@ -45,31 +45,41 @@ class ModelConfig:
     gating_mode: str = "softmax"       # "softmax" | "sigmoid"
 
     def __post_init__(self):
-        if self.hidden_size % self.num_heads:
-            raise ValueError(
-                f"hidden_size {self.hidden_size} not divisible by "
-                f"num_heads {self.num_heads}")
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if self.max_len < 2:
-            # an evaluation row is at least one history item plus the mask
-            raise ValueError(f"max_len must be >= 2, got {self.max_len}")
-        if self.attention not in ("invasive", "nova"):
-            raise ValueError(f"unknown attention kind {self.attention!r}")
-        if self.fusion not in ("add", "concat", "gating"):
-            raise ValueError(f"unknown fusion kind {self.fusion!r}")
-        if self.gating_mode not in ("softmax", "sigmoid"):
-            raise ValueError(f"unknown gating mode {self.gating_mode!r}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0 < self.mask_prob <= 1:
-            raise ValueError(
-                f"mask_prob must be in (0, 1], got {self.mask_prob}")
+        for key, ok, rule in (
+                ("hidden_size", self.hidden_size >= 1, ">= 1"),
+                ("num_heads", self.num_heads >= 1
+                 and self.hidden_size % self.num_heads == 0,
+                 "a divisor of hidden_size"),
+                ("num_layers", self.num_layers >= 1, ">= 1"),
+                # an evaluation row is one history item plus the mask
+                ("max_len", self.max_len >= 2, ">= 2"),
+                ("attention", self.attention in ("invasive", "nova"),
+                 "invasive or nova"),
+                ("fusion", self.fusion in ("add", "concat", "gating"),
+                 "add, concat or gating"),
+                ("gating_mode", self.gating_mode in ("softmax", "sigmoid"),
+                 "softmax or sigmoid"),
+                ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+                ("mask_prob", 0 < self.mask_prob <= 1, "in (0, 1]")):
+            if not ok:
+                raise ValueError(
+                    f"'{key}' must be {rule}, got {getattr(self, key)!r}")
 
-    def active_features(self, schema):
-        if self.features is None:
-            return [f.name for f in schema.features]
-        return list(self.features)
+    def fusion_inputs(self, schema):
+        """(side, k): the FeatureSpecs of schema a model of this config
+        fuses, in fusion order (item features, then behavior features, each
+        in schema order), and k, the number of inputs of every fusion site
+        (the item-ID representation, side and position if used). A features
+        entry the schema lacks is a ValueError that names every such entry."""
+        names = [f.name for f in schema.features]
+        unknown = [n for n in self.features or () if n not in names]
+        if unknown:
+            raise ValueError(
+                f"features {', '.join(map(repr, unknown))} not in the schema "
+                f"(it has {', '.join(names) or 'none'})")
+        side = [f for f in schema.item_features() + schema.behavior_features()
+                if self.features is None or f.name in self.features]
+        return side, 1 + len(side) + self.use_position
 
 
 def param_shapes(config, schema, m):
@@ -80,14 +90,14 @@ def param_shapes(config, schema, m):
     the parameters of its fusion kind: concat an FC from k*h back to h,
     gating the h->1 gate vector, add none."""
     h = config.hidden_size
-    feats = config.active_features(schema)
+    side, k = config.fusion_inputs(schema)
     shapes = {"emb.id": (m + 2, h)}
     if config.use_position:
         shapes["emb.pos"] = (config.max_len + 1, h)
+    # schema order, not fusion order: this order is Model's draw order
     for f in schema.features:
-        if f.name in feats:
+        if f in side:
             shapes[f"emb.f.{f.name}"] = (f.vocab_size, h)
-    k = 1 + len(feats) + (1 if config.use_position else 0)
 
     def linear(prefix, fan_in, fan_out, bias=True):
         shapes[prefix + ".w"] = (fan_in, fan_out)
@@ -130,6 +140,8 @@ class Model:
         self.schema = schema
         self.catalog = catalog
         self.dtype = dtype
+        # the side features every encode embeds, in fusion order
+        self.side, _ = config.fusion_inputs(schema)
         rng = np.random.default_rng(seed)
         # embedding tables uniform in +-EMB_INIT, weights Xavier-uniform,
         # layer-norm gains one; biases and the gate vectors (so gates start
@@ -209,17 +221,12 @@ class Model:
         if train or T.grad_enabled():
             return self._feed_forward_half(layer, res, out, train, rng), attn
         n, h = out.shape
-        step = max(3, FFN_BLOCK_BYTES // (FFN_MULT * h * out.dtype.itemsize))
-        edges = list(range(0, n, step)) + [n]
-        if n > step and n % step == 1:
-            # a one-row product runs as a matrix-vector product, which sums
-            # in another order than the matrix product of the whole rows;
-            # step >= 3 leaves the shortened block at least 2 rows
-            edges[-2] -= 1
+        step = max(1, FFN_BLOCK_BYTES // (FFN_MULT * h * out.dtype.itemsize))
         y = np.empty_like(out.data)
-        for lo, hi in zip(edges, edges[1:]):
-            y[lo:hi] = self._feed_forward_half(layer, res.data[lo:hi],
-                                               out.data[lo:hi], train, rng).data
+        for lo in range(0, n, step):
+            y[lo:lo + step] = self._feed_forward_half(
+                layer, res.data[lo:lo + step], out.data[lo:lo + step], train,
+                rng).data
         return Tensor(y), attn
 
     def invasive_layer(self, layer, x, layout, train=False, rng=None,
@@ -267,9 +274,8 @@ class Model:
         layout = T.AttentionLayout(batch.pad_mask)
         last = layout if positions is None else layout.at(positions)
         rows = layout.rows
-        side = EF.embed_side_features(batch, self.params, self.schema, rows,
-                                      features=cfg.active_features(self.schema),
-                                      use_position=cfg.use_position)
+        side = EF.embed_side_features(batch, self.params, self.side, rows,
+                                      cfg.use_position)
         x = T.embedding_lookup(self.params["emb.id"],
                                EF.real_rows(batch.items, rows))
         nova = cfg.attention == "nova"

@@ -65,11 +65,6 @@ def _linear(n_pos, d_in, d_out, bias=True):
     return MAC * n_pos * d_in * d_out + (n_pos * d_out if bias else 0)
 
 
-def _active_features(config, schema):
-    names = config.active_features(schema)
-    return [f for f in schema.features if f.name in names]
-
-
 def _fusion_flops(config, schema, n_apply):
     """FLOPs for fusing the hidden state with the side components.
 
@@ -77,8 +72,7 @@ def _fusion_flops(config, schema, n_apply):
     component); n_apply = how many times the fusion runs in the stack.
     """
     h, L = config.hidden_size, config.max_len
-    feats = _active_features(config, schema)
-    k = 1 + len(feats) + (1 if config.use_position else 0)
+    _, k = config.fusion_inputs(schema)
     if k == 1:
         return 0
     if config.fusion == "add":
@@ -92,14 +86,12 @@ def _fusion_flops(config, schema, n_apply):
     return n_apply * per
 
 
-def _embedding_flops(config, schema, num_items):
-    h, L = config.hidden_size, config.max_len
-    total = MAC * L * (num_items + 2) * h          # ID table (pad + mask rows)
-    if config.use_position:
-        total += MAC * L * (L + 1) * h
-    for f in _active_features(config, schema):
-        total += MAC * L * f.vocab_size * h
-    return total
+def _embedding_flops(config, shapes):
+    """One one-hot projection per position for each embedding table (ID,
+    position and side features) that shapes, a :func:`model.param_shapes`
+    table, holds."""
+    return sum(MAC * config.max_len * math.prod(shape)
+               for name, shape in shapes.items() if name.startswith("emb."))
 
 
 def _attention_flops(config):
@@ -128,10 +120,6 @@ def _ffn_flops(config):
     return config.num_layers * per_layer
 
 
-def _decoder_flops(config, num_items):
-    return _linear(config.max_len, config.hidden_size, num_items)
-
-
 def count_params(config, schema, num_items):
     """Parameter count: the sizes a Model of this shape allocates."""
     return sum(math.prod(s)
@@ -144,11 +132,12 @@ def profile_cost(config, schema, num_items):
     # invasive stack fuses once at the input.
     n_fuse = config.num_layers if config.attention == "nova" else 1
     breakdown = {
-        "embeddings": _embedding_flops(config, schema, num_items),
+        "embeddings": _embedding_flops(
+            config, param_shapes(config, schema, num_items)),
         "fusion": _fusion_flops(config, schema, n_fuse),
         "attention": _attention_flops(config),
         "ffn": _ffn_flops(config),
-        "decoder": _decoder_flops(config, num_items),
+        "decoder": _linear(config.max_len, config.hidden_size, num_items),
     }
     params = count_params(config, schema, num_items)
     return CostProfile(flops_total=sum(breakdown.values()),

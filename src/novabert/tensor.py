@@ -246,15 +246,19 @@ def mul(a, b):
 def linear(x, w, b=None):
     """x @ w (+ b) as one node; x is [..., k], w [k, n], b [n] or None.
 
-    The bias is added in place into the fresh product. The backward runs
-    two GEMMs over the rows of x flattened to [rows, k] and sums the bias
-    gradient over those rows."""
+    The bias is added in place into the fresh product. A lone row is the
+    first row of the product of two copies of it: numpy would run it as a
+    matrix-vector product, which sums in another order than a matrix
+    product, so a row's output would depend on how many rows share the
+    call. The backward runs two GEMMs over the rows of x flattened to
+    [rows, k] and sums the bias gradient over those rows."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError(
             f"linear inner dimensions differ: {x.shape} x {w.shape}")
     x2 = x.data.reshape(-1, w.shape[0])
-    out = x2 @ w.data
+    out = (x2 @ w.data if len(x2) != 1
+           else (np.concatenate([x2, x2]) @ w.data)[:1])
     parents = (x, w)
     if b is not None:
         b = _as_tensor(b)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,8 +39,16 @@ class TrainConfig:
     last_mask_frac: float = 0.1
 
     def __post_init__(self):
-        if not 0 <= self.warmup_frac < 1:
-            raise ValueError(f"warmup_frac must be in [0,1), got {self.warmup_frac}")
+        for key, ok, rule in (
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("eval_every", self.eval_every >= 1, ">= 1"),
+                ("learning_rate", self.learning_rate > 0, "> 0"),
+                ("clip_norm", self.clip_norm >= 0, ">= 0 (0: no clipping)"),
+                ("warmup_frac", 0 <= self.warmup_frac < 1, "in [0, 1)")):
+            if not ok:
+                raise ValueError(
+                    f"'{key}' must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -162,18 +171,10 @@ def ranks_from_scores(scores, targets):
 
 def metrics_from_ranks(ranks, fingerprint=""):
     ranks = np.asarray(ranks)
-    n = len(ranks)
-
-    def hr(k):
-        return float((ranks <= k).mean())
-
-    def ndcg(k):
-        gain = np.where(ranks <= k, 1.0 / np.log2(ranks + 1), 0.0)
-        return float(gain.mean())
-
-    return MetricsReport(hr1=hr(1), hr5=hr(5), hr10=hr(10),
-                         ndcg5=ndcg(5), ndcg10=ndcg(10), users=n,
-                         fingerprint=fingerprint)
+    hr = [float((ranks <= k).mean()) for k in (1, 5, 10)]
+    ndcg = [float(np.where(ranks <= k, 1.0 / np.log2(ranks + 1), 0.0).mean())
+            for k in (5, 10)]
+    return MetricsReport(*hr, *ndcg, users=len(ranks), fingerprint=fingerprint)
 
 
 def rank_all(model, pairs, batch_size=256, fingerprint=""):
@@ -188,12 +189,8 @@ def popularity_baseline(train_seqs):
     Returns the static ranking as a list of internal item IDs."""
     if not train_seqs:
         raise ValueError("empty training set")
-    counts = {}
-    for seq in train_seqs:
-        for it in seq.items:
-            counts[it] = counts.get(it, 0) + 1
-    items = sorted(counts, key=lambda it: (-counts[it], it))
-    return items
+    counts = Counter(it for seq in train_seqs for it in seq.items)
+    return sorted(counts, key=lambda it: (-counts[it], it))
 
 
 def popularity_metrics(ranking, pairs, m):
@@ -314,24 +311,23 @@ def fit(model, split, train_cfg, log=None):
 # ablation harness
 # ---------------------------------------------------------------------------
 
-def ablate(schema, catalog, split, model_cfg, train_cfg, subsets=None, log=None):
+def ablate(schema, catalog, split, model_cfg, train_cfg, log=None):
     """Train and test once per side-information subset, each by :func:`fit`
     from a model of seed train_cfg.seed.
 
-    subsets: name -> list of feature names (position always included).
-    Defaults to the four canonical rows: none / item / behavior / all.
-    Returns name -> the test MetricsReport of the best validation epoch."""
-    if subsets is None:
-        subsets = {
-            "none": [],
-            "item": [f.name for f in schema.item_features()],
-            "behavior": [f.name for f in schema.behavior_features()],
-            "all": [f.name for f in schema.features],
-        }
+    The subsets are the four canonical rows none / item / behavior / all,
+    position always included. Returns name -> the test MetricsReport of the
+    best validation epoch."""
+    subsets = {
+        "none": [],
+        "item": [f.name for f in schema.item_features()],
+        "behavior": [f.name for f in schema.behavior_features()],
+        "all": [f.name for f in schema.features],
+    }
     results = {}
     for name, feats in subsets.items():
-        model = Model(replace(model_cfg, features=list(feats)), schema,
-                      catalog, seed=train_cfg.seed)
+        model = Model(replace(model_cfg, features=feats), schema, catalog,
+                      seed=train_cfg.seed)
         results[name] = fit(
             model, split, train_cfg,
             log=(lambda msg, n=name: log(f"[{n}] {msg}")) if log else None)[1]

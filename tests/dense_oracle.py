@@ -165,12 +165,10 @@ def encode(model, batch, train=False, rng=None, positions=None):
     layout = T.AttentionLayout(batch.pad_mask)
     last = layout if positions is None else layout.at(positions)
     key_mask = batch.pad_mask[:, None, None, :]
-    feats = cfg.active_features(model.schema)
     # every slot is a row, pad slots included, laid back out as [B, L, h]
     B, L = batch.items.shape
     side = [DO.reshape(t, (B, L, t.shape[-1])) for t in EF.embed_side_features(
-        batch, params, model.schema, np.arange(B * L), features=feats,
-        use_position=cfg.use_position)]
+        batch, params, model.side, np.arange(B * L), cfg.use_position)]
     x = T.embedding_lookup(params["emb.id"], batch.items)
     nova = cfg.attention == "nova"
     if not nova:

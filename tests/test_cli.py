@@ -65,12 +65,46 @@ def test_missing_required_key_exits_2(toy, capsys):
     ("hidden_size = 8", "hidden_size = abc", "hidden_size"),
     ("dropout = 0.0", "dropout = high", "dropout"),
     ("epochs = 2", "epochs = two", "epochs"),
+    ("num_heads = 2", "num_heads = 0", "num_heads"),
+    # a misspelt key would otherwise leave its default in place unseen
+    ("dropout = 0.0", "dropuot = 0.3", "dropuot"),
+    ("learning_rate = 0.001", "learnig_rate = 1", "learnig_rate"),
+    ("[training]", "[trainig]", "trainig"),
+    # values that crash training or train the wrong way
+    ("epochs = 2", "epochs = 0", "epochs"),
+    ("epochs = 2", "epochs = -1", "epochs"),
+    ("batch_size = 16", "batch_size = 0", "batch_size"),
+    ("seed = 0", "seed = 0\neval_every = 0", "eval_every"),
+    ("learning_rate = 0.001", "learning_rate = -1", "learning_rate"),
+    ("seed = 0", "seed = 0\nclip_norm = -1", "clip_norm"),
 ])
 def test_non_numeric_value_exits_2(toy, capsys, old, new, key):
+    """A value that does not parse, a key or section the file format does
+    not have, or a value out of its range exits 2 naming it, before any
+    output."""
     toy["config"].write_text(CONFIG.replace(old, new))
     code = cli.main(["train"] + flags(toy))
     assert code == 2
     assert f"'{key}'" in capsys.readouterr().err
+    assert not toy["out"].exists()
+
+
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+@pytest.mark.parametrize("command", ["train", "compare", "ablate", "profile"])
+def test_feature_the_schema_lacks_exits_2(toy, capsys, command, fusion):
+    """features must name schema features: a typo exits 2 naming it, with
+    no traceback and no output, whatever the fusion kind."""
+    toy["config"].write_text(CONFIG.replace(
+        "dropout = 0.0", f"dropout = 0.0\nfusion = {fusion}\n"
+                         "features = rating, ratng"))
+    args = flags(toy) if command != "profile" else [
+        "--config", str(toy["config"]), "--items", str(toy["items"]),
+        "--schema", str(toy["schema"]), "--out", str(toy["out"])]
+    assert cli.main([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'ratng'" in err
+    assert "'rating'" not in err and "Traceback" not in err
+    assert not toy["out"].exists()
 
 
 def test_absent_keys_take_dataclass_defaults(tmp_path):

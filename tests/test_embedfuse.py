@@ -210,7 +210,7 @@ def test_integrated_no_side_add_equals_id(small_batch):
     params = small_model(schema, catalog, 1, features=[],
                          use_position=False).params
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, schema, rows, features=[],
+    side = EF.embed_side_features(batch, params, [], rows,
                                   use_position=False)
     assert side == []
     r_id = T.embedding_lookup(params["emb.id"], items)
@@ -222,7 +222,8 @@ def test_integrated_position_only_is_additive(small_batch):
     schema, catalog, batch = small_batch
     params = small_model(schema, catalog, 2, features=[]).params
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, schema, rows, features=[])
+    side = EF.embed_side_features(batch, params, [], rows,
+                                  use_position=True)
     r_id = T.embedding_lookup(params["emb.id"], items)
     r = EF.integrated_embeddings(r_id, side, "add", {})
     assert r.shape == (len(rows), 8)
@@ -237,7 +238,8 @@ def test_integrated_full_matches_straight_line_oracle(small_batch):
     params, fp = model.params, model.fusion[0]
     fp["wf"].data[:] = np.random.default_rng(3).standard_normal((8, 1))
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, schema, rows)
+    side = EF.embed_side_features(batch, params, model.side, rows,
+                                  use_position=True)
     r = EF.integrated_embeddings(
         T.embedding_lookup(params["emb.id"], items), side, "gating", fp)
     # oracle: dense lookups then gating, all in plain numpy, read at the
@@ -259,7 +261,8 @@ def test_gradients_reach_all_tables(small_batch):
     model = small_model(schema, catalog, 4, fusion="concat")
     params = model.params
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, schema, rows)
+    side = EF.embed_side_features(batch, params, model.side, rows,
+                                  use_position=True)
     r = EF.integrated_embeddings(
         T.embedding_lookup(params["emb.id"], items), side, "concat",
         model.fusion[0])
@@ -281,14 +284,14 @@ def test_multi_feature_mean_pools_the_rows_asked_for():
     B, L = batch.items.shape
     table = model.params["emb.f.genre"].data
     idx = batch.features["genre"].reshape(B * L, -1)
-    every, = EF.embed_side_features(batch, model.params, model.schema,
-                                    np.arange(B * L), features=["genre"],
-                                    use_position=False)
+    genre = [f for f in model.schema.features if f.name == "genre"]
+    every, = EF.embed_side_features(batch, model.params, genre,
+                                    np.arange(B * L), use_position=False)
     for r in range(B * L):
         ids = idx[r][idx[r] != 0]
         expect = table[ids].mean(axis=0) if len(ids) else 0.0 * table[0]
         assert np.allclose(every.data[r], expect, atol=1e-15)
     rows = np.flatnonzero(batch.pad_mask)
-    real, = EF.embed_side_features(batch, model.params, model.schema, rows,
-                                   features=["genre"], use_position=False)
+    real, = EF.embed_side_features(batch, model.params, genre, rows,
+                                   use_position=False)
     assert np.array_equal(real.data, every.data[rows])

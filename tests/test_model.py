@@ -46,7 +46,9 @@ def test_config_validation():
     for bad in (dict(dropout=1.0), dict(dropout=-0.1),
                 dict(dropout=float("nan")), dict(mask_prob=0.0),
                 dict(mask_prob=1.5), dict(gating_mode="relu"),
-                dict(max_len=1), dict(max_len=0)):
+                dict(max_len=1), dict(max_len=0), dict(num_heads=0),
+                dict(hidden_size=0, num_heads=1),
+                dict(hidden_size=-8, num_heads=2)):
         with pytest.raises(ValueError):
             ModelConfig(**{**base, **bad})
     for ok in (dict(dropout=0.0), dict(mask_prob=1.0),
@@ -384,21 +386,35 @@ def block_bytes(model, rows):
 def test_blocked_evaluation_matches_one_block(monkeypatch, attention, fusion,
                                               dtype):
     """Evaluation runs the part of each layer after attention in row
-    blocks; 7-row blocks, the last of a layer partial, give the scores of
-    one block over every row."""
+    blocks; 7-row blocks, whose last in layer 0 has one row (64 = 7 * 9 +
+    1), give the scores of one block over every row, bit for bit."""
     model, pairs = eval_setup(attention, fusion, dtype)
     monkeypatch.setattr(M, "FFN_BLOCK_BYTES", 1 << 40)
     whole, _ = TR.score_pairs(model, pairs)
     monkeypatch.setattr(M, "FFN_BLOCK_BYTES", block_bytes(model, 7))
     blocked, _ = TR.score_pairs(model, pairs)
     assert blocked.dtype == dtype
-    assert np.abs(blocked - whole).max() < 1e-12
+    assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scores_do_not_depend_on_the_batch_size(dtype):
+    """A user's scores are the same whatever batch it is scored in,
+    including a chunk that holds that user alone. The 7 users have equal
+    lengths, so every batching runs attention at the same length."""
+    model, _ = eval_setup("nova", "gating", dtype)
+    _, _, seqs = branching_dataset(m=11, n_seq=12, length=9, seed=0)
+    pairs = D.leave_one_out_split(seqs).validation[:7]
+    assert {len(p.items) for p in pairs} == {model.config.max_len - 1}
+    whole, _ = TR.score_pairs(model, pairs, batch_size=7)
+    for batch_size in (1, 2, 3, 6):
+        scores, _ = TR.score_pairs(model, pairs, batch_size=batch_size)
+        assert np.array_equal(scores, whole), batch_size
 
 
 def test_feed_forward_rows_per_call(monkeypatch):
-    """GELU sees at most a block of rows in evaluation, never a block of
-    one row, and every computed row at once in a training step and in a
-    recorded forward pass."""
+    """GELU sees at most a block of rows in evaluation, and every computed
+    row at once in a training step and in a recorded forward pass."""
     model, pairs = eval_setup("nova", "gating")
     monkeypatch.setattr(M, "FFN_BLOCK_BYTES", block_bytes(model, 7))
     rows, gelu = [], T.gelu
@@ -407,10 +423,10 @@ def test_feed_forward_rows_per_call(monkeypatch):
     TR.score_pairs(model, pairs)
     batch = D.make_eval_batch(pairs, model.schema, model.catalog, 8)
     n = int(batch.pad_mask.sum())
-    # layer 0 computes the 64 real tokens, 7 * 9 + 1, so its last two
-    # blocks are 6 and 2 rows; the last layer computes the 12 read rows
+    # layer 0 computes the 64 real tokens, 7 * 9 + 1, so its last block
+    # is one row; the last layer computes the 12 read rows
     assert n == 64 and len(pairs) == 12
-    assert rows == [7] * 8 + [6, 2] + [7, 5]
+    assert rows == [7] * 9 + [1] + [7, 5]
     for train in (True, False):
         rows.clear()
         model.loss(batch, train=train, rng=np.random.default_rng(0))

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from novabert import profiler as P
 from novabert.data import FeatureSpec, SideInfoSchema
-from novabert.model import ModelConfig
+from novabert.model import Model, ModelConfig, param_shapes
 
 
 def empty_schema():
@@ -90,3 +93,103 @@ def test_breakdown_invariant_enforced():
     with pytest.raises(ValueError):
         P.CostProfile(flops_total=10, flops_breakdown={"a": 3}, params=1,
                       param_bytes=4)
+
+
+def behavior_first_schema():
+    """movie_schema's features with the behavior feature listed first."""
+    year, genre, rating = movie_schema().features
+    return SideInfoSchema([rating, year, genre])
+
+
+GRID_FEATURES = {"all": None, "none": [], "item": ["genre", "year"],
+                 "behavior": ["rating"]}
+# profile_cost(...).flops_total and count_params of the grid below (h=8, two
+# heads, two layers, L=6, 20 items), recorded before the side features were
+# resolved in one place: per (attention, fusion), the features of
+# GRID_FEATURES in order, each with use_position on, then off. Both schemas
+# give these numbers.
+RECORDED_TOTALS = {
+    ("invasive", "add"): [(43512, 2860), (42792, 2804), (32808, 1980),
+                          (32088, 1924), (42792, 2804), (42072, 2748),
+                          (33528, 2036), (32808, 1980)],
+    ("invasive", "concat"): [(47208, 3188), (45768, 3068), (34344, 2116),
+                             (32088, 1996), (45768, 3068), (44328, 2948),
+                             (35784, 2236), (34344, 2116)],
+    ("invasive", "gating"): [(44430, 2868), (43536, 2812), (33204, 1988),
+                             (32088, 1932), (43536, 2812), (42642, 2756),
+                             (34098, 2044), (33204, 1988)],
+    ("nova", "add"): [(43704, 2860), (42936, 2804), (32856, 1980),
+                      (32088, 1924), (42936, 2804), (42168, 2748),
+                      (33624, 2036), (32856, 1980)],
+    ("nova", "concat"): [(51096, 3516), (48888, 3332), (35928, 2252),
+                         (32088, 2068), (48888, 3332), (46680, 3148),
+                         (38136, 2436), (35928, 2252)],
+    ("nova", "gating"): [(45540, 2876), (44424, 2820), (33648, 1996),
+                         (32088, 1940), (44424, 2820), (43308, 2764),
+                         (34764, 2052), (33648, 1996)],
+}
+# sha256 of the JSON (sort_keys) of every grid entry's [key, to_dict(),
+# count_params, list(param_shapes)], recorded at the same point
+RECORDED_DIGEST = \
+    "fa26d40c5d2d09f67ea0c2d4a0d9de69bae8325c1cbea4e9ff7d7a4a215e0073"
+
+
+def test_costs_and_shapes_equal_recorded_values():
+    """Every breakdown, parameter count and parameter-table key order over
+    both attentions, every fusion kind, four feature sets and position on
+    and off, on two schemas, equals the values recorded before the side
+    features were resolved in one place."""
+    items, totals = [], {}
+    for sname, schema in (("movie", movie_schema()),
+                          ("behavior_first", behavior_first_schema())):
+        for attention in ("invasive", "nova"):
+            for fusion in ("add", "concat", "gating"):
+                for fname, feats in GRID_FEATURES.items():
+                    for pos in (True, False):
+                        cfg = ModelConfig(hidden_size=8, num_heads=2,
+                                          num_layers=2, max_len=6,
+                                          attention=attention, fusion=fusion,
+                                          features=feats, use_position=pos)
+                        prof = P.profile_cost(cfg, schema, 20)
+                        params = P.count_params(cfg, schema, 20)
+                        items.append([[sname, attention, fusion, fname, pos],
+                                      prof.to_dict(), params,
+                                      list(param_shapes(cfg, schema, 20))])
+                        totals.setdefault((sname, attention, fusion), []) \
+                            .append((prof.flops_total, params))
+    for (_, attention, fusion), got in totals.items():
+        assert got == RECORDED_TOTALS[attention, fusion], (attention, fusion)
+    blob = json.dumps(items, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == RECORDED_DIGEST
+
+
+@pytest.mark.parametrize("features,names,k", [
+    (None, ["year", "genre", "rating"], 5),
+    (["rating", "genre"], ["genre", "rating"], 4),
+    (["rating"], ["rating"], 3),
+    ([], [], 2),
+])
+def test_fusion_inputs_in_fusion_order(features, names, k):
+    """Item features, then behavior features, each in schema order, whatever
+    order the config lists them in; k counts the ID and position inputs."""
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=4,
+                      features=features)
+    side, got_k = cfg.fusion_inputs(behavior_first_schema())
+    assert [f.name for f in side] == names and got_k == k
+
+
+def test_feature_the_schema_lacks_is_refused():
+    """Every entry the schema lacks is named, by each reader of the
+    config's side features, for every fusion kind."""
+    schema = movie_schema()
+    for fusion in ("add", "concat", "gating"):
+        cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1,
+                          max_len=4, fusion=fusion,
+                          features=["ratng", "rating", "yaer"])
+        for call in (lambda: cfg.fusion_inputs(schema),
+                     lambda: param_shapes(cfg, schema, 20),
+                     lambda: P.profile_cost(cfg, schema, 20),
+                     lambda: P.count_params(cfg, schema, 20),
+                     lambda: Model(cfg, schema, None)):
+            with pytest.raises(ValueError, match="'ratng', 'yaer'"):
+                call()

@@ -2,15 +2,18 @@
 of a training step and an evaluation; the benchmark's own correctness
 checks pass on the program; every public op of the tensor module has a
 caller in the program, and every other public name a reader; no module of
-the program reads another's private names."""
+the program reads another's private names; the config file's keys are the
+fields of the config dataclasses."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from novabert import cli
 from novabert import data as D
 from novabert import tensor as T
 from novabert import train as TR
@@ -235,3 +238,17 @@ def test_no_module_reads_another_modules_private_names():
     found = {path.name: _foreign_private_reads(path.read_text(), path.stem)
              for path in SRC.glob("*.py")}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_config_keys_are_dataclass_fields():
+    """Every INI key the CLI reads sets a field of its config dataclass, and
+    the required [model] keys are exactly the ModelConfig fields without a
+    default."""
+    for keys, cls in ((cli._MODEL_KEYS, ModelConfig),
+                      (cli._TRAIN_KEYS, TR.TrainConfig)):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(keys) <= fields, set(keys) - fields
+    assert set(cli.REQUIRED_MODEL_KEYS) == {
+        f.name for f in dataclasses.fields(ModelConfig)
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING}
