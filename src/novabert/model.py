@@ -254,12 +254,13 @@ class Model:
         positions (b * L + l, strictly increasing, real tokens), or by
         default every real token in flat order. Every position-wise op
         (lookups, fusion, projections, FFN, layer norm, dropout) runs on the
-        N real tokens only, as [N, h]. The attention core runs over length
-        buckets (see :class:`tensor.AttentionLayout`), built once per batch
-        from its pad mask. The last layer runs its query side for the read
-        rows only, while its K and V still read every real token. Dropout
-        draws its masks at these packed shapes, so the random stream
-        depends on which rows are read.
+        N real tokens only, as [N, h]. The attention core runs one group per
+        row length (see :class:`tensor.AttentionLayout`), built once per
+        batch from its pad mask, so a row's output does not depend on the
+        other rows of the batch. The last layer runs its query side for the
+        read rows only, while its K and V still read every real token.
+        Dropout draws its masks at these packed shapes, so the random
+        stream depends on which rows are read.
 
         The maps (collect_attn, which needs every query row) are
         [B, H, L, L], zero at pad query rows and pad keys."""

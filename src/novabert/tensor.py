@@ -7,13 +7,13 @@ it in reverse, accumulating gradients into every ``requires_grad`` leaf.
 
 Activations are packed rows: one row per real token of a padded batch,
 never a padded [B, L, ...] array. Multi-head attention is one node
-(:func:`scaled_dot_attention`) over those rows, grouped into length
-buckets by an :class:`AttentionLayout`; it saves only its probabilities
-and dropout keep mask and has a hand-written backward. Dropout draws its
-masks at these packed shapes: :func:`dropout` at the rows it is given,
-attention one mask per length bucket. :func:`take_rows` picks the rows a
-later op reads, and :func:`cross_entropy_masked` scores every row it is
-given. :func:`linear` is matmul plus bias as one node, and
+(:func:`scaled_dot_attention`) over those rows, grouped by exact row
+length by an :class:`AttentionLayout`, so no key is a pad; it saves only
+its probabilities and dropout keep mask and has a hand-written backward.
+Dropout draws its masks at these packed shapes: :func:`dropout` at the
+rows it is given, attention one mask per row length. :func:`take_rows`
+picks the rows a later op reads, and :func:`cross_entropy_masked` scores
+every row it is given. :func:`linear` is matmul plus bias as one node, and
 :func:`gated_sum` is the gated fusion of side information as one node. The
 per-token backwards reuse their forward work: the loss normalizes the
 exponentials its forward kept, GELU keeps only its input and ``tanh``, and
@@ -47,8 +47,6 @@ from novabert import kernels
 
 DEFAULT_DTYPE = np.float64
 _DEBUG = os.environ.get("NOVABERT_DEBUG", "0") == "1"
-
-NEG_INF = -1e30  # score of a masked key; exp() underflows to exactly 0.0
 
 
 class ShapeMismatchError(ValueError):
@@ -565,9 +563,6 @@ def cross_entropy_masked(logits, labels):
 # attention
 # ---------------------------------------------------------------------------
 
-ATTENTION_BUCKETS = 4  # at most this many length groups per batch
-
-
 class AttentionLayout:
     """Where the real tokens of a right-aligned [B, L] batch sit, in the
     length groups that :func:`scaled_dot_attention` runs over.
@@ -577,15 +572,13 @@ class AttentionLayout:
     every real token, or after :meth:`at` a subset of them, in which case
     ``picked`` indexes them among the N real-token rows.
 
-    Batch rows are sorted by length and cut into at most ATTENTION_BUCKETS
-    groups of equal count; neighbouring groups with the same longest row are
-    merged. A group runs at the length l of its longest row, over the last l
-    slots of its rows, which hold all their real tokens: a shorter row only
-    brings leading pad slots. Per group, ``keys`` holds (batch rows, l, the
-    real-token row of each key slot [b, l] (0 at pads), which key slots are
-    real [b, l]); ``queries`` holds (the query row of each query slot
-    [b, r] (0 at pads), its slot within the L positions [b, r], which query
-    slots are real [b, r]).
+    Batch rows are grouped by their exact length, in ascending order, so a
+    group of length l runs over the last l slots of its rows, which are all
+    real: no group holds a pad key, and a row's attention does not depend
+    on the other rows of its batch. Per group, ``keys`` holds (batch rows,
+    l, the real-token row of each key slot [b, l]); ``queries`` holds (the
+    query row of each query slot [b, r] (0 at pads), its slot within the L
+    positions [b, r], which query slots are real [b, r]).
     """
 
     def __init__(self, pad_mask):
@@ -598,27 +591,27 @@ class AttentionLayout:
         if not np.array_equal(pad_mask, np.arange(L) >= L - lengths[:, None]):
             raise ValueError("real tokens must be right-aligned in each row")
         self.shape, self.pad_mask = (B, L), pad_mask
-        self.rows = self.pos = np.flatnonzero(pad_mask)
+        self.rows = np.flatnonzero(pad_mask)
         self.picked = None
-        groups = []
-        for part in np.array_split(np.argsort(lengths, kind="stable"),
-                                   min(ATTENTION_BUCKETS, B)):
-            if groups and lengths[groups[-1]].max() == lengths[part].max():
-                groups[-1] = np.concatenate([groups[-1], part])
-            else:
-                groups.append(part)
-        row_of = np.zeros(B * L, dtype=np.int64)
-        row_of[self.rows] = np.arange(len(self.rows))
-        self.keys, self.queries = [], []
-        for bi in groups:
-            bi = np.sort(bi)
-            l = int(lengths[bi].max())
-            slots = np.arange(L - l, L)
-            idx = row_of[bi[:, None] * L + slots]
-            real = pad_mask[bi][:, L - l:]
-            self.keys.append((bi, l, idx, real))
-            self.queries.append(
-                (idx, np.broadcast_to(slots, real.shape), real))
+        first = np.cumsum(lengths) - lengths
+        self.keys = []
+        for l in sorted(set(lengths.tolist())):
+            bi = np.flatnonzero(lengths == l)
+            self.keys.append((bi, l, first[bi][:, None] + np.arange(l)))
+        self._place_queries(self.rows)
+
+    def _place_queries(self, pos):
+        """Make the real tokens at the flat positions pos the query rows,
+        grouped as the keys are."""
+        B, L = self.shape
+        counts = np.bincount(pos // L, minlength=B)
+        first = np.cumsum(counts) - counts
+        self.pos, self.queries = pos, []
+        for bi, _, _ in self.keys:
+            real = np.arange(counts[bi].max()) < counts[bi][:, None]
+            idx = np.where(real, first[bi][:, None] + np.arange(real.shape[1]),
+                           0)
+            self.queries.append((idx, pos[idx] % L, real))
 
     def at(self, pos):
         """This layout with queries at the flat positions pos only.
@@ -631,16 +624,9 @@ class AttentionLayout:
                          or not np.array_equal(self.rows[picked], pos)):
             raise ValueError("query positions must be increasing real-token "
                              "positions")
-        B, L = self.shape
-        counts = np.bincount(pos // L, minlength=B)
-        first = np.cumsum(counts) - counts
         out = copy.copy(self)
-        out.pos, out.picked, out.queries = pos, picked, []
-        for bi, _, _, _ in self.keys:
-            real = np.arange(counts[bi].max()) < counts[bi][:, None]
-            idx = np.where(real, first[bi][:, None] + np.arange(real.shape[1]),
-                           0)
-            out.queries.append((idx, pos[idx] % L, real))
+        out.picked = picked
+        out._place_queries(pos)
         return out
 
 
@@ -659,11 +645,11 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
 
     q: the query rows [layout.pos, h]; k, v: the real-token rows
     [layout.rows, h]; h = heads * d. Each length group of the layout runs
-    at its own length: 1/sqrt(d) is folded into the gathered Q in place,
-    pad keys get the score NEG_INF in place (no mask array), the softmax
-    is written over the scores, and the query rows of one sequence attend
-    to its own keys only. Attention dropout draws one keep mask per
-    group at the shape of its probabilities [b, H, r, l], in group order.
+    at its own length, over real keys only: 1/sqrt(d) is folded into the
+    gathered Q in place, the softmax is written over the scores, and the
+    query rows of one sequence attend to its own keys only. Attention
+    dropout draws one keep mask per group at the shape of its
+    probabilities [b, H, r, l], in group order.
     Only the probabilities and the boolean keep masks are saved; the
     backward gathers Q, K, V again and writes dQ, dK, dV rows with plain
     index writes.
@@ -691,13 +677,12 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     out = np.empty_like(q.data)
     oh = out.reshape(-1, heads, d)
     saved = []
-    for (bi, l, kidx, kreal), (qidx, qslot, qreal) in zip(layout.keys,
-                                                          layout.queries):
+    for (bi, l, kidx), (qidx, qslot, qreal) in zip(layout.keys,
+                                                   layout.queries):
         qg = _gather_heads(qh, qidx, qreal)
         qg *= c
         s = qg @ _gather_heads(kh, kidx).swapaxes(-1, -2)     # [b, H, r, l]
         del qg
-        np.copyto(s, NEG_INF, where=~kreal[:, None, None, :])
         p = kernels.softmax_rows(s.reshape(-1, l)).reshape(s.shape)
         if collect:
             attn[bi[:, None, None], hh, qslot[:, None, :], L - l:] = (
@@ -715,13 +700,13 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
         gh = g.reshape(-1, heads, d)
         dq, dk, dv = (np.empty_like(t.data) for t in (q, k, v))
         dqh, dkh, dvh = (a.reshape(-1, heads, d) for a in (dq, dk, dv))
-        for (_, _, kidx, kreal), (qidx, _, qreal), (p, kept) in zip(
+        for (_, _, kidx), (qidx, _, qreal), (p, kept) in zip(
                 layout.keys, layout.queries, saved):
             go = _gather_heads(gh, qidx, qreal)               # [b, H, r, d]
             m = None if kept is None else kept.astype(p.dtype) * scale
             pd = p if m is None else p * m
             dv_g = pd.swapaxes(-1, -2) @ go
-            dvh[kidx[kreal]] = dv_g.transpose(0, 2, 1, 3)[kreal]
+            dvh[kidx] = dv_g.transpose(0, 2, 1, 3)
             ds = go @ _gather_heads(vh, kidx).swapaxes(-1, -2)  # dP, [b,H,r,l]
             if m is not None:
                 ds *= m
@@ -733,7 +718,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
             qg = _gather_heads(qh, qidx, qreal)
             qg *= c
             dk_g = ds.swapaxes(-1, -2) @ qg
-            dkh[kidx[kreal]] = dk_g.transpose(0, 2, 1, 3)[kreal]
+            dkh[kidx] = dk_g.transpose(0, 2, 1, 3)
         _accumulate(q, dq)
         _accumulate(k, dk)
         _accumulate(v, dv)

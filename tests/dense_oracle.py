@@ -12,9 +12,10 @@ it computes, and one [b, H, r, l] mask per attention length group. A
 :class:`Recorder`, passed to the packed model as its generator, keeps each
 draw; a :class:`Replay` of those draws, passed here, places each one at its
 dense positions, in the order Model.encode draws them, and keeps every slot
-no draw covers (pad slots, pad keys, rows no loss reads). Under the same
-masks the two must give the same loss and the same gradients up to
-summation order, and the dense chain must consume every recorded draw.
+no draw covers: pad slots and rows no loss reads. An attention group holds
+one row length, so its draws cover no pad key. Under the same masks the two
+must give the same loss and the same gradients up to summation order, and
+the dense chain must consume every recorded draw.
 """
 
 import math
@@ -25,6 +26,9 @@ import numpy as np
 import dense_ops as DO
 from novabert import embedfuse as EF
 from novabert import tensor as T
+
+
+NEG_INF = -1e30  # additive score of a masked key; exp() underflows to 0.0
 
 
 class Recorder:
@@ -67,8 +71,8 @@ class Replay:
         def random(shape):
             dense = np.ones(shape)
             heads, L = np.arange(shape[1]), shape[-1]
-            for (bi, l, _, _), (_, qslot, qreal) in zip(layout.keys,
-                                                        layout.queries):
+            for (bi, l, _), (_, qslot, qreal) in zip(layout.keys,
+                                                     layout.queries):
                 b, r = np.nonzero(qreal)
                 dense[bi[b][:, None], heads, qslot[b, r][:, None], L - l:] = (
                     self._next()[b, :, r])
@@ -103,7 +107,7 @@ def attention(q, k, v, key_mask, p, rng, train):
     d = q.shape[-1]
     axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
     scores = T.mul(DO.matmul(q, T.transpose(k, axes)), 1.0 / np.sqrt(d))
-    scores = T.add(scores, np.where(key_mask, 0.0, T.NEG_INF))
+    scores = T.add(scores, np.where(key_mask, 0.0, NEG_INF))
     attn = DO.softmax_lastdim(scores)
     return DO.matmul(T.dropout(attn, p, rng, train), v), attn
 

@@ -398,6 +398,21 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, attention, fusion,
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+def test_scores_do_not_depend_on_the_other_users(attention, fusion, dtype):
+    """Users of 2 to 7 history items get, at every batch size from 1 to all
+    12, the scores of one batch over all of them, bit for bit: attention
+    runs one group per row length, so no user's sums run over the pad keys
+    of a longer user in its batch."""
+    model, pairs = eval_setup(attention, fusion, dtype)
+    whole, _ = TR.score_pairs(model, pairs, batch_size=len(pairs))
+    for batch_size in range(1, len(pairs)):
+        scores, _ = TR.score_pairs(model, pairs, batch_size=batch_size)
+        assert np.array_equal(scores, whole), batch_size
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_scores_do_not_depend_on_the_batch_size(dtype):
     """A user's scores are the same whatever batch it is scored in,
     including a chunk that holds that user alone. The 7 users have equal

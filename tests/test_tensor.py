@@ -198,23 +198,24 @@ def test_attention_layout_rejects_left_aligned_rows():
 
 @pytest.mark.parametrize("lengths,groups", [
     ([8], [(1, 8)]),                          # a single row at the full length
-    ([5, 5, 5, 5, 5], [(5, 5)]),              # one length: one bucket
-    ([8, 8, 8, 8, 2, 8, 8, 8], [(8, 8)]),     # 2 shares a group with an 8
-    ([8, 8, 1, 8, 8, 1, 8, 8], [(2, 1), (6, 8)]),   # equal-max groups merge
-    ([2, 6, 8, 3, 7, 1, 4, 5], [(2, 2), (2, 4), (2, 6), (2, 8)]),
+    ([5, 5, 5, 5, 5], [(5, 5)]),              # one length: one group
+    ([8, 8, 8, 8, 2, 8, 8, 8], [(1, 2), (7, 8)]),   # a short row alone
+    ([8, 8, 1, 8, 8, 1, 8, 8], [(2, 1), (6, 8)]),
+    ([2, 6, 8, 3, 7, 1, 4, 5], [(1, l) for l in range(1, 9)]),
 ])
 def test_attention_layout_buckets(lengths, groups):
-    """Rows sorted by length, cut into at most 4 equal-count groups, equal
-    neighbours merged; each group runs at its longest row over the last l
-    slots, which hold every real token of its rows."""
+    """One group per row length, in ascending order: every row of a group
+    has its length l, each batch row is in exactly one group, and a group's
+    l key slots are its rows' real tokens, so no key is a pad."""
     layout = right_aligned(lengths, 8)
-    assert [(len(bi), l) for bi, l, _, _ in layout.keys] == groups
-    seen = np.concatenate([bi for bi, _, _, _ in layout.keys])
+    assert [(len(bi), l) for bi, l, _ in layout.keys] == groups
+    seen = np.concatenate([bi for bi, _, _ in layout.keys])
     assert sorted(seen) == list(range(len(lengths)))
-    for bi, l, idx, real in layout.keys:
-        assert np.array_equal(real.sum(axis=1), np.asarray(lengths)[bi])
-        expect = [b * 8 + s for b in bi for s in range(8 - lengths[b], 8)]
-        assert np.array_equal(layout.rows[idx[real]], expect)
+    for bi, l, idx in layout.keys:
+        assert np.all(np.asarray(lengths)[bi] == l)
+        assert idx.shape == (len(bi), l)
+        expect = [b * 8 + s for b in bi for s in range(8 - l, 8)]
+        assert np.array_equal(layout.rows[idx].ravel(), expect)
 
 
 def test_attention_layout_query_positions_checked():
@@ -368,16 +369,18 @@ def test_fd_attention_masked():
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 @pytest.mark.parametrize("subset", [False, True])
 def test_fd_attention_buckets(subset, dropout):
-    """The fused backward against finite differences: pad keys inside a
-    bucket, a query subset with fewer rows than keys, and dropout with a
-    fixed keep mask (the generator is re-seeded for every evaluation)."""
+    """The fused backward against finite differences: rows of mixed lengths,
+    a query subset with fewer rows than keys and padded query slots, and
+    dropout with a fixed keep mask (the generator is re-seeded for every
+    evaluation)."""
     rng = np.random.default_rng(24)
     layout = right_aligned([3, 1, 4, 2, 4], 4)
-    assert any((~real).any() for _, _, _, real in layout.keys)
+    assert len(layout.keys) == 4
     if subset:
         layout = layout.at(layout.rows[[0, 2, 5, 7, 9, 13]])
-        assert any(idx.shape[1] < l for (_, l, _, _), (idx, _, _)
+        assert any(idx.shape[1] < l for (_, l, _), (idx, _, _)
                    in zip(layout.keys, layout.queries))
+        assert any((~real).any() for _, _, real in layout.queries)
     n, h = len(layout.rows), 6
     q, k, v = (rand((len(layout.pos), h), rng), rand((n, h), rng),
                rand((n, h), rng))
@@ -395,7 +398,7 @@ def test_fd_attention_buckets(subset, dropout):
 @pytest.mark.parametrize("queries", ["all", "every_third", "last"])
 @pytest.mark.parametrize("lengths", [
     [8],                      # a single row, at the full length
-    [5, 5, 5, 5, 5],          # all rows the same length: one bucket
+    [5, 5, 5, 5, 5],          # all rows the same length: one group
     [2, 6, 8, 3, 7, 1, 4],    # a length-2 (eval-sized) row and a full row
 ])
 def test_attention_matches_dense_chain(lengths, queries):
@@ -454,7 +457,7 @@ def test_attention_matches_dense_chain(lengths, queries):
         assert np.abs(a - b).max() < 1e-12
     assert [r.shape for r in rec.draws] == [
         (len(bi), H, idx.shape[1], l)
-        for (bi, l, _, _), (idx, _, _) in zip(lay.keys, lay.queries)]
+        for (bi, l, _), (idx, _, _) in zip(lay.keys, lay.queries)]
     assert replay.used == len(rec.draws)
     if fa is not None:
         q_real = layout.pad_mask[:, None, :, None]
