@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from novabert.data import FeatureSpec, SideInfoSchema, build_catalog
-from novabert.model import Model, ModelConfig
+from novabert.model import Model, ModelConfig, param_shapes
 
 VERSION = 2
 
@@ -114,22 +114,23 @@ def load_checkpoint(path):
             f"{path}: parameters must be all float32 or all float64, got "
             f"{sorted(str(d) for d in dtypes)}")
     dtype = next(iter(dtypes), np.dtype(np.float64)).type
-    model = Model(ModelConfig(**index["config"]), schema, catalog, seed=0,
-                  dtype=dtype)
+    config = ModelConfig(**index["config"])
+    shapes = param_shapes(config, schema, catalog.m)
 
-    expected = set(model.params)
+    expected = set(shapes)
     if index["optimizer"] is not None:
-        expected |= {f"opt.{k}.{n}" for k in "mv" for n in model.params}
+        expected |= {f"opt.{k}.{n}" for k in "mv" for n in shapes}
     if set(arrays) != expected:
         # a damaged zip directory can drop members without any other error
         raise CheckpointError(f"{path}: missing or unexpected tensors "
                               f"{sorted(expected ^ set(arrays))}")
-    for name, p in model.params.items():
-        if arrays[name].shape != p.data.shape:
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape "
-                f"{arrays[name].shape}, expected {p.data.shape}")
-        p.data[:] = arrays[name]
+                f"{arrays[name].shape}, expected {shape}")
+    # the stored arrays become the parameters; no initial values are drawn
+    model = Model(config, schema, catalog, dtype=dtype, arrays=arrays)
 
     opt_state = None
     if index["optimizer"] is not None:

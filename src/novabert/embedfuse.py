@@ -56,14 +56,14 @@ def embed_side_features(batch, params, features, rows, use_position):
     for f in features:
         table = params[f"emb.f.{f.name}"]
         idx = real_rows(batch.features[f.name], rows)
-        emb = T.embedding_lookup(table, idx)
         if idx.ndim == 2:  # multi-valued: mean over the real entries
             present = (idx != 0)
             # a count in the table's dtype keeps the weights in it
             count = present.sum(axis=-1, keepdims=True).astype(table.dtype)
             weights = present.astype(table.dtype) / np.maximum(count, 1)
-            emb = T.tsum(T.mul(emb, weights[..., None]), axis=-2)
-        out.append(emb)
+            out.append(T.pooled_lookup(table, idx, weights))
+        else:
+            out.append(T.embedding_lookup(table, idx))
     if use_position:
         out.append(T.embedding_lookup(params["emb.pos"],
                                       real_rows(batch.positions, rows)))

@@ -128,6 +128,18 @@ def param_shapes(config, schema, m):
     return shapes
 
 
+def _draw(rng, name, shape):
+    """Initial float64 values of one parameter: embedding tables uniform in
+    +-EMB_INIT, weights Xavier-uniform, layer-norm gains one; biases and
+    the gate vectors (so gates start uniform) zero."""
+    if name.startswith("emb."):
+        return rng.uniform(-EMB_INIT, EMB_INIT, size=shape)
+    if name.endswith(".w"):
+        bound = math.sqrt(6.0 / sum(shape))
+        return rng.uniform(-bound, bound, size=shape)
+    return np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+
+
 class Model:
     """Owns the parameter tensors and the forward/loss computation.
 
@@ -135,27 +147,25 @@ class Model:
     evaluation on disjoint batches may run concurrently.
     """
 
-    def __init__(self, config, schema, catalog, seed=0, dtype=np.float64):
+    def __init__(self, config, schema, catalog, seed=0, dtype=np.float64,
+                 arrays=None):
+        """A model with freshly drawn parameters, or, given arrays (name ->
+        array, with the names and shapes of :func:`param_shapes`), one
+        whose parameters are those arrays, used without a copy when they
+        are already of dtype; then nothing is drawn and seed is unused."""
         self.config = config
         self.schema = schema
         self.catalog = catalog
         self.dtype = dtype
         # the side features every encode embeds, in fusion order
         self.side, _ = config.fusion_inputs(schema)
-        rng = np.random.default_rng(seed)
-        # embedding tables uniform in +-EMB_INIT, weights Xavier-uniform,
-        # layer-norm gains one; biases and the gate vectors (so gates start
-        # uniform) zero
+        # drawn in param_shapes' order, one array at a time
+        rng = np.random.default_rng(seed) if arrays is None else None
         self.params = {}
         for name, shape in param_shapes(config, schema, catalog.m).items():
-            if name.startswith("emb."):
-                a = rng.uniform(-EMB_INIT, EMB_INIT, size=shape)
-            elif name.endswith(".w"):
-                bound = math.sqrt(6.0 / sum(shape))
-                a = rng.uniform(-bound, bound, size=shape)
-            else:
-                a = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-            self.params[name] = Tensor(a.astype(dtype), requires_grad=True)
+            a = _draw(rng, name, shape) if arrays is None else arrays[name]
+            self.params[name] = Tensor(a.astype(dtype, copy=False),
+                                       requires_grad=True)
         # one parameter dict per fusion site, in site order: one per layer
         # (NOVA) or the single input site (invasive)
         sites = ([f"layer{i}.fuse." for i in range(config.num_layers)]

@@ -13,11 +13,25 @@ its probabilities and dropout keep mask and has a hand-written backward.
 Dropout draws its masks at these packed shapes: :func:`dropout` at the
 rows it is given, attention one mask per row length. :func:`take_rows`
 picks the rows a later op reads, and :func:`cross_entropy_masked` scores
-every row it is given. :func:`linear` is matmul plus bias as one node, and
-:func:`gated_sum` is the gated fusion of side information as one node. The
-per-token backwards reuse their forward work: the loss normalizes the
-exponentials its forward kept, GELU keeps only its input and ``tanh``, and
-the embedding scatter-add is one ``np.bincount``.
+every row it is given. :func:`linear` is matmul plus bias as one node,
+:func:`gated_sum` is the gated fusion of side information as one node, and
+:func:`pooled_lookup` is the weighted pool of a multi-valued field's table
+rows as one node. The per-token backwards reuse their forward work: the
+loss normalizes the exponentials its forward kept, GELU keeps only its
+input and ``tanh``, and the embedding scatter-add is one ``np.bincount``.
+
+What a training step keeps: each node's output array (its ``.data``), held
+by the nodes that read it and by the caller's names, and what each backward
+closure saved for itself, which is only what that backward reads (boolean
+dropout masks, not float ones; a pooled lookup's indices and weights, not
+its gathered rows). :func:`backward` frees the graph as it walks it: once a
+node's closure has run, the node drops its closure, its parent links and
+its interior gradient, so the saved arrays, and outputs that only the
+graph still referenced, go as the walk goes down. Until then an output no
+backward reads (the output projection's, say, which dropout reads) is
+still held by the parent links of the nodes that read it. After the call
+only the leaves' gradients, ``loss.grad`` and the ``.data`` of tensors the
+caller still names are left.
 
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
@@ -25,12 +39,13 @@ attention dumps) frees each intermediate as soon as it is no longer
 referenced; the switch is per thread, and :func:`grad_enabled` reads it.
 The forward kernels write over the temporaries they own rather than
 allocate new ones: the softmax over the fresh attention scores and gate
-logits, layer norm's centred copy, the scaled Q of attention, and, when no
-graph is recorded, GELU's ``tanh``. Float32, float64 and longdouble
-arrays keep their dtype; anything else becomes float64. With
-``NOVABERT_DEBUG=1`` (read once, at import) a non-finite op output or
-backward gradient raises ``FloatingPointError`` naming the op's backward
-closure; when it is off, the check costs one boolean test per op.
+logits, layer norm's centred copy, the scaled Q of attention, the pooled
+lookup's gathered rows, and, when no graph is recorded, GELU's ``tanh``.
+Float32, float64 and longdouble arrays keep their dtype; anything else
+becomes float64. With ``NOVABERT_DEBUG=1`` (read once, at import) a
+non-finite op output or backward gradient raises ``FloatingPointError``
+naming the op's backward closure; when it is off, the check costs one
+boolean test per op.
 """
 
 from __future__ import annotations
@@ -167,11 +182,14 @@ def backward(loss):
 
     loss must be a scalar produced through recorded operations. A tape
     (topologically ordered op list) is built from the graph and replayed in
-    reverse; each node is visited exactly once. An interior node's .grad is
-    set to None once its backward closure has passed it on to the parents,
-    so it is not kept alive until the graph is dropped; loss.grad and the
-    leaves' .grad stay. Calling twice on the same loss without re-running
-    the forward pass raises.
+    reverse; each node is visited exactly once. Each node is popped off the
+    tape once its backward closure has passed its gradient on to the
+    parents; then its .grad (loss.grad excepted), its closure and its
+    parent links are dropped. So the arrays a closure saved are freed as
+    the walk goes down the graph, and nothing of the graph outlives the
+    call; every node keeps its .data. Calling twice on the same loss, or on
+    a loss whose graph reaches a node an earlier backward freed, raises
+    RuntimeError: rebuild the forward pass.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -191,23 +209,27 @@ def backward(loss):
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
+            if p._done:
+                raise RuntimeError("an earlier backward freed part of this "
+                                   "graph; rebuild the forward pass")
             if id(p) not in visited and p._bw is not None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape):
-        if node.grad is None or node._bw is None:
+    while tape:
+        node = tape.pop()
+        if node._bw is None:
             continue
-        node._bw(node.grad)
-        if _DEBUG:
-            for p in node._parents:
-                if p.grad is not None:
-                    _check_finite(p.grad, "gradient from the backward",
-                                  node._bw)
-        node._done = True
-        if node is not loss:
-            node.grad = None
-    loss._done = True
+        if node.grad is not None:
+            node._bw(node.grad)
+            if _DEBUG:
+                for p in node._parents:
+                    if p.grad is not None:
+                        _check_finite(p.grad, "gradient from the backward",
+                                      node._bw)
+            if node is not loss:
+                node.grad = None
+        node._bw, node._parents, node._done = None, (), True
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +246,6 @@ def add(a, b):
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -298,19 +307,6 @@ def concat_lastdim(tensors):
             off += w
 
     return _make(out_data, tuple(tensors), bw)
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg, a.shape).copy())
-
-    return _make(out_data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +391,20 @@ def layer_norm(x, gain, bias, eps=1e-12):
 
 def dropout(x, p, rng, train):
     """Inverted dropout with a mask drawn at x's shape; identity when train
-    is False or p == 0."""
+    is False or p == 0.
+
+    Only the boolean keep mask is saved, an eighth of a float64 mask; the
+    backward rebuilds the scaled mask from it with the forward's
+    expression."""
     x = _as_tensor(x)
     if not train or p <= 0.0:
         return x
     keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
-    m = keep.astype(x.data.dtype) * scale
-    out_data = x.data * m
+    out_data = x.data * (keep.astype(x.dtype) * scale)
 
     def bw(g):
-        _accumulate(x, g * m)
+        _accumulate(x, g * (keep.astype(x.dtype) * scale))
 
     return _make(out_data, (x,), bw)
 
@@ -479,25 +478,61 @@ def gated_sum(features, wf, mode="softmax"):
 # lookup / loss
 # ---------------------------------------------------------------------------
 
-def embedding_lookup(table, idx):
-    """Row gather; gradient is a scatter-add into the table."""
-    table = _as_tensor(table)
+def _table_index(table, idx):
+    """idx as int64, checked to index rows of table."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(
             f"embedding index out of range [0, {table.shape[0]}): "
             f"min={idx.min()}, max={idx.max()}")
+    return idx
+
+
+def _scatter_into_grad(table, idx, g):
+    """Add the rows of g [..., h] into table.grad at the rows idx [...]."""
+    # a .grad may be shared (see _accumulate): scatter into a fresh buffer,
+    # zeroed by the allocator or seeded with the gradient so far
+    buf = (np.zeros(table.shape, dtype=table.dtype)
+           if table.grad is None else table.grad.copy())
+    h = table.shape[-1]
+    kernels.scatter_add_rows(buf, idx.reshape(-1),
+                             np.ascontiguousarray(g.reshape(-1, h)))
+    table.grad = buf
+
+
+def embedding_lookup(table, idx):
+    """Row gather; gradient is a scatter-add into the table."""
+    table = _as_tensor(table)
+    idx = _table_index(table, idx)
     out_data = table.data[idx]
 
     def bw(g):
-        # a .grad may be shared (see _accumulate): scatter into a fresh
-        # buffer, zeroed by the allocator or seeded with the gradient so far
-        buf = (np.zeros(table.shape, dtype=table.dtype)
-               if table.grad is None else table.grad.copy())
-        h = table.shape[-1]
-        kernels.scatter_add_rows(buf, idx.reshape(-1),
-                                 np.ascontiguousarray(g.reshape(-1, h)))
-        table.grad = buf
+        _scatter_into_grad(table, idx, g)
+
+    return _make(out_data, (table,), bw)
+
+
+def pooled_lookup(table, idx, weights):
+    """sum_k weights[..., k] * table[idx[..., k]], one node: a weighted pool
+    of table rows, e.g. the mean of a multi-valued field's entries.
+
+    idx and weights are [..., K]; the output is [..., h]. The forward
+    gathers the [..., K, h] rows, weights them in place and sums over K, as
+    a lookup, a product and a sum would. Only idx and weights are saved, not
+    the gathered rows; the backward scatter-adds g * weights into the
+    table."""
+    table = _as_tensor(table)
+    idx = _table_index(table, idx)
+    weights = np.asarray(weights, dtype=table.dtype)
+    if weights.shape != idx.shape:
+        raise ShapeMismatchError(
+            f"pooled_lookup: weights {weights.shape} for indices {idx.shape}")
+    rows = table.data[idx]
+    rows *= weights[..., None]
+    out_data = rows.sum(axis=-2)
+
+    def bw(g):
+        _scatter_into_grad(table, idx, g[..., None, :] * weights[..., None])
 
     return _make(out_data, (table,), bw)
 

@@ -1,16 +1,46 @@
-"""Differentiable ops that only the dense test oracle (dense_oracle.py)
-builds its reference chains from: batched matmul, stack, reshape, a
-last-axis softmax and the sigmoid. The packed model has fused nodes in
-their place (``tensor.linear``, ``tensor.gated_sum``,
-``tensor.scaled_dot_attention``); these are kept as the separate ops those
-nodes are checked against, on the autodiff core of novabert.tensor.
+"""Differentiable ops that only the tests build their reference chains
+from: the elementwise product, a sum over axes, batched matmul, stack,
+reshape, a last-axis softmax and the sigmoid. The packed model has fused
+nodes in their place (``tensor.linear``, ``tensor.gated_sum``,
+``tensor.pooled_lookup``, ``tensor.scaled_dot_attention``); these are kept
+as the separate ops those nodes are checked against, and as the glue of
+test losses, on the autodiff core of novabert.tensor. Two reference forms
+of program ops save more than those ops do: ``pool_chain`` (the lookup,
+product and sum chain of ``tensor.pooled_lookup``) and
+``float_mask_dropout`` (``tensor.dropout`` saving its scaled float mask).
 """
 
 import numpy as np
 
 from novabert import kernels
 from novabert.tensor import (ShapeMismatchError, _accumulate, _as_tensor,
-                             _make, _unbroadcast)
+                             _make, _unbroadcast, embedding_lookup)
+
+
+def mul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    out_data = a.data * b.data
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+
+    return _make(out_data, (a, b), bw)
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = _as_tensor(a)
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def bw(g):
+        gg = g
+        if axis is not None and not keepdims:
+            gg = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+
+    return _make(out_data, (a,), bw)
 
 
 def matmul(a, b):
@@ -75,3 +105,24 @@ def sigmoid(x):
         _accumulate(x, g * s * (1.0 - s))
 
     return _make(s, (x,), bw)
+
+
+def pool_chain(table, idx, weights):
+    """sum_k weights[..., k] * table[idx[..., k]] as a lookup, a product and
+    a sum; the graph keeps both [..., K, h] intermediates."""
+    return tsum(mul(embedding_lookup(table, idx), weights[..., None]),
+                axis=-2)
+
+
+def float_mask_dropout(x, p, rng, train):
+    """Inverted dropout that saves its scaled float mask; the same draws
+    and arithmetic as tensor.dropout."""
+    x = _as_tensor(x)
+    if not train or p <= 0.0:
+        return x
+    m = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+
+    def bw(g):
+        _accumulate(x, g * m)
+
+    return _make(x.data * m, (x,), bw)

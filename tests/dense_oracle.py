@@ -106,7 +106,7 @@ def attention(q, k, v, key_mask, p, rng, train):
     Returns (out, attention probabilities before dropout)."""
     d = q.shape[-1]
     axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
-    scores = T.mul(DO.matmul(q, T.transpose(k, axes)), 1.0 / np.sqrt(d))
+    scores = DO.mul(DO.matmul(q, T.transpose(k, axes)), 1.0 / np.sqrt(d))
     scores = T.add(scores, np.where(key_mask, 0.0, NEG_INF))
     attn = DO.softmax_lastdim(scores)
     return DO.matmul(T.dropout(attn, p, rng, train), v), attn

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_ops as DO
 from fd_utils import model_grad_check
 from novabert import cli
 from novabert import data as D
@@ -94,7 +95,7 @@ def test_value_path_purity():
         model.params[name].data += 0.7
         v1 = model.first_layer_values(batch).data
         assert np.array_equal(v0, v1), f"{name} leaked into the value path"
-    probe = T.tsum(T.mul(model.first_layer_values(batch),
+    probe = DO.tsum(DO.mul(model.first_layer_values(batch),
                          model.first_layer_values(batch)))
     T.backward(probe)
     for name in side_tables:

@@ -42,6 +42,31 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_load_draws_nothing(tmp_path, monkeypatch, dtype):
+    """The model is built from the stored arrays, with no random generator
+    made: its parameters are writable arrays of the stored dtype, and
+    saving it again gives the same bytes."""
+    schema, catalog, _ = branching_dataset(m=10, n_seq=12, length=6, seed=0)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=6,
+                      attention="nova", fusion="gating")
+    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    CK.save_checkpoint(p1, Model(cfg, schema, catalog, seed=5, dtype=dtype),
+                       metadata={"epoch": 2})
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded, meta, _ = CK.load_checkpoint(p1)
+    assert loaded.dtype == dtype
+    for p in loaded.params.values():
+        assert p.data.dtype == dtype
+        assert p.data.flags.writeable and p.data.flags.c_contiguous
+    CK.save_checkpoint(p2, loaded, metadata=meta)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_checkpoint_self_describing(tmp_path):
     """Scoring through a reloaded model needs no original objects."""
     model, seqs = build_model()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_ops as DO
 from novabert import data as D
 from novabert import embedfuse as EF
 from novabert import tensor as T
@@ -33,7 +34,7 @@ def test_add_single_is_identity():
 def test_add_cancellation():
     rng = np.random.default_rng(1)
     (f,) = rand_feats(rng, 1)
-    neg = T.mul(f, -1.0)
+    neg = DO.mul(f, -1.0)
     assert np.allclose(EF.fuse_add([f, neg]).data, 0.0)
 
 
@@ -266,7 +267,7 @@ def test_gradients_reach_all_tables(small_batch):
     r = EF.integrated_embeddings(
         T.embedding_lookup(params["emb.id"], items), side, "concat",
         model.fusion[0])
-    T.backward(T.tsum(T.mul(r, r)))
+    T.backward(DO.tsum(DO.mul(r, r)))
     tables = [n for n in params if n.startswith(("emb.", "fuse."))]
     assert len(tables) == 5
     for name in tables:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_ops as DO
 from novabert import checkpoint as CK
 from novabert import data as D
 from novabert import model as M
@@ -166,7 +167,7 @@ def test_first_layer_values_are_the_real_token_rows():
 
 def test_nova_value_probe_zero_grad_to_side_tables():
     model, batch = tiny_setup(attention="nova", fusion="add")
-    probe = T.tsum(T.mul(model.first_layer_values(batch),
+    probe = DO.tsum(DO.mul(model.first_layer_values(batch),
                          model.first_layer_values(batch)))
     T.backward(probe)
     assert model.params["emb.f.rating"].grad is None

@@ -40,6 +40,13 @@ def check_grads(build_loss, tensors, tol=1e-4):
         assert rel.max() < tol, f"grad mismatch: max rel err {rel.max()}"
 
 
+def saved_arrays(out):
+    """(shape, dtype) of the arrays out's backward closure holds, by name."""
+    cells = sorted(zip(out._bw.__code__.co_freevars, out._bw.__closure__))
+    return [(c.cell_contents.shape, c.cell_contents.dtype) for _, c in cells
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
 def rand(shape, rng, scale=1.0):
     return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
@@ -232,20 +239,20 @@ def test_attention_layout_query_positions_checked():
 
 def test_backward_sum_gives_ones():
     x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    T.backward(T.tsum(x))
+    T.backward(DO.tsum(x))
     assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_half_square_gives_x():
     x = T.Tensor([1.0, -2.0, 0.5], requires_grad=True)
-    T.backward(T.mul(T.tsum(T.mul(x, x)), 0.5))
+    T.backward(DO.mul(DO.tsum(DO.mul(x, x)), 0.5))
     assert np.allclose(x.grad, x.data)
 
 
 def test_backward_add_same_tensor_twice():
     p = T.Tensor([1.0, 2.0], requires_grad=True)
     child = T.add(p, p)
-    T.backward(T.tsum(child))
+    T.backward(DO.tsum(child))
     assert np.array_equal(p.grad, [2.0, 2.0])
     assert child.grad is None  # interior gradients are released
 
@@ -260,11 +267,11 @@ def test_backward_shared_gradient_arrays_stay_independent(later, shared_first):
     b = T.Tensor(np.ones((3, 2)), requires_grad=True)
     shared = T.add(a, b)
     if later == "mul":
-        other, expect = T.mul(a, 3.0), np.full((3, 2), 4.0)
+        other, expect = DO.mul(a, 3.0), np.full((3, 2), 4.0)
     else:
         other = T.embedding_lookup(a, np.array([0, 0, 2]))
         expect = np.array([[3.0, 3.0], [1.0, 1.0], [2.0, 2.0]])
-    terms = [T.tsum(shared), T.tsum(other)]
+    terms = [DO.tsum(shared), DO.tsum(other)]
     if not shared_first:
         terms.reverse()
     T.backward(T.add(*terms))
@@ -275,16 +282,41 @@ def test_backward_shared_gradient_arrays_stay_independent(later, shared_first):
 
 def test_backward_twice_errors():
     x = T.Tensor([1.0], requires_grad=True)
-    loss = T.tsum(x)
+    loss = DO.tsum(x)
     T.backward(loss)
     with pytest.raises(RuntimeError):
         T.backward(loss)
 
 
+def test_backward_frees_the_graph_but_keeps_values():
+    """Each interior node drops its closure and parent links once its
+    backward has run; its value stays readable."""
+    x = T.Tensor([1.0, -2.0], requires_grad=True)
+    sq = DO.mul(x, x)
+    loss = DO.tsum(sq)
+    T.backward(loss)
+    assert np.array_equal(x.grad, [2.0, -4.0])
+    for node in (sq, loss):
+        assert node._bw is None and node._parents == ()
+    assert np.array_equal(sq.data, [1.0, 4.0])
+    assert loss.item() == 5.0 and loss.grad == 1.0
+
+
+def test_backward_through_a_freed_node_errors():
+    """Two losses share an interior node: the first backward frees it, so
+    the second would see it as a leaf and lose the gradient into x."""
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    shared = DO.mul(x, 3.0)
+    first, second = DO.tsum(shared), DO.tsum(DO.mul(shared, shared))
+    T.backward(first)
+    with pytest.raises(RuntimeError, match="freed"):
+        T.backward(second)
+
+
 def test_backward_non_scalar_errors():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
-        T.backward(T.mul(x, x))
+        T.backward(DO.mul(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -294,47 +326,47 @@ def test_backward_non_scalar_errors():
 def test_fd_add_mul_broadcast():
     rng = np.random.default_rng(10)
     a, b = rand((3, 4), rng), rand((4,), rng)
-    check_grads(lambda: T.tsum(T.mul(T.add(a, b), a)), [a, b])
+    check_grads(lambda: DO.tsum(DO.mul(T.add(a, b), a)), [a, b])
 
 
 def test_fd_matmul_batched():
     rng = np.random.default_rng(11)
     a, b = rand((2, 3, 4), rng), rand((4, 5), rng)
-    check_grads(lambda: T.tsum(T.mul(DO.matmul(a, b), DO.matmul(a, b))), [a, b])
+    check_grads(lambda: DO.tsum(DO.mul(DO.matmul(a, b), DO.matmul(a, b))), [a, b])
 
 
 def test_fd_softmax():
     rng = np.random.default_rng(12)
     x = rand((3, 5), rng)
     w = rng.standard_normal((3, 5))
-    check_grads(lambda: T.tsum(T.mul(DO.softmax_lastdim(x), w)), [x])
+    check_grads(lambda: DO.tsum(DO.mul(DO.softmax_lastdim(x), w)), [x])
 
 
 def test_fd_gelu_sigmoid():
     rng = np.random.default_rng(13)
     x = rand((4, 3), rng)
-    check_grads(lambda: T.tsum(T.gelu(x)), [x])
-    check_grads(lambda: T.tsum(DO.sigmoid(x)), [x])
+    check_grads(lambda: DO.tsum(T.gelu(x)), [x])
+    check_grads(lambda: DO.tsum(DO.sigmoid(x)), [x])
 
 
 def test_fd_layer_norm():
     rng = np.random.default_rng(14)
     x, g, b = rand((2, 3, 6), rng), rand((6,), rng), rand((6,), rng)
     w = rng.standard_normal((2, 3, 6))
-    check_grads(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)), [x, g, b])
+    check_grads(lambda: DO.tsum(DO.mul(T.layer_norm(x, g, b), w)), [x, g, b])
 
 
 def test_fd_concat_stack_reshape_transpose():
     rng = np.random.default_rng(15)
     a, b = rand((2, 3), rng), rand((2, 4), rng)
     check_grads(
-        lambda: T.tsum(T.mul(T.concat_lastdim([a, b]), T.concat_lastdim([a, b]))),
+        lambda: DO.tsum(DO.mul(T.concat_lastdim([a, b]), T.concat_lastdim([a, b]))),
         [a, b])
     c, d = rand((2, 3), rng), rand((2, 3), rng)
-    check_grads(lambda: T.tsum(T.mul(DO.stack([c, d], axis=-2), 2.0)), [c, d])
+    check_grads(lambda: DO.tsum(DO.mul(DO.stack([c, d], axis=-2), 2.0)), [c, d])
     e = rand((2, 6), rng)
     check_grads(
-        lambda: T.tsum(T.mul(T.transpose(DO.reshape(e, (2, 3, 2)), (1, 0, 2)), 3.0)),
+        lambda: DO.tsum(DO.mul(T.transpose(DO.reshape(e, (2, 3, 2)), (1, 0, 2)), 3.0)),
         [e])
 
 
@@ -343,7 +375,49 @@ def test_fd_embedding_lookup():
     table = rand((7, 4), rng)
     idx = np.array([[0, 3, 3], [6, 1, 0]])
     w = rng.standard_normal((2, 3, 4))
-    check_grads(lambda: T.tsum(T.mul(T.embedding_lookup(table, idx), w)), [table])
+    check_grads(lambda: DO.tsum(DO.mul(T.embedding_lookup(table, idx), w)), [table])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pooled_lookup_equals_the_lookup_mul_sum_chain(dtype):
+    """Output and table gradient are bit-identical to the three-op chain,
+    with repeated rows and all-pad slots (index 0, weight 0) included; the
+    backward holds the indices and weights, not the gathered rows."""
+    rng = np.random.default_rng(41)
+    idx = np.array([[3, 5, 0, 0], [0, 0, 0, 0], [2, 2, 7, 1], [6, 0, 0, 0],
+                    [0, 0, 0, 0]])
+    present = idx != 0
+    count = present.sum(axis=-1, keepdims=True).astype(dtype)
+    weights = present.astype(dtype) / np.maximum(count, 1)
+    table = rng.standard_normal((8, 5)).astype(dtype)
+    g = rng.standard_normal((5, 5)).astype(dtype)
+    outs = []
+    for pool in (T.pooled_lookup, DO.pool_chain):
+        leaf = T.Tensor(table.copy(), requires_grad=True)
+        out = pool(leaf, idx, weights)
+        if pool is T.pooled_lookup:
+            assert saved_arrays(out) == [(idx.shape, np.int64),
+                                         (idx.shape, dtype)]
+        T.backward(DO.tsum(DO.mul(out, g)))
+        outs.append((out.data, leaf.grad))
+    (new, gnew), (old, gold) = outs
+    assert new.dtype == gnew.dtype == dtype
+    assert np.array_equal(new, old) and np.array_equal(gnew, gold)
+    assert not new[[1, 4]].any()
+
+
+def test_fd_pooled_lookup():
+    rng = np.random.default_rng(42)
+    table = rand((7, 4), rng)
+    idx = np.array([[0, 3, 3], [6, 1, 0]])
+    weights = rng.standard_normal((2, 3))
+    w = rng.standard_normal((2, 4))
+    check_grads(lambda: DO.tsum(DO.mul(T.pooled_lookup(table, idx, weights),
+                                       w)), [table])
+    with pytest.raises(IndexError):
+        T.pooled_lookup(table, np.array([[7]]), np.ones((1, 1)))
+    with pytest.raises(T.ShapeMismatchError):
+        T.pooled_lookup(table, idx, weights[:, :2])
 
 
 def test_fd_cross_entropy_masked():
@@ -361,7 +435,7 @@ def test_fd_attention_masked():
 
     def loss():
         out, _ = T.scaled_dot_attention(q, k, v, layout, 2)
-        return T.tsum(T.mul(out, w))
+        return DO.tsum(DO.mul(out, w))
 
     check_grads(loss, [q, k, v])
 
@@ -390,7 +464,7 @@ def test_fd_attention_buckets(subset, dropout):
         out, _ = T.scaled_dot_attention(
             q, k, v, layout, 2, attn_dropout=dropout,
             rng=np.random.default_rng(5), train=True)
-        return T.tsum(T.mul(out, w))
+        return DO.tsum(DO.mul(out, w))
 
     check_grads(loss, [q, k, v])
 
@@ -423,7 +497,7 @@ def test_attention_matches_dense_chain(lengths, queries):
         out, attn = T.scaled_dot_attention(qq, k, v, lay, H, attn_dropout=0.2,
                                            rng=gen, train=True,
                                            collect=queries == "all")
-        return T.tsum(T.mul(out, w)), attn
+        return DO.tsum(DO.mul(out, w)), attn
 
     def dense(gen):
         slot_row = np.zeros(B * L, dtype=np.int64)
@@ -432,14 +506,14 @@ def test_attention_matches_dense_chain(lengths, queries):
 
         def heads(x):
             # the rows at their slots, zeros at pad slots
-            full = T.mul(T.embedding_lookup(x, slot_row), real)
+            full = DO.mul(T.embedding_lookup(x, slot_row), real)
             return T.transpose(DO.reshape(full, (B, L, H, d)), (0, 2, 1, 3))
 
         out, attn = dense_oracle.attention(
             heads(q), heads(k), heads(v), layout.pad_mask[:, None, None, :],
             0.2, gen, True)
         flat = DO.reshape(T.transpose(out, (0, 2, 1, 3)), (B * L, H * d))
-        return T.tsum(T.mul(T.take_rows(flat, pos), w)), attn
+        return DO.tsum(DO.mul(T.take_rows(flat, pos), w)), attn
 
     def run(fn, gen):
         for t in (q, k, v):
@@ -487,7 +561,7 @@ def test_gated_sum_matches_dense_chain(mode, k):
         for t in leaves:
             t.grad = None
         out, gates = fuse(feats, wf, mode)
-        T.backward(T.tsum(T.mul(out, w)))
+        T.backward(DO.tsum(DO.mul(out, w)))
         results.append((out.data, gates.data, [t.grad.copy() for t in leaves]))
     (fo, fgates, fgrads), (do, dgates, dgrads) = results
     assert fgates.shape == (3, 4, k)
@@ -503,7 +577,7 @@ def test_fd_gated_sum(mode):
     feats = [rand((2, 5), rng) for _ in range(3)]
     wf = rand((5, 1), rng)
     w = rng.standard_normal((2, 5))
-    check_grads(lambda: T.tsum(T.mul(T.gated_sum(feats, wf, mode)[0], w)),
+    check_grads(lambda: DO.tsum(DO.mul(T.gated_sum(feats, wf, mode)[0], w)),
                 feats + [wf])
 
 
@@ -529,7 +603,7 @@ def test_debug_names_the_op_with_a_non_finite_value(monkeypatch):
     bad[1, 2] = np.nan
     with pytest.raises(FloatingPointError, match="output of gated_sum"):
         T.gated_sum([feats[0], T.Tensor(bad)], wf)
-    loss = T.tsum(T.gated_sum(feats, wf)[0])
+    loss = DO.tsum(T.gated_sum(feats, wf)[0])
     wf.data[2, 0] = np.nan      # read by the gated node's backward only
     with pytest.raises(FloatingPointError, match="backward of gated_sum"):
         T.backward(loss)
@@ -602,7 +676,7 @@ def test_float32_kernel_ops_keep_dtype_and_match_float64():
         leaf = T.Tensor(arr.astype(dtype), requires_grad=True)
         out = op(leaf)
         w = np.cos(np.arange(out.data.size)).reshape(out.shape).astype(dtype)
-        T.backward(T.tsum(T.mul(out, w)))
+        T.backward(DO.tsum(DO.mul(out, w)))
         return out.data, leaf.grad
 
     for op, arr in cases:
@@ -624,6 +698,30 @@ def test_dropout_train_and_eval():
     assert same is x
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dropout_equals_the_float_mask_version(dtype):
+    """Forward and gradient, signs of zero included, are those of saving
+    the scaled float mask; the backward holds the boolean mask only."""
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((6, 7)).astype(dtype)
+    x[0, :3] = -0.0
+    g = rng.standard_normal((6, 7)).astype(dtype)
+    g[1] = -g[1]
+    outs = []
+    for drop in (T.dropout, DO.float_mask_dropout):
+        leaf = T.Tensor(x, requires_grad=True)
+        out = drop(leaf, 0.3, np.random.default_rng(5), True)
+        if drop is T.dropout:
+            assert saved_arrays(out) == [(x.shape, bool)]
+        T.backward(DO.tsum(DO.mul(out, g)))
+        outs.append((out.data, leaf.grad))
+    (new, gnew), (old, gold) = outs
+    assert new.dtype == gnew.dtype == dtype
+    for a, b in ((new, old), (gnew, gold)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_dropout_seeded_reproducible():
     x = np.arange(100.0)
     a = T.dropout(T.Tensor(x), 0.5, np.random.default_rng(7), train=True).data
@@ -637,7 +735,7 @@ def test_determinism_same_seed_bitwise():
         x = T.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         h = T.gelu(T.linear(x, x))
         h = T.dropout(h, 0.1, rng, train=True)
-        loss = T.tsum(T.mul(h, h))
+        loss = DO.tsum(DO.mul(h, h))
         T.backward(loss)
         return loss.item(), x.grad.copy()
 

@@ -1,9 +1,13 @@
+import importlib
 import math
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dense_ops as DO
 from novabert import data as D
 from novabert import tensor as T
 from novabert import train as TR
@@ -322,9 +326,9 @@ def test_no_grad_restores_recording_after_exception():
     w = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(RuntimeError):
         with T.no_grad():
-            assert not T.mul(w, 2.0).requires_grad
+            assert not DO.mul(w, 2.0).requires_grad
             raise RuntimeError("inside no_grad")
-    assert T.mul(w, 2.0).requires_grad
+    assert DO.mul(w, 2.0).requires_grad
 
 
 def test_no_grad_is_per_thread():
@@ -340,10 +344,90 @@ def test_no_grad_is_per_thread():
     worker.start()
     try:
         assert entered.wait(10)
-        out = T.tsum(T.mul(w, 2.0))
+        out = DO.tsum(DO.mul(w, 2.0))
         assert out.requires_grad
         T.backward(out)
         assert np.array_equal(w.grad, np.full(3, 2.0))
     finally:
         release.set()
         worker.join()
+
+
+# ---------------------------------------------------------------------------
+# what a training step keeps
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def movielens_problem(monkeypatch):
+    """64 users of a MovieLens-shaped log (multi-valued genre, 3,416 items)
+    and a nova/gating model with dropout at h=32, L=50."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    movielens = importlib.import_module("movielens")
+    schema, catalog, seqs = movielens.movielens_like(0, users=200)
+    cfg = ModelConfig(hidden_size=32, num_heads=2, num_layers=2, max_len=50,
+                      attention="nova", fusion="gating", dropout=0.1)
+    return schema, catalog, seqs[:64], cfg
+
+
+def test_backward_keeps_only_the_parameter_gradients(movielens_problem):
+    """After backward, with the loss still referenced, the step holds the
+    parameter gradients and nothing of its graph; while it runs, backward
+    never holds much more than the forward left it."""
+    schema, catalog, seqs, cfg = movielens_problem
+    model = Model(cfg, schema, catalog, seed=0)
+    rng = np.random.default_rng(0)
+    batch = D.make_masked_batch(seqs, schema, catalog, cfg.mask_prob, rng,
+                                cfg.max_len)
+    assert batch.features["genre"].ndim == 3
+    T.backward(model.loss(batch, train=True, rng=rng))  # untraced warm-up
+    model.zero_grads()
+    tracemalloc.start()   # numpy reports its array buffers to tracemalloc
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = model.loss(batch, train=True, rng=rng)
+        forward = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        after, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in model.params.values())
+    assert forward > 30 * grads
+    assert after <= 1.1 * grads, (after, grads)
+    assert peak <= 1.1 * forward, (peak, forward)
+    assert np.isfinite(loss.item())
+
+
+def test_training_equals_the_unpooled_float_mask_chain(movielens_problem,
+                                                       monkeypatch):
+    """One epoch of train(), four steps with dropout, the multi-valued genre
+    pooled and tail batches, gives the loss and parameters of the same run
+    whose pooling is the lookup, product and sum chain and whose dropout
+    saves float masks."""
+    schema, catalog, seqs, cfg = movielens_problem
+    split = D.leave_one_out_split(seqs)
+    tcfg = TR.TrainConfig(epochs=1, batch_size=16, learning_rate=1e-3,
+                          seed=3)
+    runs, calls = [], []
+
+    def counted(op):
+        def run(*args):
+            calls.append(op.__name__)
+            return op(*args)
+        return run
+
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(T, "pooled_lookup", counted(DO.pool_chain))
+            monkeypatch.setattr(T, "dropout", counted(DO.float_mask_dropout))
+        model = Model(cfg, schema, catalog, seed=3)
+        hist = TR.train(model, split, tcfg).history
+        runs.append(([h["loss"] for h in hist],
+                     {k: p.data for k, p in model.params.items()}))
+    assert set(calls) == {"pool_chain", "float_mask_dropout"}
+    (loss, params), (ref_loss, ref_params) = runs
+    assert loss == ref_loss
+    assert all(np.array_equal(params[k], ref_params[k]) for k in params)
