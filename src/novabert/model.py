@@ -192,31 +192,32 @@ class Model:
         return EF.integrated_embeddings(first, side, cfg.fusion,
                                         self.fusion[site], cfg.gating_mode)
 
-    def _feed_forward_half(self, layer, res, out, train, rng):
+    def _feed_forward_half(self, layer, res, out, rng):
         """The part of a layer after attention on the rows of its attention
         output out: Wo, dropout, residual with res, LN1, FFN, dropout,
         residual, LN2. Every op is row-wise."""
         p = f"layer{layer}"
         out = T.dropout(self._linear(out, f"{p}.attn.wo"), self.config.dropout,
-                        rng, train)
+                        rng)
         x = T.layer_norm(T.add(res, out),
                          self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
-        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng, train)
+        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng)
         return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
                             self.params[f"{p}.ln2.b"])
 
-    def _layer(self, layer, qk_src, x, layout, train, rng, collect):
+    def _layer(self, layer, qk_src, x, layout, rng, collect):
         """One encoder layer: Q and K read qk_src; V and the residual read x.
 
         Both are real-token rows [N, h]. The query side (Q, the attention
         rows, Wo, the residual, both layer norms and the FFN) runs on the
         query rows of the layout only, so the output is [len(layout.pos), h].
         Q, K and V are not bound to names, so without a graph they are freed
-        before the FFN runs. When a graph is recorded or train is set, the
-        part after attention runs once over all rows; otherwise it runs over
-        consecutive row blocks whose FFN input is about FFN_BLOCK_BYTES, each
-        written into one preallocated output, so no full-width [n, 4h] array
-        exists. The output rows are those of one pass over all rows."""
+        before the FFN runs. Dropout draws when a generator rng is given.
+        When a graph is recorded or rng is given, the part after attention
+        runs once over all rows; otherwise it runs over consecutive row
+        blocks whose FFN input is about FFN_BLOCK_BYTES, each written into
+        one preallocated output, so no full-width [n, 4h] array exists. The
+        output rows are those of one pass over all rows."""
         p = f"layer{layer}"
         q_src, res = qk_src, x
         if layout.picked is not None:
@@ -226,38 +227,34 @@ class Model:
             self._linear(q_src, f"{p}.attn.wq"),
             self._linear(qk_src, f"{p}.attn.wk"),
             self._linear(x, f"{p}.attn.wv"), layout, self.config.num_heads,
-            attn_dropout=self.config.dropout, rng=rng, train=train,
-            collect=collect)
-        if train or T.grad_enabled():
-            return self._feed_forward_half(layer, res, out, train, rng), attn
+            attn_dropout=self.config.dropout, rng=rng, collect=collect)
+        if rng is not None or T.grad_enabled():
+            return self._feed_forward_half(layer, res, out, rng), attn
         n, h = out.shape
         step = max(1, FFN_BLOCK_BYTES // (FFN_MULT * h * out.dtype.itemsize))
         y = np.empty_like(out.data)
         for lo in range(0, n, step):
             y[lo:lo + step] = self._feed_forward_half(
-                layer, res.data[lo:lo + step], out.data[lo:lo + step], train,
-                rng).data
+                layer, res.data[lo:lo + step], out.data[lo:lo + step],
+                None).data
         return Tensor(y), attn
 
-    def invasive_layer(self, layer, x, layout, train=False, rng=None,
-                       collect=False):
+    def invasive_layer(self, layer, x, layout, rng=None, collect=False):
         """One encoder layer on the real-token rows x [N, h].
 
         layout (a :class:`tensor.AttentionLayout` of the batch) places the
         rows of x and names the query rows the output holds. Returns (the
         output rows, the [B, H, L, L] attention map if collect, else None)."""
-        return self._layer(layer, x, x, layout, train, rng, collect)
+        return self._layer(layer, x, x, layout, rng, collect)
 
-    def nova_layer(self, layer, hidden, side, layout, train=False, rng=None,
-                   collect=False):
+    def nova_layer(self, layer, hidden, side, layout, rng=None, collect=False):
         """Q, K from the hidden state re-fused with side at this layer's
         site; V and the residual stay on the ID branch, so the output remains
         in ID space. Rows as in :meth:`invasive_layer`."""
         return self._layer(layer, self._fuse(hidden, side, layer), hidden,
-                           layout, train, rng, collect)
+                           layout, rng, collect)
 
-    def encode(self, batch, train=False, rng=None, collect_attn=False,
-               positions=None):
+    def encode(self, batch, rng=None, collect_attn=False, positions=None):
         """Run the full stack; returns (hidden, attention maps per layer).
 
         hidden holds one row [h] per read position: the flat slots
@@ -269,8 +266,8 @@ class Model:
         batch from its pad mask, so a row's output does not depend on the
         other rows of the batch. The last layer runs its query side for the
         read rows only, while its K and V still read every real token.
-        Dropout draws its masks at these packed shapes, so the random
-        stream depends on which rows are read.
+        Dropout draws when a generator rng is given, at these packed
+        shapes, so the random stream depends on which rows are read.
 
         The maps (collect_attn, which needs every query row) are
         [B, H, L, L], zero at pad query rows and pad keys."""
@@ -292,16 +289,14 @@ class Model:
         nova = cfg.attention == "nova"
         if not nova:
             x = self._fuse(x, side, 0)
-        x = T.dropout(x, cfg.dropout, rng, train)
+        x = T.dropout(x, cfg.dropout, rng)
         attns = []
         for i in range(cfg.num_layers):
             lay = last if i == cfg.num_layers - 1 else layout
             if nova:  # the identical side tensors are re-fed to every layer
-                x, attn = self.nova_layer(i, x, side, lay, train, rng,
-                                          collect_attn)
+                x, attn = self.nova_layer(i, x, side, lay, rng, collect_attn)
             else:
-                x, attn = self.invasive_layer(i, x, lay, train, rng,
-                                              collect_attn)
+                x, attn = self.invasive_layer(i, x, lay, rng, collect_attn)
             if collect_attn:
                 attns.append(attn)
         return x, attns
@@ -320,14 +315,17 @@ class Model:
     def loss(self, batch, train=False, rng=None):
         """Masked-item cross-entropy of one batch.
 
+        With train, dropout draws its masks from rng, which must be given.
         Only the rows whose label is non-zero are computed past the last
         layer's keys and values and decoded: encode returns them as an
         [n, h] matrix for the tied decoder (BERT's masked-LM head). Loss and
         gradients equal those of decoding every position and reading the
         masked ones, up to summation order."""
+        if train and rng is None:
+            raise ValueError("a training loss needs a generator rng")
         labels = batch.labels.reshape(-1)
         pos = np.flatnonzero(labels)
-        hidden, _ = self.encode(batch, train=train, rng=rng, positions=pos)
+        hidden, _ = self.encode(batch, rng if train else None, positions=pos)
         return self.masked_loss(self.decode_scores(hidden), labels[pos])
 
     def first_layer_values(self, batch):

@@ -10,8 +10,8 @@ never a padded [B, L, ...] array. Multi-head attention is one node
 (:func:`scaled_dot_attention`) over those rows, grouped by exact row
 length by an :class:`AttentionLayout`, so no key is a pad; it saves only
 its probabilities and dropout keep mask and has a hand-written backward.
-Dropout draws its masks at these packed shapes: :func:`dropout` at the
-rows it is given, attention one mask per row length. :func:`take_rows`
+Dropout, given a generator, draws at these packed shapes: :func:`dropout`
+at the rows it is given, attention one mask per row length. :func:`take_rows`
 picks the rows a later op reads, and :func:`cross_entropy_masked` scores
 every row it is given. :func:`linear` is matmul plus bias as one node,
 :func:`gated_sum` is the gated fusion of side information as one node, and
@@ -61,6 +61,7 @@ import numpy as np
 from novabert import kernels
 
 DEFAULT_DTYPE = np.float64
+LAYER_NORM_EPS = 1e-12  # as in the original BERT
 _DEBUG = os.environ.get("NOVABERT_DEBUG", "0") == "1"
 
 
@@ -359,7 +360,7 @@ def gelu(x):
     return _make(out_data, (x,), bw)
 
 
-def layer_norm(x, gain, bias, eps=1e-12):
+def layer_norm(x, gain, bias):
     """Layer normalization over the last dimension with learnable scale/shift.
 
     xhat is built in place from the centred copy of x and the bias is added
@@ -370,7 +371,7 @@ def layer_norm(x, gain, bias, eps=1e-12):
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
@@ -389,15 +390,15 @@ def layer_norm(x, gain, bias, eps=1e-12):
     return _make(out_data, (x, gain, bias), bw)
 
 
-def dropout(x, p, rng, train):
-    """Inverted dropout with a mask drawn at x's shape; identity when train
-    is False or p == 0.
+def dropout(x, p, rng):
+    """Inverted dropout with a keep mask drawn from the generator rng at x's
+    shape; identity when rng is None or p == 0.
 
     Only the boolean keep mask is saved, an eighth of a float64 mask; the
     backward rebuilds the scaled mask from it with the forward's
     expression."""
     x = _as_tensor(x)
-    if not train or p <= 0.0:
+    if rng is None or p <= 0.0:
         return x
     keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
@@ -675,15 +676,15 @@ def _gather_heads(a, idx, real=None):
 
 
 def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
-                         train=False, collect=False):
+                         collect=False):
     """Multi-head softmax(Q K^T / sqrt(d)) V over real tokens, one graph node.
 
     q: the query rows [layout.pos, h]; k, v: the real-token rows
     [layout.rows, h]; h = heads * d. Each length group of the layout runs
     at its own length, over real keys only: 1/sqrt(d) is folded into the
     gathered Q in place, the softmax is written over the scores, and the
-    query rows of one sequence attend to its own keys only. Attention
-    dropout draws one keep mask per group at the shape of its
+    query rows of one sequence attend to its own keys only. Given rng,
+    attention dropout draws one keep mask per group at the shape of its
     probabilities [b, H, r, l], in group order.
     Only the probabilities and the boolean keep masks are saved; the
     backward gathers Q, K, V again and writes dQ, dK, dV rows with plain
@@ -705,7 +706,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     d = h // heads
     c = 1.0 / math.sqrt(d)
     qh, kh, vh = (t.data.reshape(-1, heads, d) for t in (q, k, v))
-    drop, scale = train and attn_dropout > 0.0, 1.0 / (1.0 - attn_dropout)
+    scale = 1.0 / (1.0 - attn_dropout)
     record = _records(q, k, v)
     attn = np.zeros((B, heads, L, L), dtype=q.dtype) if collect else None
     hh = np.arange(heads)[:, None]
@@ -723,7 +724,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
             attn[bi[:, None, None], hh, qslot[:, None, :], L - l:] = (
                 p * qreal[:, None, :, None])
         kept, pd = None, p
-        if drop:
+        if rng is not None and attn_dropout > 0.0:
             kept = rng.random(p.shape) >= attn_dropout
             pd = p * (kept.astype(p.dtype) * scale)
         o = pd @ _gather_heads(vh, kidx)

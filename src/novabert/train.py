@@ -28,9 +28,6 @@ class TrainConfig:
     batch_size: int = 128
     warmup_frac: float = 0.05
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     eval_every: int = 1
     early_stop_hr1: float | None = None    # stop once validation HR@1 reaches it
@@ -93,6 +90,9 @@ def lr_schedule(step, total_steps, peak_lr, warmup_frac):
     return peak_lr * (total_steps - step) / (total_steps - warm)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction over a named parameter dict."""
 
@@ -121,14 +121,14 @@ class Adam:
             scale = cfg.clip_norm / norm
             grads = {name: g * scale for name, g in grads.items()}
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, g in grads.items():
             p = self.params[name]
             flat = p.data.reshape(-1)
             kernels.adam_update(flat, np.ascontiguousarray(g),
-                                self.m[name], self.v[name],
-                                lr, cfg.beta1, cfg.beta2, cfg.eps, bc1, bc2)
+                                self.m[name], self.v[name], lr, ADAM_BETA1,
+                                ADAM_BETA2, ADAM_EPS, bc1, bc2)
 
 
 # ---------------------------------------------------------------------------

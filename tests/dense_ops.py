@@ -114,11 +114,11 @@ def pool_chain(table, idx, weights):
                 axis=-2)
 
 
-def float_mask_dropout(x, p, rng, train):
+def float_mask_dropout(x, p, rng):
     """Inverted dropout that saves its scaled float mask; the same draws
     and arithmetic as tensor.dropout."""
     x = _as_tensor(x)
-    if not train or p <= 0.0:
+    if rng is None or p <= 0.0:
         return x
     m = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
 

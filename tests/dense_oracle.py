@@ -80,6 +80,11 @@ class Replay:
         return SimpleNamespace(random=random)
 
 
+# stands in for a Replay where no dropout runs: no site gets a generator
+NO_DROPOUT = SimpleNamespace(rows=lambda pos: None,
+                             attention=lambda layout: None)
+
+
 def _linear(model, x, prefix):
     out = DO.matmul(x, model.params[prefix + ".w"])
     if prefix + ".b" in model.params:
@@ -99,7 +104,7 @@ def _merge_heads(x):
     return DO.reshape(T.transpose(x, (0, 2, 1, 3)), (B, L, H * d))
 
 
-def attention(q, k, v, key_mask, p, rng, train):
+def attention(q, k, v, key_mask, p, rng):
     """softmax(Q K^T / sqrt(d) + additive key mask), dropout, then V, as a
     chain of separate ops. q, k, v: [..., L, d]; key_mask broadcasts to the
     scores [..., L, L] and is True for keys that may be attended to.
@@ -109,7 +114,7 @@ def attention(q, k, v, key_mask, p, rng, train):
     scores = DO.mul(DO.matmul(q, T.transpose(k, axes)), 1.0 / np.sqrt(d))
     scores = T.add(scores, np.where(key_mask, 0.0, NEG_INF))
     attn = DO.softmax_lastdim(scores)
-    return DO.matmul(T.dropout(attn, p, rng, train), v), attn
+    return DO.matmul(T.dropout(attn, p, rng), v), attn
 
 
 def gating(features, wf, mode):
@@ -135,37 +140,35 @@ def _fuse(model, first, side, site):
                                     model.fusion[site], cfg.gating_mode)
 
 
-def _attention_block(model, layer, qk_src, v_src, key_mask, train, rng,
-                     layout):
+def _attention_block(model, layer, qk_src, v_src, key_mask, rng, layout):
     p = f"layer{layer}.attn"
     q = _split_heads(model, _linear(model, qk_src, f"{p}.wq"))
     k = _split_heads(model, _linear(model, qk_src, f"{p}.wk"))
     v = _split_heads(model, _linear(model, v_src, f"{p}.wv"))
     out, attn = attention(q, k, v, key_mask, model.config.dropout,
-                          rng.attention(layout), train)
+                          rng.attention(layout))
     out = _linear(model, _merge_heads(out), f"{p}.wo")
-    return T.dropout(out, model.config.dropout, rng.rows(layout.pos),
-                     train), attn
+    return T.dropout(out, model.config.dropout, rng.rows(layout.pos)), attn
 
 
-def _sublayers(model, layer, x, attn_out, train, rng, layout):
+def _sublayers(model, layer, x, attn_out, rng, layout):
     p, params = f"layer{layer}", model.params
     x = T.layer_norm(T.add(x, attn_out), params[f"{p}.ln1.g"],
                      params[f"{p}.ln1.b"])
     f = _linear(model, T.gelu(_linear(model, x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
-    f = T.dropout(f, model.config.dropout, rng.rows(layout.pos), train)
+    f = T.dropout(f, model.config.dropout, rng.rows(layout.pos))
     return T.layer_norm(T.add(x, f), params[f"{p}.ln2.g"],
                         params[f"{p}.ln2.b"])
 
 
-def encode(model, batch, train=False, rng=None, positions=None):
+def encode(model, batch, rng=None, positions=None):
     """(hidden [B, L, h], attention maps per layer), every slot computed.
 
-    In training, rng is a :class:`Replay` of the draws of Model.encode
-    with the same positions, which only decide where the last layer's
-    draws go."""
+    Dropout runs when rng is given, as a :class:`Replay` of the draws of
+    Model.encode with the same positions, which only decide where the last
+    layer's draws go."""
     cfg, params = model.config, model.params
-    rng = Replay([]) if rng is None else rng
+    rng = NO_DROPOUT if rng is None else rng
     layout = T.AttentionLayout(batch.pad_mask)
     last = layout if positions is None else layout.at(positions)
     key_mask = batch.pad_mask[:, None, None, :]
@@ -177,24 +180,23 @@ def encode(model, batch, train=False, rng=None, positions=None):
     nova = cfg.attention == "nova"
     if not nova:
         x = _fuse(model, x, side, 0)
-    x = T.dropout(x, cfg.dropout, rng.rows(layout.rows), train)
+    x = T.dropout(x, cfg.dropout, rng.rows(layout.rows))
     attns = []
     for i in range(cfg.num_layers):
         lay = last if i == cfg.num_layers - 1 else layout
         r = _fuse(model, x, side, i) if nova else x
-        attn_out, attn = _attention_block(model, i, r, x, key_mask, train,
-                                          rng, lay)
-        x = _sublayers(model, i, x, attn_out, train, rng, lay)
+        attn_out, attn = _attention_block(model, i, r, x, key_mask, rng, lay)
+        x = _sublayers(model, i, x, attn_out, rng, lay)
         attns.append(attn)
     return x, attns
 
 
-def loss(model, batch, train=False, rng=None):
+def loss(model, batch, rng=None):
     """Masked-item cross-entropy of [B, L, m] logits from a copied table,
     read at the labelled slots."""
     labels = batch.labels.reshape(-1)
     pos = np.flatnonzero(labels)
-    hidden, _ = encode(model, batch, train=train, rng=rng, positions=pos)
+    hidden, _ = encode(model, batch, rng=rng, positions=pos)
     table = T.embedding_lookup(model.params["emb.id"],
                                np.arange(1, model.catalog.m + 1))
     logits = T.add(DO.matmul(hidden, T.transpose(table, (1, 0))),

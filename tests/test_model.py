@@ -281,13 +281,22 @@ def test_nova_side_tensors_shared_across_layers():
 
 
 def test_dropout_train_changes_eval_does_not():
+    """Only a training loss draws dropout masks, and it needs a generator:
+    an evaluation loss given one equals the loss without it and leaves the
+    generator's state as it was."""
     model, batch = tiny_setup(dropout=0.1)
     a = model.loss(batch).item()
     b = model.loss(batch).item()
     assert a == b
+    g = np.random.default_rng(2)
+    state = g.bit_generator.state
+    assert model.loss(batch, train=False, rng=g).item() == a
+    assert g.bit_generator.state == state
     t1 = model.loss(batch, train=True, rng=np.random.default_rng(0)).item()
     t2 = model.loss(batch, train=True, rng=np.random.default_rng(1)).item()
     assert t1 != t2
+    with pytest.raises(ValueError, match="generator"):
+        model.loss(batch, train=True)
 
 
 def _loss_and_grads(model, loss_fn):
@@ -402,30 +411,21 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, attention, fusion,
 @pytest.mark.parametrize("attention", ["invasive", "nova"])
 @pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
 def test_scores_do_not_depend_on_the_other_users(attention, fusion, dtype):
-    """Users of 2 to 7 history items get, at every batch size from 1 to all
-    12, the scores of one batch over all of them, bit for bit: attention
+    """Users get, at every batch size from 1 to all of them, the scores of
+    one batch over all of them, bit for bit: the 12 users of 2 to 7
+    history items, two of each length, and 7 users of 7 history items,
+    whose batches run attention in one group of up to 7 rows. Attention
     runs one group per row length, so no user's sums run over the pad keys
     of a longer user in its batch."""
-    model, pairs = eval_setup(attention, fusion, dtype)
-    whole, _ = TR.score_pairs(model, pairs, batch_size=len(pairs))
-    for batch_size in range(1, len(pairs)):
-        scores, _ = TR.score_pairs(model, pairs, batch_size=batch_size)
-        assert np.array_equal(scores, whole), batch_size
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_scores_do_not_depend_on_the_batch_size(dtype):
-    """A user's scores are the same whatever batch it is scored in,
-    including a chunk that holds that user alone. The 7 users have equal
-    lengths, so every batching runs attention at the same length."""
-    model, _ = eval_setup("nova", "gating", dtype)
+    model, mixed = eval_setup(attention, fusion, dtype)
     _, _, seqs = branching_dataset(m=11, n_seq=12, length=9, seed=0)
-    pairs = D.leave_one_out_split(seqs).validation[:7]
-    assert {len(p.items) for p in pairs} == {model.config.max_len - 1}
-    whole, _ = TR.score_pairs(model, pairs, batch_size=7)
-    for batch_size in (1, 2, 3, 6):
-        scores, _ = TR.score_pairs(model, pairs, batch_size=batch_size)
-        assert np.array_equal(scores, whole), batch_size
+    equal = D.leave_one_out_split(seqs).validation[:7]
+    assert {len(p.items) for p in equal} == {model.config.max_len - 1}
+    for pairs in (mixed, equal):
+        whole, _ = TR.score_pairs(model, pairs, batch_size=len(pairs))
+        for batch_size in range(1, len(pairs)):
+            scores, _ = TR.score_pairs(model, pairs, batch_size=batch_size)
+            assert np.array_equal(scores, whole), batch_size
 
 
 def test_feed_forward_rows_per_call(monkeypatch):

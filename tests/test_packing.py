@@ -80,8 +80,8 @@ def test_packed_loss_matches_dense_oracle(attention, fusion):
                 model, lambda: model.loss(batch, train=train, rng=rec))
             replay = dense_oracle.Replay(rec.draws)
             dense, d_grads = loss_and_grads(
-                model, lambda: dense_oracle.loss(model, batch, train=train,
-                                                 rng=replay))
+                model, lambda: dense_oracle.loss(
+                    model, batch, rng=replay if train else None))
             assert abs(packed - dense) < TOL
             assert set(p_grads) == set(d_grads)
             for name, g in p_grads.items():
@@ -129,10 +129,10 @@ def test_encode_at_positions_gives_those_rows(attention):
             at = np.searchsorted(np.flatnonzero(batch.pad_mask), pos)
             assert np.abs(got.data - full.data[at]).max() < TOL
             rec = dense_oracle.Recorder(3)
-            got, _ = model.encode(batch, train=True, rng=rec, positions=pos)
+            got, _ = model.encode(batch, rng=rec, positions=pos)
             replay = dense_oracle.Replay(rec.draws)
-            dense, _ = dense_oracle.encode(model, batch, train=True,
-                                           rng=replay, positions=pos)
+            dense, _ = dense_oracle.encode(model, batch, rng=replay,
+                                           positions=pos)
             dense = dense.data.reshape(-1, h)[pos]
             assert np.abs(got.data - dense).max() < TOL
             assert replay.used == len(rec.draws) > 0

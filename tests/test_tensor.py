@@ -463,7 +463,7 @@ def test_fd_attention_buckets(subset, dropout):
     def loss():
         out, _ = T.scaled_dot_attention(
             q, k, v, layout, 2, attn_dropout=dropout,
-            rng=np.random.default_rng(5), train=True)
+            rng=np.random.default_rng(5))
         return DO.tsum(DO.mul(out, w))
 
     check_grads(loss, [q, k, v])
@@ -495,8 +495,7 @@ def test_attention_matches_dense_chain(lengths, queries):
     def fused(gen):
         qq = q if lay.picked is None else T.take_rows(q, lay.picked)
         out, attn = T.scaled_dot_attention(qq, k, v, lay, H, attn_dropout=0.2,
-                                           rng=gen, train=True,
-                                           collect=queries == "all")
+                                           rng=gen, collect=queries == "all")
         return DO.tsum(DO.mul(out, w)), attn
 
     def dense(gen):
@@ -511,7 +510,7 @@ def test_attention_matches_dense_chain(lengths, queries):
 
         out, attn = dense_oracle.attention(
             heads(q), heads(k), heads(v), layout.pad_mask[:, None, None, :],
-            0.2, gen, True)
+            0.2, gen)
         flat = DO.reshape(T.transpose(out, (0, 2, 1, 3)), (B * L, H * d))
         return DO.tsum(DO.mul(T.take_rows(flat, pos), w)), attn
 
@@ -690,11 +689,11 @@ def test_float32_kernel_ops_keep_dtype_and_match_float64():
 def test_dropout_train_and_eval():
     rng = np.random.default_rng(19)
     x = T.Tensor(np.ones((1000,)), requires_grad=True)
-    out = T.dropout(x, 0.25, rng, train=True)
+    out = T.dropout(x, 0.25, rng)
     kept = out.data != 0
     assert 0.6 < kept.mean() < 0.9
     assert np.allclose(out.data[kept], 1 / 0.75)
-    same = T.dropout(x, 0.25, rng, train=False)
+    same = T.dropout(x, 0.25, None)
     assert same is x
 
 
@@ -710,7 +709,7 @@ def test_dropout_equals_the_float_mask_version(dtype):
     outs = []
     for drop in (T.dropout, DO.float_mask_dropout):
         leaf = T.Tensor(x, requires_grad=True)
-        out = drop(leaf, 0.3, np.random.default_rng(5), True)
+        out = drop(leaf, 0.3, np.random.default_rng(5))
         if drop is T.dropout:
             assert saved_arrays(out) == [(x.shape, bool)]
         T.backward(DO.tsum(DO.mul(out, g)))
@@ -724,8 +723,8 @@ def test_dropout_equals_the_float_mask_version(dtype):
 
 def test_dropout_seeded_reproducible():
     x = np.arange(100.0)
-    a = T.dropout(T.Tensor(x), 0.5, np.random.default_rng(7), train=True).data
-    b = T.dropout(T.Tensor(x), 0.5, np.random.default_rng(7), train=True).data
+    a = T.dropout(T.Tensor(x), 0.5, np.random.default_rng(7)).data
+    b = T.dropout(T.Tensor(x), 0.5, np.random.default_rng(7)).data
     assert np.array_equal(a, b)
 
 
@@ -734,7 +733,7 @@ def test_determinism_same_seed_bitwise():
         rng = np.random.default_rng(42)
         x = T.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         h = T.gelu(T.linear(x, x))
-        h = T.dropout(h, 0.1, rng, train=True)
+        h = T.dropout(h, 0.1, rng)
         loss = DO.tsum(DO.mul(h, h))
         T.backward(loss)
         return loss.item(), x.grad.copy()

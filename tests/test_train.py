@@ -94,12 +94,13 @@ def test_adam_clips_shared_gradient_once():
     params = {name: Tensor(np.zeros(2), requires_grad=True)
               for name in ("a", "b")}
     params["a"].grad = params["b"].grad = g
-    opt = TR.Adam(params, TR.TrainConfig(clip_norm=1.0, beta1=0.9))
+    opt = TR.Adam(params, TR.TrainConfig(clip_norm=1.0))
     opt.step(1e-2)
-    # the joint norm is sqrt(50); the first moment is (1 - beta1) * clipped g
+    # the joint norm is sqrt(50); the first moment (1 - ADAM_BETA1) * clipped g
     clipped = np.array([3.0, 4.0]) / math.sqrt(50.0)
     for name in ("a", "b"):
-        assert np.allclose(opt.m[name], 0.1 * clipped, rtol=1e-14, atol=0)
+        assert np.allclose(opt.m[name], (1 - TR.ADAM_BETA1) * clipped,
+                           rtol=1e-14, atol=0)
     assert np.array_equal(g, [3.0, 4.0])
 
 
