@@ -11,10 +11,13 @@ members, canonical JSON and zip's fixed entry dates make save -> load ->
 save byte-identical. Every member's CRC-32 is checked on load and nothing is
 unpickled, so a damaged file raises ``CheckpointError``. Files in the
 earlier hand-written format (version 1) are not read; re-create them.
+``replaced_on_success`` is the program's one rename into place: checkpoints
+and every CLI output are written through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -31,6 +34,23 @@ VERSION = 2
 
 class CheckpointError(RuntimeError):
     pass
+
+
+@contextlib.contextmanager
+def replaced_on_success(*paths):
+    """Yield a temporary path ``.<name>.<pid>.tmp`` beside each of paths.
+    When the block returns, each temporary file replaces its path
+    (``os.replace``), so a reader never sees a half-written file; when it
+    raises, they are removed and the paths are left as they were."""
+    paths = [Path(p) for p in paths]
+    tmps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path, model, metadata=None, optimizer=None):
@@ -53,15 +73,9 @@ def save_checkpoint(path, model, metadata=None, optimizer=None):
     }
     tensors["index"] = np.frombuffer(json.dumps(
         index, sort_keys=True, separators=(",", ":")).encode(), dtype=np.uint8)
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        # through a handle: given a file name, savez appends ".npz"
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **{name: tensors[name] for name in sorted(tensors)})
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    # through a handle: given a file name, savez appends ".npz"
+    with replaced_on_success(path) as (tmp,), open(tmp, "wb") as fh:
+        np.savez(fh, **{name: tensors[name] for name in sorted(tensors)})
 
 
 def _read_archive(path):

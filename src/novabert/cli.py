@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import dataclasses
+import fcntl
 import json
 import os
 import re
@@ -99,12 +99,12 @@ def _parse_section(path, name, section, parsers):
 
 
 class OutputDir:
-    """Writable output directory guarded by a lock marker file that holds
-    the pid of the run using it.
-
-    A lock whose pid is not a running process is stale: it is removed and
-    taken once more. Two runs that take over the same stale lock at the
-    same moment are not told apart."""
+    """Writable output directory that one run at a time holds, by an
+    exclusive ``flock`` on its ``.lock`` file. The kernel drops the lock
+    however the holder ends (exit, kill or reboot), so a ``.lock`` left by
+    an ended run is taken over; the pid written into it is for people to
+    read. Each OutputDir opens the file anew, so a second one on a held
+    directory is refused, in the same process too."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -112,51 +112,29 @@ class OutputDir:
 
     def __enter__(self):
         self.path.mkdir(parents=True, exist_ok=True)
-        fd = self._create()
-        if fd is None and self._stale():
-            self.lock.unlink(missing_ok=True)
-            fd = self._create()
-        if fd is None:
-            raise CliError(
-                f"output directory {self.path} is locked by another run "
-                f"(remove {self.lock} if stale)")
-        try:
-            os.write(fd, str(os.getpid()).encode())
-        finally:
-            os.close(fd)
-        return self.path
-
-    def _create(self):
-        """A write descriptor of a newly created lock, or None if the lock
-        exists."""
-        try:
-            return os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return None
-
-    def _stale(self):
-        """Whether the lock names a pid that is not a running process. A
-        lock that cannot be read as a pid (say, one whose writer has not
-        written it yet) is not stale."""
-        try:
-            pid = int(self.lock.read_text())
-        except FileNotFoundError:
-            return True
-        except (OSError, ValueError):
-            return False
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            pass  # a process of another user
-        return False
+        while True:
+            fd = os.open(self.lock, os.O_CREAT | os.O_WRONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # a finishing run may have unlinked the file between our
+                # open and our flock; a lock on that file guards nothing
+                if os.path.samestat(os.fstat(fd), os.stat(self.lock)):
+                    os.ftruncate(fd, 0)
+                    os.write(fd, str(os.getpid()).encode())
+                    self.fd, fd = fd, None  # held until __exit__
+                    return self.path
+            except BlockingIOError:
+                raise CliError(f"output directory {self.path} is locked by "
+                               f"another run") from None
+            except FileNotFoundError:
+                pass
+            finally:
+                if fd is not None:
+                    os.close(fd)
 
     def __exit__(self, *exc):
         self.lock.unlink(missing_ok=True)
-        return False
+        os.close(self.fd)
 
 
 def _dtype_for(precision):
@@ -179,24 +157,8 @@ def _load_split(args, mcfg):
     return schema, catalog, D.leave_one_out_split(sequences)
 
 
-@contextlib.contextmanager
-def _replaced_on_success(*paths):
-    """Yield a temporary path beside each of paths. When the block returns,
-    each temporary file replaces its path (``os.replace``), so a reader
-    never sees a half-written output; when it raises, they are removed and
-    the paths are left as they were."""
-    tmps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
-    try:
-        yield tmps
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-    finally:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
-
-
 def _write_text(path, text):
-    with _replaced_on_success(Path(path)) as (tmp,):
+    with CK.replaced_on_success(path) as (tmp,):
         tmp.write_text(text, encoding="utf-8")
 
 
@@ -234,7 +196,7 @@ def cmd_prepare_data(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "items.tsv", out / "interactions.tsv", out / "schema.ini"]
-    with _replaced_on_success(*paths) as (items_tmp, inter_tmp, schema_tmp):
+    with CK.replaced_on_success(*paths) as (items_tmp, inter_tmp, schema_tmp):
         with open(items_tmp, "w", encoding="utf-8") as dst:
             dst.write("item_id\tyear\tgenre\n")
             for movie_id, title, genres in _dat_rows(args.items, 3):
@@ -361,6 +323,8 @@ def _write_pgm(path, matrix):
 
 
 def cmd_dump_attention(args):
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     model, _, _ = CK.load_checkpoint(args.checkpoint)
     if not 0 <= args.layer < model.config.num_layers:
         raise CliError(f"layer {args.layer} out of range "

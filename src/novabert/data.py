@@ -429,6 +429,8 @@ def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
         raise DataError(f"sequence length must be >= 1, got {L}")
     if not 0 < mask_prob <= 1:
         raise DataError(f"mask_prob must be in (0, 1], got {mask_prob}")
+    if not all(seq.items for seq in train_seqs):
+        raise DataError("empty training sequence: no position to mask")
     rows = []
     for seq in train_seqs:
         items = _window(seq.items, L)

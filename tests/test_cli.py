@@ -167,18 +167,70 @@ def test_evaluate_with_no_user_past_the_filter_exits_1(tmp_path, capsys):
 
 
 def test_locked_output_dir_refused(toy, capsys):
-    """A lock that holds the pid of a running process is refused."""
-    toy["out"].mkdir()
-    with subprocess.Popen([sys.executable, "-c",
-                           "import sys; sys.stdin.read()"],
-                          stdin=subprocess.PIPE) as live:
-        (toy["out"] / ".lock").write_text(str(live.pid))
+    """A directory that another process holds is refused, and its lock is
+    left to the holder."""
+    holder = ("import sys\n"
+              "from novabert import cli\n"
+              f"with cli.OutputDir({str(toy['out'])!r}):\n"
+              "    print('held', flush=True)\n"
+              "    sys.stdin.read()\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-c", holder], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as live:
+        assert live.stdout.readline() == "held\n"
         code = cli.main(["train"] + flags(toy))
         live.stdin.close()
         assert live.wait(timeout=60) == 0
     assert code == 1
     assert "locked" in capsys.readouterr().err
-    assert (toy["out"] / ".lock").read_text() == str(live.pid)
+    assert not (toy["out"] / "metrics.json").exists()
+
+
+def test_lock_naming_a_live_process_taken_over(tmp_path):
+    """Only the kernel lock counts: a .lock that names a running process
+    but that no process holds is taken over."""
+    with subprocess.Popen([sys.executable, "-c",
+                           "import sys; sys.stdin.read()"],
+                          stdin=subprocess.PIPE) as live:
+        (tmp_path / ".lock").write_text(str(live.pid))
+        with cli.OutputDir(tmp_path) as out:
+            assert (out / ".lock").read_text() == str(os.getpid())
+        live.stdin.close()
+        assert live.wait(timeout=60) == 0
+    assert not (tmp_path / ".lock").exists()
+
+
+def test_second_output_dir_in_one_process_refused(tmp_path):
+    with cli.OutputDir(tmp_path):
+        with pytest.raises(cli.CliError, match="locked"):
+            with cli.OutputDir(tmp_path):
+                pass
+        assert (tmp_path / ".lock").read_text() == str(os.getpid())
+    with cli.OutputDir(tmp_path):
+        pass
+
+
+def test_lock_unlinked_before_flock_is_taken_anew(tmp_path, monkeypatch):
+    """A run that ends between another's open and flock unlinks the file
+    the other opened; the other then locks the file at the path instead,
+    so a third run is still refused."""
+    flock, calls = cli.fcntl.flock, []
+
+    def end_holder_then_flock(fd, op):
+        if not calls:
+            (tmp_path / ".lock").unlink()
+        calls.append(fd)
+        flock(fd, op)
+
+    monkeypatch.setattr(cli.fcntl, "flock", end_holder_then_flock)
+    with cli.OutputDir(tmp_path) as out:
+        assert len(calls) == 2
+        assert (out / ".lock").read_text() == str(os.getpid())
+        with pytest.raises(cli.CliError, match="locked"):
+            with cli.OutputDir(tmp_path):
+                pass
 
 
 def test_stale_lock_taken_over(tmp_path):
@@ -292,6 +344,22 @@ def test_dump_attention_bad_layer(toy, tmp_path, capsys):
                      "--out", str(tmp_path / "d"), "--layer", "5"])
     assert code == 1
     assert "layer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_dump_attention_refuses_samples_below_one(toy, tmp_path, capsys,
+                                                  samples):
+    """--samples below 1 is an error naming the flag, before any output
+    (-1 used to end in a traceback, 0 in an empty dump)."""
+    assert cli.main(["train"] + flags(toy)) == 0
+    code = cli.main(["dump-attention",
+                     "--checkpoint", str(toy["out"] / "checkpoint.bin"),
+                     "--data", str(toy["data"]),
+                     "--out", str(tmp_path / "d"), "--samples", samples])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--samples" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_profile_writes_json(toy, capsys):

@@ -335,6 +335,18 @@ def test_masked_batch_bad_args(split):
         D.make_masked_batch(sp.train, schema, catalog, 0.0, rng, L=4)
 
 
+def test_masked_batch_empty_sequence_errors(split):
+    """An empty sequence has no position to mask; it is refused before any
+    draw rather than redrawn forever."""
+    schema, catalog, sp = split
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(D.DataError, match="empty"):
+        D.make_masked_batch([sp.train[0], D.TrainSequence([], {})], schema,
+                            catalog, 0.2, rng, L=6)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # eval batches
 # ---------------------------------------------------------------------------

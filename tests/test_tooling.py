@@ -3,7 +3,8 @@ of a training step and an evaluation; the benchmark's own correctness
 checks pass on the program; every public op of the tensor module has a
 caller in the program, and every other public name a reader; no module of
 the program reads another's private names; only Model.loss takes a train
-flag; the config file's keys are the fields of the config dataclasses."""
+flag; only checkpoint.replaced_on_success renames a file into place; the
+config file's keys are the fields of the config dataclasses."""
 
 import ast
 import dataclasses
@@ -301,6 +302,65 @@ def test_only_model_loss_takes_a_train_flag():
     found = [q for path in SRC.glob("*.py")
              for q in _train_parameters(path.read_text(), path.stem)]
     assert found == ["model.Model.loss"]
+
+
+_RENAMES = {"replace", "rename", "renames"}
+
+
+def _rename_calls(source, module):
+    """Qualified names (module[.Class].function, or module alone at the top
+    level) of the places in source that call os.replace, os.rename or
+    os.renames, through any alias of os or by a name imported from it."""
+    tree = ast.parse(source)
+    aliases, direct = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names
+                        if a.name == "os"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            direct |= {a.asname or a.name for a in node.names
+                       if a.name in _RENAMES}
+    found = []
+
+    def visit(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(sub, (ast.ClassDef, ast.FunctionDef,
+                                ast.AsyncFunctionDef)):
+                name = f"{prefix}.{sub.name}"
+            elif isinstance(sub, ast.Call):
+                f = sub.func
+                if ((isinstance(f, ast.Name) and f.id in direct)
+                        or (isinstance(f, ast.Attribute)
+                            and f.attr in _RENAMES
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id in aliases)):
+                    found.append(name)
+            visit(sub, name)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_replaced_on_success_renames_into_place():
+    """Writing a temporary file and renaming it over its path is done once,
+    in checkpoint.replaced_on_success, which every writer of a checkpoint
+    or CLI output goes through; a second copy of that protocol fails
+    here."""
+    probe = ("import os\n"
+             "import os as o\n"
+             "from os import rename as mv\n"
+             "def replaced_on_success(): os.replace('a', 'b')\n"
+             "class W:\n"
+             "    def save(self):\n"
+             "        o.rename('a', 'b')\n"
+             "mv('a', 'b')\n"
+             "'x'.replace('a', 'b'), os.path.join('a')\n")
+    assert _rename_calls(probe, "m") == [
+        "m.replaced_on_success", "m.W.save", "m"]
+    found = [q for path in SRC.glob("*.py")
+             for q in _rename_calls(path.read_text(), path.stem)]
+    assert found == ["checkpoint.replaced_on_success"]
 
 
 def test_config_keys_are_dataclass_fields():
