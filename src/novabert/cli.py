@@ -312,6 +312,10 @@ def cmd_compare(args):
 # dump-attention
 # ---------------------------------------------------------------------------
 
+# <sample>_<head>.csv / .pgm, the files one attention dump writes
+_DUMP_FILE = re.compile(r"\d+_\d+\.(csv|pgm)")
+
+
 def _write_pgm(path, matrix):
     """8-bit grayscale, darker = higher weight."""
     top = matrix.max()
@@ -341,6 +345,11 @@ def cmd_dump_attention(args):
     with OutputDir(args.out) as out:
         att_dir = out / "attention"
         att_dir.mkdir(exist_ok=True)
+        # a rerun with fewer samples or heads must not leave the last
+        # dump's maps beside its own; other files are not ours to remove
+        for old in att_dir.iterdir():
+            if _DUMP_FILE.fullmatch(old.name):
+                old.unlink()
         L = model.config.max_len
         for s, idx in enumerate(chosen):
             pair = pairs[idx]

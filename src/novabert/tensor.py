@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A :class:`Tensor` wraps a numpy array. Differentiable operations record
-their inputs and a backward closure on the output node; :func:`backward`
-linearizes the recorded graph into a tape (topological order) and replays
-it in reverse, accumulating gradients into every ``requires_grad`` leaf.
+A :class:`Tensor` wraps a numpy array and, when it takes part in a
+recorded graph, a vertex. The graph is made of vertices, not tensors:
+differentiable operations give the output's vertex the vertices of their
+inputs and a backward closure; :func:`backward` linearizes the recorded
+graph into a tape (topological order) and replays it in reverse,
+accumulating gradients into the vertex of every ``requires_grad`` leaf,
+which its tensor's ``.grad`` reads.
 
 Activations are packed rows: one row per real token of a padded batch,
 never a padded [B, L, ...] array. Multi-head attention is one node
@@ -20,18 +23,18 @@ rows as one node. The per-token backwards reuse their forward work: the
 loss normalizes the exponentials its forward kept, GELU keeps only its
 input and ``tanh``, and the embedding scatter-add is one ``np.bincount``.
 
-What a training step keeps: each node's output array (its ``.data``), held
-by the nodes that read it and by the caller's names, and what each backward
-closure saved for itself, which is only what that backward reads (boolean
-dropout masks, not float ones; a pooled lookup's indices and weights, not
-its gathered rows). :func:`backward` frees the graph as it walks it: once a
-node's closure has run, the node drops its closure, its parent links and
-its interior gradient, so the saved arrays, and outputs that only the
-graph still referenced, go as the walk goes down. Until then an output no
-backward reads (the output projection's, say, which dropout reads) is
-still held by the parent links of the nodes that read it. After the call
-only the leaves' gradients, ``loss.grad`` and the ``.data`` of tensors the
-caller still names are left.
+What a training step keeps: the ``.data`` of the tensors the caller still
+names, and what each backward closure saved for itself, which is only what
+that backward reads (boolean dropout masks, not float ones; a pooled
+lookup's indices and weights, not its gathered rows; a linear's input, not
+its output). A closure holds the vertices of its inputs, never their
+tensors, and shapes and dtypes as plain values, so an op output that no
+backward reads (the output projection's, say, which dropout reads) is freed
+as soon as the forward drops its name. :func:`backward` frees the graph as
+it walks it: once a vertex's closure has run, the vertex drops its closure,
+its parent links and its interior gradient, so the saved arrays go as the
+walk goes down. After the call only the leaves' gradients, ``loss.grad``
+and the ``.data`` of tensors the caller still names are left.
 
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
@@ -69,10 +72,27 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw", "_done")
+class _Vertex:
+    """A node of the recorded graph: the gradient reaching it, the vertices
+    of its inputs that need one, the backward closure, and whether a
+    backward has consumed it. A vertex holds no value: a leaf's vertex is
+    its gradient's home, an op output's is where its backward starts."""
+    __slots__ = ("grad", "parents", "bw", "done")
+    requires_grad = True
 
-    def __init__(self, data, requires_grad=False, _parents=(), _bw=None):
+    def __init__(self, parents=(), bw=None):
+        self.grad = None
+        self.parents = parents
+        self.bw = bw
+        self.done = False
+
+
+class Tensor:
+    """A value (``.data``) and, when it takes part in a recorded graph, its
+    vertex; ``.grad`` reads and sets the vertex's gradient."""
+    __slots__ = ("data", "_vertex")
+
+    def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
@@ -80,11 +100,22 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64, np.longdouble):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = _parents
-        self._bw = _bw
-        self._done = False
+        self._vertex = _Vertex() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._vertex is not None
+
+    @property
+    def grad(self):
+        v = self._vertex
+        return None if v is None else v.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._vertex is None:
+            raise AttributeError("a tensor that requires no grad holds none")
+        self._vertex.grad = g
 
     # -- convenience -------------------------------------------------------
     @property
@@ -106,10 +137,6 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(*ts):
-    return any(t.requires_grad for t in ts)
-
-
 class _GradMode(threading.local):
     enabled = True
 
@@ -125,7 +152,7 @@ def grad_enabled():
 
 def _records(*parents):
     """Whether an op on these inputs records a graph node."""
-    return _grad_mode.enabled and _needs_grad(*parents)
+    return _grad_mode.enabled and any(p._vertex is not None for p in parents)
 
 
 @contextlib.contextmanager
@@ -145,20 +172,27 @@ def _check_finite(arr, what, bw):
 
 
 def _make(data, parents, bw):
+    """The output tensor of an op on the tensors parents; when a graph is
+    recorded, its vertex links bw to the vertices of the parents that need
+    a gradient."""
     if _DEBUG:
         _check_finite(data, "output", bw)
-    if _records(*parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _bw=bw)
-    return Tensor(data)
+    out = Tensor(data)
+    if _grad_mode.enabled:
+        vs = tuple(p._vertex for p in parents if p._vertex is not None)
+        if vs:
+            out._vertex = _Vertex(vs, bw)
+    return out
 
 
 def _accumulate(t, g):
-    """Add g to t.grad out of place.
+    """Add g to the gradient of t (a vertex, a tensor, or None for an input
+    that needs none) out of place.
 
     The first gradient is stored as given, with no zeroed buffer. ``add``
     hands one array to both of its parents, so a ``.grad`` may be shared:
     nothing writes into one in place."""
-    if not t.requires_grad:
+    if t is None or not t.requires_grad:
         return
     t.grad = g if t.grad is None else t.grad + g
 
@@ -182,24 +216,27 @@ def backward(loss):
     """Populate .grad on every requires_grad leaf reachable from loss.
 
     loss must be a scalar produced through recorded operations. A tape
-    (topologically ordered op list) is built from the graph and replayed in
-    reverse; each node is visited exactly once. Each node is popped off the
-    tape once its backward closure has passed its gradient on to the
-    parents; then its .grad (loss.grad excepted), its closure and its
-    parent links are dropped. So the arrays a closure saved are freed as
-    the walk goes down the graph, and nothing of the graph outlives the
-    call; every node keeps its .data. Calling twice on the same loss, or on
-    a loss whose graph reaches a node an earlier backward freed, raises
-    RuntimeError: rebuild the forward pass.
+    (topologically ordered vertex list) is built from the graph and
+    replayed in reverse; each vertex is visited exactly once. Each vertex
+    is popped off the tape once its backward closure has passed its
+    gradient on to the parents; then its gradient (loss's excepted), its
+    closure and its parent links are dropped. So the arrays a closure saved
+    are freed as the walk goes down the graph, and nothing of the graph
+    outlives the call. Calling twice on the same loss, or on a loss whose
+    graph reaches a vertex an earlier backward freed, raises RuntimeError:
+    rebuild the forward pass.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if loss._done:
+    root = loss._vertex
+    if root is None:    # a constant loss: a leaf vertex holds its gradient
+        loss._vertex = root = _Vertex()
+    if root.done:
         raise RuntimeError("backward already ran on this graph; rebuild the forward pass")
 
     tape = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -209,28 +246,28 @@ def backward(loss):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p._done:
+        for p in node.parents:
+            if p.done:
                 raise RuntimeError("an earlier backward freed part of this "
                                    "graph; rebuild the forward pass")
-            if id(p) not in visited and p._bw is not None:
+            if id(p) not in visited and p.bw is not None:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while tape:
         node = tape.pop()
-        if node._bw is None:
+        if node.bw is None:
             continue
         if node.grad is not None:
-            node._bw(node.grad)
+            node.bw(node.grad)
             if _DEBUG:
-                for p in node._parents:
+                for p in node.parents:
                     if p.grad is not None:
                         _check_finite(p.grad, "gradient from the backward",
-                                      node._bw)
-            if node is not loss:
+                                      node.bw)
+            if node is not root:
                 node.grad = None
-        node._bw, node._parents, node._done = None, (), True
+        node.bw, node.parents, node.done = None, (), True
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +277,14 @@ def backward(loss):
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
+    va, vb, sa, sb = a._vertex, b._vertex, a.shape, b.shape
 
     def bw(g):
         # a constant operand (a mask, a scale) gets no reduction of g
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if va is not None:
+            _accumulate(va, _unbroadcast(g, sa))
+        if vb is not None:
+            _accumulate(vb, _unbroadcast(g, sb))
 
     return _make(out_data, (a, b), bw)
 
@@ -264,34 +302,34 @@ def linear(x, w, b=None):
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError(
             f"linear inner dimensions differ: {x.shape} x {w.shape}")
-    x2 = x.data.reshape(-1, w.shape[0])
-    out = (x2 @ w.data if len(x2) != 1
-           else (np.concatenate([x2, x2]) @ w.data)[:1])
-    parents = (x, w)
+    wd, (k, n), xs = w.data, w.shape, x.shape
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ wd if len(x2) != 1 else (np.concatenate([x2, x2]) @ wd)[:1]
+    parents, vx, vw, vb = (x, w), x._vertex, w._vertex, None
     if b is not None:
         b = _as_tensor(b)
         out += b.data
-        parents = (x, w, b)
+        parents, vb = (x, w, b), b._vertex
 
     def bw(g):
-        g2 = g.reshape(-1, w.shape[1])
-        if x.requires_grad:
-            _accumulate(x, (g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            _accumulate(w, x2.T @ g2)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
+        g2 = g.reshape(-1, n)
+        if vx is not None:
+            _accumulate(vx, (g2 @ wd.T).reshape(xs))
+        if vw is not None:
+            _accumulate(vw, x2.T @ g2)
+        if vb is not None:
+            _accumulate(vb, g2.sum(axis=0))
 
-    return _make(out.reshape(x.shape[:-1] + (w.shape[1],)), parents, bw)
+    return _make(out.reshape(xs[:-1] + (n,)), parents, bw)
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
     out_data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
+    inv, va = np.argsort(axes), a._vertex
 
     def bw(g):
-        _accumulate(a, np.transpose(g, inv))
+        _accumulate(va, np.transpose(g, inv))
 
     return _make(out_data, (a,), bw)
 
@@ -299,12 +337,13 @@ def transpose(a, axes):
 def concat_lastdim(tensors):
     tensors = [_as_tensor(t) for t in tensors]
     widths = [t.shape[-1] for t in tensors]
+    vs = [t._vertex for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=-1)
 
     def bw(g):
         off = 0
-        for t, w in zip(tensors, widths):
-            _accumulate(t, g[..., off:off + w])
+        for v, w in zip(vs, widths):
+            _accumulate(v, g[..., off:off + w])
             off += w
 
     return _make(out_data, tuple(tensors), bw)
@@ -325,7 +364,7 @@ def gelu(x):
     recorded, the output is written over tanh(u), so the forward allocates
     one array."""
     x = _as_tensor(x)
-    xd = x.data
+    xd, vx = x.data, x._vertex
     t = xd * xd
     t *= xd
     t *= 0.044715
@@ -355,7 +394,7 @@ def gelu(x):
         du *= 0.5
         du += d
         du *= g
-        _accumulate(x, du)
+        _accumulate(vx, du)
 
     return _make(out_data, (x,), bw)
 
@@ -373,19 +412,20 @@ def layer_norm(x, gain, bias):
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
-    out_data = xhat * gain.data
+    gd, vx, vgain, vbias = gain.data, x._vertex, gain._vertex, bias._vertex
+    out_data = xhat * gd
     out_data += bias.data
 
     def bw(g):
         red = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=red))
-        _accumulate(bias, g.sum(axis=red))
-        dx = g * gain.data
+        _accumulate(vgain, (g * xhat).sum(axis=red))
+        _accumulate(vbias, g.sum(axis=red))
+        dx = g * gd
         m2 = (dx * xhat).mean(axis=-1, keepdims=True)
         dx -= dx.mean(axis=-1, keepdims=True)
         dx -= xhat * m2
         dx *= inv
-        _accumulate(x, dx)
+        _accumulate(vx, dx)
 
     return _make(out_data, (x, gain, bias), bw)
 
@@ -401,11 +441,11 @@ def dropout(x, p, rng):
     if rng is None or p <= 0.0:
         return x
     keep = rng.random(x.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    out_data = x.data * (keep.astype(x.dtype) * scale)
+    scale, dtype, vx = 1.0 / (1.0 - p), x.dtype, x._vertex
+    out_data = x.data * (keep.astype(dtype) * scale)
 
     def bw(g):
-        _accumulate(x, g * (keep.astype(x.dtype) * scale))
+        _accumulate(vx, g * (keep.astype(dtype) * scale))
 
     return _make(out_data, (x,), bw)
 
@@ -441,6 +481,7 @@ def gated_sum(features, wf, mode="softmax"):
         raise ValueError(f"unknown gating mode {mode!r}")
     k = len(features)
     fs = [f.data.reshape(-1, h) for f in features]
+    vfs, vwf = [f._vertex for f in features], wf._vertex
     w = wf.data[:, 0]
     logits = np.stack([f @ w for f in fs], axis=1)    # [n, k]
     if mode == "softmax":
@@ -460,16 +501,16 @@ def gated_sum(features, wf, mode="softmax"):
             dlogit = gates * (dg - (dg * gates).sum(axis=1, keepdims=True))
         else:
             dlogit = dg * gates * (1.0 - gates)
-        for i, f in enumerate(features):
-            if f.requires_grad:
+        for i, v in enumerate(vfs):
+            if v is not None:
                 d = g2 * gates[:, i:i + 1]
                 d += dlogit[:, i:i + 1] * w
-                _accumulate(f, d.reshape(shp))
-        if wf.requires_grad:
+                _accumulate(v, d.reshape(shp))
+        if vwf is not None:
             dw = fs[0].T @ dlogit[:, 0]
             for i in range(1, k):
                 dw += fs[i].T @ dlogit[:, i]
-            _accumulate(wf, dw[:, None])
+            _accumulate(vwf, dw[:, None])
 
     fused = _make(out.reshape(shp), tuple(features) + (wf,), bw)
     return fused, Tensor(gates.reshape(shp[:-1] + (k,)))
@@ -489,16 +530,16 @@ def _table_index(table, idx):
     return idx
 
 
-def _scatter_into_grad(table, idx, g):
-    """Add the rows of g [..., h] into table.grad at the rows idx [...]."""
+def _scatter_into_grad(vt, shape, dtype, idx, g):
+    """Add the rows of g [..., h] into the gradient of the vertex vt of a
+    table of shape and dtype at the rows idx [...]."""
     # a .grad may be shared (see _accumulate): scatter into a fresh buffer,
     # zeroed by the allocator or seeded with the gradient so far
-    buf = (np.zeros(table.shape, dtype=table.dtype)
-           if table.grad is None else table.grad.copy())
-    h = table.shape[-1]
+    buf = (np.zeros(shape, dtype=dtype) if vt.grad is None
+           else vt.grad.copy())
     kernels.scatter_add_rows(buf, idx.reshape(-1),
-                             np.ascontiguousarray(g.reshape(-1, h)))
-    table.grad = buf
+                             np.ascontiguousarray(g.reshape(-1, shape[-1])))
+    vt.grad = buf
 
 
 def embedding_lookup(table, idx):
@@ -506,9 +547,10 @@ def embedding_lookup(table, idx):
     table = _as_tensor(table)
     idx = _table_index(table, idx)
     out_data = table.data[idx]
+    vt, shape, dtype = table._vertex, table.shape, table.dtype
 
     def bw(g):
-        _scatter_into_grad(table, idx, g)
+        _scatter_into_grad(vt, shape, dtype, idx, g)
 
     return _make(out_data, (table,), bw)
 
@@ -531,9 +573,11 @@ def pooled_lookup(table, idx, weights):
     rows = table.data[idx]
     rows *= weights[..., None]
     out_data = rows.sum(axis=-2)
+    vt, shape, dtype = table._vertex, table.shape, table.dtype
 
     def bw(g):
-        _scatter_into_grad(table, idx, g[..., None, :] * weights[..., None])
+        _scatter_into_grad(vt, shape, dtype, idx,
+                           g[..., None, :] * weights[..., None])
 
     return _make(out_data, (table,), bw)
 
@@ -546,11 +590,12 @@ def take_rows(x, rows):
     repeat. A slice reads a view of x, with no copy."""
     x = _as_tensor(x)
     out_data = x.data[rows]
+    vx, shape, dtype = x._vertex, x.shape, x.dtype
 
     def bw(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype=dtype)
         full[rows] = g
-        _accumulate(x, full)
+        _accumulate(vx, full)
 
     return _make(out_data, (x,), bw)
 
@@ -583,6 +628,7 @@ def cross_entropy_masked(logits, labels):
     s = e.sum(axis=1, keepdims=True)
     lse = np.log(s[:, 0]) + zmax[:, 0]
     loss = (lse - z[np.arange(n), cls]).sum() / n
+    vlogits = logits._vertex
 
     def bw(g):
         # the softmax is the forward's exponentials over their row sums,
@@ -590,7 +636,7 @@ def cross_entropy_masked(logits, labels):
         p = np.divide(e, s, out=e)
         p[np.arange(n), cls] -= 1.0
         p *= float(g) / n
-        _accumulate(logits, p)
+        _accumulate(vlogits, p)
 
     return _make(np.asarray(loss), (logits,), bw)
 
@@ -711,6 +757,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
     attn = np.zeros((B, heads, L, L), dtype=q.dtype) if collect else None
     hh = np.arange(heads)[:, None]
     out = np.empty_like(q.data)
+    vq, vk, vv = q._vertex, k._vertex, v._vertex
     oh = out.reshape(-1, heads, d)
     saved = []
     for (bi, l, kidx), (qidx, qslot, qreal) in zip(layout.keys,
@@ -734,8 +781,7 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
 
     def bw(g):
         gh = g.reshape(-1, heads, d)
-        dq, dk, dv = (np.empty_like(t.data) for t in (q, k, v))
-        dqh, dkh, dvh = (a.reshape(-1, heads, d) for a in (dq, dk, dv))
+        dqh, dkh, dvh = (np.empty_like(a) for a in (qh, kh, vh))
         for (_, _, kidx), (qidx, _, qreal), (p, kept) in zip(
                 layout.keys, layout.queries, saved):
             go = _gather_heads(gh, qidx, qreal)               # [b, H, r, d]
@@ -755,8 +801,8 @@ def scaled_dot_attention(q, k, v, layout, heads, attn_dropout=0.0, rng=None,
             qg *= c
             dk_g = ds.swapaxes(-1, -2) @ qg
             dkh[kidx] = dk_g.transpose(0, 2, 1, 3)
-        _accumulate(q, dq)
-        _accumulate(k, dk)
-        _accumulate(v, dv)
+        _accumulate(vq, dqh.reshape(-1, h))
+        _accumulate(vk, dkh.reshape(-1, h))
+        _accumulate(vv, dvh.reshape(-1, h))
 
     return _make(out, (q, k, v), bw), (None if attn is None else Tensor(attn))

@@ -324,6 +324,30 @@ def test_dump_attention_layout_and_row_sums(toy, tmp_path):
     assert header == b"P5"
 
 
+def test_dump_attention_replaces_the_previous_dump(toy, tmp_path):
+    """A second dump into one --out leaves only its own maps: the first
+    dump's extra samples go, files that no dump writes stay."""
+    assert cli.main(["train"] + flags(toy)) == 0
+    out = tmp_path / "dump"
+    att = out / "attention"
+    keep = ["notes.txt", "0_0.txt", "a_0.csv", "0_0.csv.bak"]
+
+    def dump(samples):
+        assert cli.main(["dump-attention",
+                         "--checkpoint", str(toy["out"] / "checkpoint.bin"),
+                         "--data", str(toy["data"]), "--out", str(out),
+                         "--samples", samples]) == 0
+
+    dump("4")
+    for name in keep:
+        (att / name).write_text("mine\n")
+    dump("2")
+    maps = [f"{s}_{h}.{ext}" for s in range(2) for h in range(2)
+            for ext in ("csv", "pgm")]
+    assert sorted(p.name for p in att.iterdir()) == sorted(maps + keep)
+    assert all((att / name).read_text() == "mine\n" for name in keep)
+
+
 def test_dump_attention_clamps_samples(toy, tmp_path, capsys):
     assert cli.main(["train"] + flags(toy)) == 0
     out = tmp_path / "dump"

@@ -9,7 +9,7 @@ from novabert import tensor as T
 from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import branching_dataset, successor_dataset
-from test_packing import padded_setup
+from test_packing import padded_setup, recorded_vertices
 
 
 def tiny_setup(attention="nova", fusion="add", with_feature=True, seed=0,
@@ -240,18 +240,14 @@ def test_f32_model_computes_in_f32(attention, fusion):
     assert multi.features["genre"].ndim == 3
     for model, batch in (single, (multi_model, multi)):
         model.zero_grads()
-        loss = model.loss(batch, train=True, rng=np.random.default_rng(0))
-        seen, stack, passed = set(), [loss], []
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or node._bw is None:
-                continue
-            seen.add(id(node))
-            assert node.data.dtype == np.float32
-            node._bw = (lambda g, bw=node._bw: (passed.append(g.dtype),
-                                                bw(g)))
-            stack.extend(node._parents)
-        assert len(seen) > 20
+        loss, recorded = recorded_vertices(
+            lambda: model.loss(batch, train=True,
+                               rng=np.random.default_rng(0)))
+        passed = []
+        for node, value in recorded:
+            assert value.dtype == np.float32
+            node.bw = (lambda g, bw=node.bw: (passed.append(g.dtype), bw(g)))
+        assert len(recorded) > 20
         T.backward(loss)
         assert set(passed) == {np.dtype(np.float32)}
         grads = [p.grad for p in model.params.values() if p.grad is not None]

@@ -142,17 +142,30 @@ def test_encode_at_positions_gives_those_rows(attention):
             model.encode(batch, positions=[0])   # slot 0 of row 0 is a pad
 
 
-def _recorded_arrays(loss):
-    """Every non-leaf array in the graph recorded for loss."""
-    seen, stack, out = set(), [loss], []
+def recorded_vertices(build):
+    """build()'s loss and, for every non-leaf vertex of the graph recorded
+    for it, (the vertex, the array its op output). The outputs are kept by
+    spying on the tensor module's _make, since a vertex holds no value."""
+    made, make = {}, T._make
+
+    def spy(data, parents, bw):
+        out = make(data, parents, bw)
+        if out._vertex is not None:
+            made[id(out._vertex)] = out.data
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_make", spy)
+        loss = build()
+    seen, stack, out = set(), [loss._vertex], []
     while stack:
         node = stack.pop()
-        if id(node) in seen or node._bw is None:
+        if id(node) in seen or node.bw is None:
             continue
         seen.add(id(node))
-        out.append(node.data)
-        stack.extend(node._parents)
-    return out
+        out.append((node, made[id(node)]))
+        stack.extend(node.parents)
+    return loss, out
 
 
 @pytest.mark.parametrize("attention", ["invasive", "nova"])
@@ -165,9 +178,9 @@ def test_ffn_runs_on_real_tokens_only(attention):
     n_labelled = int((batch.labels != 0).sum())
     assert n_labelled < n_real < batch.pad_mask.size
     width = FFN_MULT * model.config.hidden_size
-    loss = model.loss(batch, train=True, rng=np.random.default_rng(0))
-    wide = Counter(a.shape for a in _recorded_arrays(loss)
-                   if a.shape[-1:] == (width,))
+    _, recorded = recorded_vertices(
+        lambda: model.loss(batch, train=True, rng=np.random.default_rng(0)))
+    wide = Counter(a.shape for _, a in recorded if a.shape[-1:] == (width,))
     # W1 x + b and GELU in every layer
     layers = model.config.num_layers
     assert wide == {(n_real, width): 2 * (layers - 1), (n_labelled, width): 2}

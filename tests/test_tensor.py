@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,8 @@ def check_grads(build_loss, tensors, tol=1e-4):
 
 def saved_arrays(out):
     """(shape, dtype) of the arrays out's backward closure holds, by name."""
-    cells = sorted(zip(out._bw.__code__.co_freevars, out._bw.__closure__))
+    bw = out._vertex.bw
+    cells = sorted(zip(bw.__code__.co_freevars, bw.__closure__))
     return [(c.cell_contents.shape, c.cell_contents.dtype) for _, c in cells
             if isinstance(c.cell_contents, np.ndarray)]
 
@@ -289,15 +292,15 @@ def test_backward_twice_errors():
 
 
 def test_backward_frees_the_graph_but_keeps_values():
-    """Each interior node drops its closure and parent links once its
-    backward has run; its value stays readable."""
+    """Each interior vertex drops its closure and parent links once its
+    backward has run; its tensor's value stays readable."""
     x = T.Tensor([1.0, -2.0], requires_grad=True)
     sq = DO.mul(x, x)
     loss = DO.tsum(sq)
     T.backward(loss)
     assert np.array_equal(x.grad, [2.0, -4.0])
     for node in (sq, loss):
-        assert node._bw is None and node._parents == ()
+        assert node._vertex.bw is None and node._vertex.parents == ()
     assert np.array_equal(sq.data, [1.0, 4.0])
     assert loss.item() == 5.0 and loss.grad == 1.0
 
@@ -317,6 +320,45 @@ def test_backward_non_scalar_errors():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
         T.backward(DO.mul(x, x))
+
+
+# ops whose backward reads nothing of their input's value, each applied to
+# a [4, 3] input x with a generator rng
+UNREAD_INPUT = {
+    "add": lambda x, rng: T.add(x, T.Tensor(rng.standard_normal(3))),
+    "dropout": lambda x, rng: T.dropout(x, 0.3, rng),
+    "layer_norm": lambda x, rng: T.layer_norm(
+        x, rand((3,), rng), rand((3,), rng)),
+    "take_rows": lambda x, rng: T.take_rows(x, np.array([3, 0, 2])),
+    # the output is a view of the input: the input goes when it does
+    "transpose": lambda x, rng: T.transpose(x, (1, 0)),
+    "concat_lastdim": lambda x, rng: T.concat_lastdim(
+        [rand((4, 2), rng), x]),
+    "cross_entropy_masked": lambda x, rng: T.cross_entropy_masked(
+        x, np.array([1, 3, 2, 3])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNREAD_INPUT))
+def test_an_input_no_backward_reads_is_freed(op):
+    """The graph holds no op's input value that no backward reads: once
+    the caller drops the input and the op's output (a view for transpose),
+    the input's array is gone, and the gradient into the leaf below it is
+    the one a run that keeps every name gets."""
+    grads = []
+    for drop in (False, True):
+        rng = np.random.default_rng(7)
+        leaf = rand((4, 3), rng)
+        x = DO.mul(leaf, 2.0)
+        value = weakref.ref(x.data)
+        out = UNREAD_INPUT[op](x, rng)
+        y = T.add(out, 0.5)
+        if drop:
+            del x, out
+            assert value() is None
+        T.backward(DO.tsum(DO.mul(y, rng.standard_normal(y.shape))))
+        grads.append(leaf.grad)
+    assert np.array_equal(grads[0], grads[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ checks pass on the program; every public op of the tensor module has a
 caller in the program, and every other public name a reader; no module of
 the program reads another's private names; only Model.loss takes a train
 flag; only checkpoint.replaced_on_success renames a file into place; the
-config file's keys are the fields of the config dataclasses."""
+config file's keys are the fields of the config dataclasses; no backward
+closure of a tensor op holds a Tensor."""
 
 import ast
 import dataclasses
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -375,3 +377,101 @@ def test_config_keys_are_dataclass_fields():
         f.name for f in dataclasses.fields(ModelConfig)
         if f.default is dataclasses.MISSING
         and f.default_factory is dataclasses.MISSING}
+
+
+def closure_leaves(fn):
+    """(path, object) for each object the closure of fn holds: in a cell,
+    or inside a list, tuple, dict, plain object or function closure that a
+    cell holds, named by its path from the cell's variable. Objects with no
+    such parts (arrays, vertices, tensors, numbers) are the leaves; each
+    object is visited once."""
+    seen = set()
+
+    def visit(x, path):
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, (list, tuple)):
+            for i, y in enumerate(x):
+                yield from visit(y, f"{path}[{i}]")
+        elif isinstance(x, dict):
+            for k, y in x.items():
+                yield from visit(y, f"{path}[{k!r}]")
+        elif callable(x) and getattr(x, "__closure__", None):
+            yield from cells(x, f"{path}.")
+        elif hasattr(x, "__dict__") and not callable(x):
+            for k, y in vars(x).items():
+                yield from visit(y, f"{path}.{k}")
+        else:
+            yield path, x
+
+    def cells(f, prefix):
+        for name, cell in zip(f.__code__.co_freevars, f.__closure__ or ()):
+            yield from visit(cell.cell_contents, prefix + name)
+
+    return list(cells(fn, ""))
+
+
+def _tensors_held(fn):
+    """Where the closure of fn holds a Tensor (see closure_leaves)."""
+    return [p for p, x in closure_leaves(fn) if isinstance(x, T.Tensor)]
+
+
+def _make_callers(path):
+    """Module-level functions of the module at path that call _make."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                    and c.func.id == "_make" for c in ast.walk(node))}
+
+
+def test_no_backward_closure_holds_a_tensor():
+    """A tensor op's backward closure holds the vertices of its inputs,
+    the arrays it reads and plain values, never a Tensor: a Tensor would
+    keep its value alive until backward, read or not. Every op of
+    tensor.py that records a graph node is built here."""
+    t1, t2, t3, t4 = (T.Tensor(np.ones(2), requires_grad=True)
+                      for _ in range(4))
+
+    def probe():
+        a, v, arr = t1, t1._vertex, t1.data
+        obj, table = SimpleNamespace(rows=[1, t2]), {"x": t3}
+        inner = (lambda: t4)
+
+        def bw(g):
+            return a, v, arr, obj, table, inner
+        return bw
+
+    assert sorted(_tensors_held(probe())) == [
+        "a", "inner.t4", "obj.rows[1]", "table['x']"]
+
+    rng = np.random.default_rng(0)
+
+    def leaf(*shape):
+        return T.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    x = leaf(4, 3)
+    layout = T.AttentionLayout(np.array([[False, True, True],
+                                         [True, True, True]]))
+    qkv = [leaf(len(layout.rows), 4) for _ in range(3)]
+    outs = {
+        "add": T.add(x, leaf(3)),
+        "linear": T.linear(x, leaf(3, 2), leaf(2)),
+        "transpose": T.transpose(x, (1, 0)),
+        "concat_lastdim": T.concat_lastdim([x, leaf(4, 1)]),
+        "gelu": T.gelu(x),
+        "layer_norm": T.layer_norm(x, leaf(3), leaf(3)),
+        "dropout": T.dropout(x, 0.5, rng),
+        "gated_sum": T.gated_sum([x, leaf(4, 3)], leaf(3, 1))[0],
+        "embedding_lookup": T.embedding_lookup(x, np.array([0, 2])),
+        "pooled_lookup": T.pooled_lookup(x, np.array([[0, 1]]),
+                                         np.ones((1, 2))),
+        "take_rows": T.take_rows(x, np.array([1, 3])),
+        "cross_entropy_masked": T.cross_entropy_masked(
+            x, np.array([1, 2, 3, 1])),
+        "scaled_dot_attention": T.scaled_dot_attention(
+            *qkv, layout, 2, 0.5, rng)[0],
+    }
+    assert sorted(outs) == sorted(_make_callers(SRC / "tensor.py"))
+    assert {op: _tensors_held(out._vertex.bw)
+            for op, out in outs.items()} == {op: [] for op in outs}

@@ -14,6 +14,7 @@ from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import successor_dataset
 from novabert.tensor import Tensor
+from test_tooling import closure_leaves
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +401,47 @@ def test_backward_keeps_only_the_parameter_gradients(movielens_problem):
     assert after <= 1.1 * grads, (after, grads)
     assert peak <= 1.1 * forward, (peak, forward)
     assert np.isfinite(loss.item())
+
+
+def _root(a):
+    """The array that owns the memory a views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_training_forward_holds_what_its_backward_reads(movielens_problem):
+    """While the graph waits for backward, the step holds little more than
+    the buffers its backward closures saved: an op output that no backward
+    reads (a projection's, say, which dropout reads) is freed when the
+    forward drops its name, not kept by the graph."""
+    schema, catalog, seqs, cfg = movielens_problem
+    model = Model(cfg, schema, catalog, seed=0)
+    rng = np.random.default_rng(0)
+    batch = D.make_masked_batch(seqs, schema, catalog, cfg.mask_prob, rng,
+                                cfg.max_len)
+    T.backward(model.loss(batch, train=True, rng=rng))  # untraced warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = model.loss(batch, train=True, rng=rng)
+        forward = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    params = {id(_root(p.data)) for p in model.params.values()}
+    saved, seen, stack = {}, set(), [loss._vertex]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.bw is None:
+            continue
+        seen.add(id(node))
+        for _, a in closure_leaves(node.bw):
+            if isinstance(a, np.ndarray):
+                saved[id(_root(a))] = _root(a).nbytes
+        stack.extend(node.parents)
+    held = sum(n for i, n in saved.items() if i not in params)
+    assert held > 30 * sum(p.data.nbytes for p in model.params.values())
+    assert forward <= 1.05 * held, (forward, held)
 
 
 def test_training_equals_the_unpooled_float_mask_chain(movielens_problem,
