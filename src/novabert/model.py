@@ -22,12 +22,6 @@ from novabert.tensor import Tensor
 
 FFN_MULT = 4  # inner feed-forward width, per original BERT
 EMB_INIT = 0.02  # uniform [-EMB_INIT, EMB_INIT] for all embedding tables
-# Forward-only encoding runs each layer's feed-forward half in row blocks
-# whose [rows, FFN_MULT * h] input takes about this many bytes (256 rows at
-# h=128 in float64): a block's temporaries stay in cache and the allocator
-# reuses them, while a full-width array is given back to the OS after each
-# batch and faulted in again by the next.
-FFN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -184,8 +178,9 @@ class Model:
                         self.params.get(prefix + ".b"))
 
     def _ffn(self, x, layer):
-        h = T.gelu(self._linear(x, f"layer{layer}.ffn.w1"))
-        return self._linear(h, f"layer{layer}.ffn.w2")
+        p = f"layer{layer}.ffn."
+        return T.feed_forward(x, *(self.params[p + n]
+                                   for n in ("w1.w", "w1.b", "w2.w", "w2.b")))
 
     def _fuse(self, first, side, site):
         cfg = self.config
@@ -213,11 +208,16 @@ class Model:
         query rows of the layout only, so the output is [len(layout.pos), h].
         Q, K and V are not bound to names, so without a graph they are freed
         before the FFN runs. Dropout draws when a generator rng is given.
-        When a graph is recorded or rng is given, the part after attention
-        runs once over all rows; otherwise it runs over consecutive row
-        blocks whose FFN input is about FFN_BLOCK_BYTES, each written into
-        one preallocated output, so no full-width [n, 4h] array exists. The
-        output rows are those of one pass over all rows."""
+        Without a graph or rng, the part after attention runs over
+        consecutive row blocks whose FFN activation is about
+        T.FFN_BLOCK_BYTES, each written into one preallocated output;
+        otherwise it runs once over all rows, and only the FFN node runs in
+        blocks (:func:`tensor.feed_forward`). A block's rows are those of
+        one pass over all rows unless one of its products is small enough
+        for OpenBLAS's small-matrix kernel (at most 10**6 multiply-adds),
+        which sums in another order: at h=128 a block of fewer than 16 rows,
+        so a user's scores can move in their last bits with the batch
+        size."""
         p = f"layer{layer}"
         q_src, res = qk_src, x
         if layout.picked is not None:
@@ -231,7 +231,8 @@ class Model:
         if rng is not None or T.grad_enabled():
             return self._feed_forward_half(layer, res, out, rng), attn
         n, h = out.shape
-        step = max(1, FFN_BLOCK_BYTES // (FFN_MULT * h * out.dtype.itemsize))
+        step = max(1, T.FFN_BLOCK_BYTES
+                   // (FFN_MULT * h * out.dtype.itemsize))
         y = np.empty_like(out.data)
         for lo in range(0, n, step):
             y[lo:lo + step] = self._feed_forward_half(
@@ -263,7 +264,7 @@ class Model:
         (lookups, fusion, projections, FFN, layer norm, dropout) runs on the
         N real tokens only, as [N, h]. The attention core runs one group per
         row length (see :class:`tensor.AttentionLayout`), built once per
-        batch from its pad mask, so a row's output does not depend on the
+        batch from its pad mask, so a row's attention does not depend on the
         other rows of the batch. The last layer runs its query side for the
         read rows only, while its K and V still read every real token.
         Dropout draws when a generator rng is given, at these packed

@@ -19,9 +19,12 @@ picks the rows a later op reads, and :func:`cross_entropy_masked` scores
 every row it is given. :func:`linear` is matmul plus bias as one node,
 :func:`gated_sum` is the gated fusion of side information as one node, and
 :func:`pooled_lookup` is the weighted pool of a multi-valued field's table
-rows as one node. The per-token backwards reuse their forward work: the
-loss normalizes the exponentials its forward kept, GELU keeps only its
-input and ``tanh``, and the embedding scatter-add is one ``np.bincount``.
+rows as one node. :func:`feed_forward` is the linear, GELU, linear
+feed-forward network as one node that runs in row blocks. The per-token
+backwards reuse their forward work: the loss normalizes the exponentials
+its forward kept, the FFN node keeps its input and ``tanh`` and recomputes
+the rest block by block, and the embedding scatter-add is one
+``np.bincount``.
 
 What a training step keeps: the ``.data`` of the tensors the caller still
 names, and what each backward closure saved for itself, which is only what
@@ -65,6 +68,12 @@ from novabert import kernels
 
 DEFAULT_DTYPE = np.float64
 LAYER_NORM_EPS = 1e-12  # as in the original BERT
+# feed_forward runs in row blocks whose [rows, inner width] activation takes
+# about this many bytes (256 rows at h=128 in float64): a block's
+# temporaries stay in cache and the allocator reuses them, while a
+# full-width array is given back to the OS after each batch and faulted in
+# again by the next.
+FFN_BLOCK_BYTES = 1 << 20
 _DEBUG = os.environ.get("NOVABERT_DEBUG", "0") == "1"
 
 
@@ -289,22 +298,28 @@ def add(a, b):
     return _make(out_data, (a, b), bw)
 
 
+def _rows_product(a, w):
+    """a [rows, k] @ w [k, n]. A lone row is the first row of the product of
+    two copies of it: numpy would run it as a matrix-vector product, which
+    sums in another order than a matrix product, so a row's result would
+    depend on how many rows share the call."""
+    return a @ w if len(a) != 1 else (np.concatenate([a, a]) @ w)[:1]
+
+
 def linear(x, w, b=None):
     """x @ w (+ b) as one node; x is [..., k], w [k, n], b [n] or None.
 
-    The bias is added in place into the fresh product. A lone row is the
-    first row of the product of two copies of it: numpy would run it as a
-    matrix-vector product, which sums in another order than a matrix
-    product, so a row's output would depend on how many rows share the
-    call. The backward runs two GEMMs over the rows of x flattened to
-    [rows, k] and sums the bias gradient over those rows."""
+    The bias is added in place into the fresh product. The forward's
+    product and the backward's input gradient g @ w.T run over the rows of
+    x flattened to [rows, k] through :func:`_rows_product`; the weight
+    gradient is one GEMM over those rows and the bias gradient their sum."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError(
             f"linear inner dimensions differ: {x.shape} x {w.shape}")
     wd, (k, n), xs = w.data, w.shape, x.shape
     x2 = x.data.reshape(-1, k)
-    out = x2 @ wd if len(x2) != 1 else (np.concatenate([x2, x2]) @ wd)[:1]
+    out = _rows_product(x2, wd)
     parents, vx, vw, vb = (x, w), x._vertex, w._vertex, None
     if b is not None:
         b = _as_tensor(b)
@@ -314,7 +329,7 @@ def linear(x, w, b=None):
     def bw(g):
         g2 = g.reshape(-1, n)
         if vx is not None:
-            _accumulate(vx, (g2 @ wd.T).reshape(xs))
+            _accumulate(vx, _rows_product(g2, wd.T).reshape(xs))
         if vw is not None:
             _accumulate(vw, x2.T @ g2)
         if vb is not None:
@@ -356,22 +371,41 @@ def concat_lastdim(tensors):
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x):
+def _gelu_slope(x, t, half):
+    """GELU's derivative at x, given t = tanh(u) and half = 0.5 (1 + t);
+    written over half, which is returned, with t overwritten."""
+    # d = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
+    du = x * x
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    d = np.multiply(t, t, out=t)
+    np.subtract(1.0, d, out=d)
+    d *= x
+    d *= 0.5
+    d *= du
+    half += d
+    return half
+
+
+def gelu(x, tanh_out=None):
     """GELU, tanh approximation (as in the original BERT).
 
     Forward and backward build their [N, 4h] temporaries in place. Only x
-    and tanh(u) are saved, and the backward recomputes x*x; with no graph
+    and tanh(u) are saved, and the backward recomputes x*x. With no graph
     recorded, the output is written over tanh(u), so the forward allocates
-    one array."""
+    one array. Given tanh_out, an array of x's shape and dtype, tanh(u) is
+    written there instead, for a caller that keeps it; a backward of this
+    node writes over it."""
     x = _as_tensor(x)
     xd, vx = x.data, x._vertex
-    t = xd * xd
+    t = np.multiply(xd, xd, out=tanh_out)
     t *= xd
     t *= 0.044715
     t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
-    if _records(x):
+    if _records(x) or tanh_out is not None:
         out_data = t + 1.0
     else:
         out_data = t
@@ -380,23 +414,106 @@ def gelu(x):
     out_data *= 0.5
 
     def bw(g):
-        # d = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
-        du = xd * xd
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= _GELU_C
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= xd
-        d *= 0.5
-        d *= du
-        np.add(t, 1.0, out=du)
-        du *= 0.5
-        du += d
-        du *= g
-        _accumulate(vx, du)
+        # the backward runs once per graph, so it may write over t
+        half = t + 1.0
+        half *= 0.5
+        dx = _gelu_slope(xd, t, half)
+        dx *= g
+        _accumulate(vx, dx)
 
     return _make(out_data, (x,), bw)
+
+
+def _blocks(n, width, itemsize):
+    """Consecutive slices that cover n rows, each of about FFN_BLOCK_BYTES
+    of a [rows, width] array of itemsize bytes per entry: a step of rows
+    each, and a last remainder shorter than half a step joins the block
+    before it, so fewer than 1.5 steps of rows are one block.
+
+    A product on a short block could sum in another order than the same
+    rows of a long one: OpenBLAS runs products of at most 10**6
+    multiply-adds through a small-matrix kernel."""
+    step = max(1, FFN_BLOCK_BYTES // (width * itemsize))
+    starts = list(range(0, n, step)) or [0]
+    if len(starts) > 1 and 2 * (n - starts[-1]) < step:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def feed_forward(x, w1, b1, w2, b2):
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one node, in row blocks.
+
+    x is [..., k], w1 [k, f], b1 [f], w2 [f, n] and b2 [n]. The rows of x
+    run in the blocks of :func:`_blocks` over the [rows, f] inner width,
+    with or without a graph, so no [rows, f] activation exists whole; each
+    block runs the products of :func:`linear` and calls :func:`gelu`. Only
+    x and each block's tanh are saved (activation recomputation, Chen et
+    al. 2016). The backward walks the blocks, dropping each tanh once
+    used: it recomputes the block's W1 product, rebuilds gelu's output as
+    half * h with half = 0.5 (1 + tanh) shared with the derivative, and sums
+    the weight and bias gradients over the blocks. The output and the input
+    gradient equal the chain's; the weight gradients differ from its one
+    GEMM over all rows in summation order only, unless x is one block."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    (k, f), n, xs = w1.shape, w2.shape[-1], x.shape
+    if (xs[-1] != k or w2.shape != (f, n) or b1.shape != (f,)
+            or b2.shape != (n,)):
+        raise ShapeMismatchError(
+            f"feed_forward expects x [..., k], w1 [k, f], b1 [f], w2 [f, n] "
+            f"and b2 [n], got {xs}, {w1.shape}, {b1.shape}, {w2.shape} and "
+            f"{b2.shape}")
+    parents = (x, w1, b1, w2, b2)
+    x2, w1d, b1d, w2d, b2d = (t.data for t in parents)
+    x2 = x2.reshape(-1, k)
+    record = _records(*parents)
+    out = np.empty((len(x2), n), np.result_type(x2, w1d, w2d))
+    saved = []
+    for rows in _blocks(len(x2), f, out.itemsize):
+        h = _rows_product(x2[rows], w1d)
+        h += b1d
+        t = np.empty_like(h) if record else None
+        out[rows] = _rows_product(gelu(h, tanh_out=t).data, w2d)
+        out[rows] += b2d
+        if record:
+            saved.append((rows, t))
+    vx, vw1, vb1, vw2, vb2 = (t._vertex for t in parents)
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        dx = None if vx is None else np.empty_like(x2)
+        sums = {}   # a parameter's vertex -> its gradient over the blocks
+
+        def sum_in(v, term):
+            if v in sums:
+                sums[v] += term
+            else:
+                sums[v] = term
+
+        while saved:
+            rows, t = saved.pop()
+            xb, gb = x2[rows], g2[rows]
+            h = _rows_product(xb, w1d)
+            h += b1d
+            half = t + 1.0
+            half *= 0.5
+            if vw2 is not None:     # half * h is gelu(h), bit for bit
+                sum_in(vw2, (half * h).T @ gb)
+            if vb2 is not None:
+                sum_in(vb2, gb.sum(axis=0))
+            dh = _gelu_slope(h, t, half)
+            dh *= _rows_product(gb, w2d.T)
+            if vw1 is not None:
+                sum_in(vw1, xb.T @ dh)
+            if vb1 is not None:
+                sum_in(vb1, dh.sum(axis=0))
+            if dx is not None:
+                dx[rows] = _rows_product(dh, w1d.T)
+        for v, s in sums.items():
+            _accumulate(v, s)
+        if dx is not None:
+            _accumulate(vx, dx.reshape(xs))
+
+    return _make(out.reshape(xs[:-1] + (n,)), parents, bw)
 
 
 def layer_norm(x, gain, bias):

@@ -395,9 +395,9 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, attention, fusion,
     blocks; 7-row blocks, whose last in layer 0 has one row (64 = 7 * 9 +
     1), give the scores of one block over every row, bit for bit."""
     model, pairs = eval_setup(attention, fusion, dtype)
-    monkeypatch.setattr(M, "FFN_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 1 << 40)
     whole, _ = TR.score_pairs(model, pairs)
-    monkeypatch.setattr(M, "FFN_BLOCK_BYTES", block_bytes(model, 7))
+    monkeypatch.setattr(T, "FFN_BLOCK_BYTES", block_bytes(model, 7))
     blocked, _ = TR.score_pairs(model, pairs)
     assert blocked.dtype == dtype
     assert np.array_equal(blocked, whole)
@@ -425,21 +425,24 @@ def test_scores_do_not_depend_on_the_other_users(attention, fusion, dtype):
 
 
 def test_feed_forward_rows_per_call(monkeypatch):
-    """GELU sees at most a block of rows in evaluation, and every computed
-    row at once in a training step and in a recorded forward pass."""
+    """The FFN node calls GELU once per row block. Evaluation hands it a
+    block at a time; a training step and a recorded forward pass hand it
+    every computed row, and its last block takes a remainder shorter than
+    half a block."""
     model, pairs = eval_setup("nova", "gating")
-    monkeypatch.setattr(M, "FFN_BLOCK_BYTES", block_bytes(model, 7))
+    monkeypatch.setattr(T, "FFN_BLOCK_BYTES", block_bytes(model, 7))
     rows, gelu = [], T.gelu
-    monkeypatch.setattr(T, "gelu", lambda x: (rows.append(len(x.data)),
-                                              gelu(x))[1])
+    monkeypatch.setattr(T, "gelu", lambda x, **kw: (rows.append(len(x)),
+                                                    gelu(x, **kw))[1])
     TR.score_pairs(model, pairs)
     batch = D.make_eval_batch(pairs, model.schema, model.catalog, 8)
     n = int(batch.pad_mask.sum())
-    # layer 0 computes the 64 real tokens, 7 * 9 + 1, so its last block
-    # is one row; the last layer computes the 12 read rows
+    # layer 0 computes the 64 real tokens, 7 * 9 + 1, so evaluation's last
+    # block is one row and the node's is 8; the last layer computes the 12
+    # read rows, 7 + 5
     assert n == 64 and len(pairs) == 12
     assert rows == [7] * 9 + [1] + [7, 5]
     for train in (True, False):
         rows.clear()
         model.loss(batch, train=train, rng=np.random.default_rng(0))
-        assert rows == [n, len(pairs)]
+        assert rows == [7] * 8 + [8] + [7, 5]

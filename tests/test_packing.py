@@ -170,9 +170,9 @@ def recorded_vertices(build):
 
 @pytest.mark.parametrize("attention", ["invasive", "nova"])
 def test_ffn_runs_on_real_tokens_only(attention):
-    """Every FFN-width array of a padded training loss has one row per real
+    """The FFN node of a padded training loss saves a tanh row per real
     token in the layers before the last, and one per labelled token in the
-    last layer, never one per slot."""
+    last layer, never one per slot; no op output is FFN-wide."""
     model, (batch, _) = padded_setup(attention, "gating")
     n_real = int(batch.pad_mask.sum())
     n_labelled = int((batch.labels != 0).sum())
@@ -180,7 +180,14 @@ def test_ffn_runs_on_real_tokens_only(attention):
     width = FFN_MULT * model.config.hidden_size
     _, recorded = recorded_vertices(
         lambda: model.loss(batch, train=True, rng=np.random.default_rng(0)))
-    wide = Counter(a.shape for _, a in recorded if a.shape[-1:] == (width,))
-    # W1 x + b and GELU in every layer
+    assert [a.shape for _, a in recorded if a.shape[-1:] == (width,)] == []
+    tanh_rows = Counter()
+    for vertex, _ in recorded:
+        bw = vertex.bw
+        if bw.__qualname__.startswith("feed_forward."):
+            saved = bw.__closure__[bw.__code__.co_freevars.index("saved")]
+            blocks = [t for _, t in saved.cell_contents]
+            assert {t.shape[1] for t in blocks} == {width}
+            tanh_rows[sum(len(t) for t in blocks)] += 1
     layers = model.config.num_layers
-    assert wide == {(n_real, width): 2 * (layers - 1), (n_labelled, width): 2}
+    assert tanh_rows == {n_real: layers - 1, n_labelled: 1}

@@ -651,6 +651,102 @@ def test_debug_names_the_op_with_a_non_finite_value(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# linear and the feed-forward node
+# ---------------------------------------------------------------------------
+
+def test_linear_lone_row_gradient_is_its_row_of_a_longer_call():
+    """A lone row's output and input gradient are its row of a 2-row call:
+    the backward's g @ w.T follows the forward's lone-row rule, so neither
+    runs as a matrix-vector product."""
+    rng = np.random.default_rng(51)
+    x, w = rng.standard_normal((2, 128)), rng.standard_normal((128, 512))
+    g = rng.standard_normal((2, 512))
+    outs = []
+    for rows in (1, 2):
+        leaf = T.Tensor(x[:rows], requires_grad=True)
+        out = T.linear(leaf, w)
+        T.backward(DO.tsum(DO.mul(out, g[:rows])))
+        outs.append((out.data[0], leaf.grad[0]))
+    (out1, dx1), (out2, dx2) = outs
+    assert np.array_equal(out1, out2) and np.array_equal(dx1, dx2)
+
+
+def ffn_leaves(rng, shape, f):
+    """x of shape [..., k] and the feed-forward weights w1, b1, w2, b2
+    (width f, back to k) as leaves."""
+    k = shape[-1]
+    return [rand(s, rng, scale) for s, scale in (
+        (shape, 1.0), ((k, f), 0.1), ((f,), 0.1), ((f, k), 0.1), ((k,), 0.1))]
+
+
+def test_blocks_join_a_short_remainder(monkeypatch):
+    """_blocks covers the rows in order, in blocks of a step; a remainder
+    shorter than half a step joins the block before it, so no block is
+    shorter than half a step unless it is the only one."""
+    for step in range(1, 10):
+        monkeypatch.setattr(T, "FFN_BLOCK_BYTES", step * 3 * 8)
+        for rows in range(40):
+            blocks = T._blocks(rows, 3, 8)
+            assert blocks[0].start == 0 and blocks[-1].stop == rows
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [b.stop - b.start for b in blocks]
+            assert all(size == step for size in sizes[:-1])
+            assert step <= 2 * sizes[-1] < 3 * step or len(sizes) == 1
+            assert (len(sizes) == 1) == (2 * rows < 3 * step)
+
+
+def test_fd_feed_forward(monkeypatch):
+    """10 rows in 3-row blocks: 3, 3 and 4, the last with a remainder of 1
+    joined; x is [2, 5, k]."""
+    rng = np.random.default_rng(52)
+    x, w1, b1, w2, b2 = ffn_leaves(rng, (2, 5, 4), 6)
+    monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 3 * 6 * 8)
+    assert [b.stop - b.start for b in T._blocks(10, 6, 8)] == [3, 3, 4]
+    g = rng.standard_normal((2, 5, 4))
+    check_grads(lambda: DO.tsum(DO.mul(T.feed_forward(x, w1, b1, w2, b2), g)),
+                [x, w1, b1, w2, b2])
+
+
+@pytest.mark.parametrize("rows", [300, 700])
+def test_feed_forward_equals_the_chain(rows):
+    """The node against linear(gelu(linear(...))) at h=128, 4h=512, in
+    256-row blocks: 300 rows are one block (300 < 1.5 * 256), 700 are 256,
+    256 and 188. The output and x's gradient are bit-identical; the weight
+    gradients, summed over blocks instead of one GEMM, agree to 1e-13
+    relative, and bit for bit in one block. The backward saves one tanh
+    block per row block and holds its inputs' arrays."""
+    rng = np.random.default_rng(53)
+    leaves = ffn_leaves(rng, (rows, 128), 512)
+    g = rng.standard_normal((rows, 128))
+    runs = []
+    for node in (True, False):
+        for t in leaves:
+            t.grad = None
+        x, w1, b1, w2, b2 = leaves
+        if node:
+            out = T.feed_forward(x, w1, b1, w2, b2)
+            bw = out._vertex.bw
+            held = {name: c.cell_contents for name, c in
+                    zip(bw.__code__.co_freevars, bw.__closure__)}
+            # its own arrays are the tanh blocks; the others are inputs
+            assert all(any(np.shares_memory(a, t.data) for t in leaves)
+                       for a in held.values() if isinstance(a, np.ndarray))
+            assert [t.shape for _, t in held["saved"]] == [
+                (b.stop - b.start, 512) for b in T._blocks(rows, 512, 8)]
+        else:
+            out = T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+        T.backward(DO.tsum(DO.mul(out, g)))
+        runs.append((out.data, [t.grad for t in leaves]))
+    (new, gnew), (old, gold) = runs
+    assert np.array_equal(new, old) and np.array_equal(gnew[0], gold[0])
+    for a, b in zip(gnew[1:], gold[1:]):
+        if rows == 300:
+            assert np.array_equal(a, b)
+        else:
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+# ---------------------------------------------------------------------------
 # scatter-add
 # ---------------------------------------------------------------------------
 

@@ -460,6 +460,8 @@ def test_no_backward_closure_holds_a_tensor():
         "transpose": T.transpose(x, (1, 0)),
         "concat_lastdim": T.concat_lastdim([x, leaf(4, 1)]),
         "gelu": T.gelu(x),
+        "feed_forward": T.feed_forward(x, leaf(3, 5), leaf(5), leaf(5, 2),
+                                       leaf(2)),
         "layer_norm": T.layer_norm(x, leaf(3), leaf(3)),
         "dropout": T.dropout(x, 0.5, rng),
         "gated_sum": T.gated_sum([x, leaf(4, 3)], leaf(3, 1))[0],
