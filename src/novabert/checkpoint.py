@@ -53,6 +53,13 @@ def replaced_on_success(*paths):
             tmp.unlink(missing_ok=True)
 
 
+def _feature_lists(catalog):
+    """The catalog's item features per item, padding dropped, as stored."""
+    return {name: [None] + [row if t.ndim == 1 else [v for v in row if v]
+                            for row in t[1:-1].tolist()]
+            for name, t in catalog.features.items()}
+
+
 def save_checkpoint(path, model, metadata=None, optimizer=None):
     """Write the model (and optimizer state) to path, atomically: a failed
     save leaves the previous file and no temporary file."""
@@ -67,7 +74,7 @@ def save_checkpoint(path, model, metadata=None, optimizer=None):
         "schema": [dataclasses.asdict(f) for f in model.schema.features],
         "catalog": {"raw_ids": model.catalog.raw_ids,
                     "raw_features": model.catalog.raw_features,
-                    "features": model.catalog.features},
+                    "features": _feature_lists(model.catalog)},
         "metadata": dict(metadata or {}),
         "optimizer": {"t": optimizer.t} if optimizer is not None else None,
     }
@@ -117,7 +124,7 @@ def load_checkpoint(path):
     schema = SideInfoSchema([FeatureSpec(**d) for d in index["schema"]])
     stored = index["catalog"]
     catalog = build_catalog(stored["raw_ids"], schema, stored["raw_features"])
-    if catalog.features != stored["features"]:
+    if _feature_lists(catalog) != stored["features"]:
         raise CheckpointError(
             f"{path}: stored item features do not match their raw values")
     dtypes = {a.dtype for name, a in arrays.items()

@@ -39,6 +39,7 @@ _TRAIN_KEYS = {
     "learning_rate": float, "epochs": int, "batch_size": int,
     "warmup_frac": float, "seed": int, "clip_norm": float, "eval_every": int,
 }
+_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 class CliError(RuntimeError):
@@ -137,10 +138,6 @@ class OutputDir:
         os.close(self.fd)
 
 
-def _dtype_for(precision):
-    return np.float32 if precision == "f32" else np.float64
-
-
 def _load_schema(args, mcfg):
     """The schema file, checked against the side features mcfg names."""
     schema = D.load_schema(args.schema)
@@ -230,7 +227,7 @@ def cmd_train(args):
     schema, catalog, split = _load_split(args, mcfg)
     with OutputDir(args.out) as out:
         model = Model(mcfg, schema, catalog, seed=tcfg.seed,
-                      dtype=_dtype_for(args.precision))
+                      dtype=_DTYPES[args.precision])
         result, test = TR.fit(model, split, tcfg, log=print)
         pop = TR.popularity_metrics(
             TR.popularity_baseline(split.train), split.test, catalog.m)
@@ -292,7 +289,7 @@ def cmd_compare(args):
         for attention in ("invasive", "nova"):
             model = Model(dataclasses.replace(mcfg, attention=attention),
                           schema, catalog, seed=tcfg.seed,
-                          dtype=_dtype_for(args.precision))
+                          dtype=_DTYPES[args.precision])
             _, test = TR.fit(model, split, tcfg,
                              log=lambda m, a=attention: print(f"[{a}] {m}"))
             rows[attention] = test.to_dict()
@@ -356,12 +353,9 @@ def cmd_dump_attention(args):
             batch = D.make_eval_batch([pair], model.schema, model.catalog, L)
             with T.no_grad():
                 _, attns = model.encode(batch, collect_attn=True)
-            a = attns[args.layer].data[0]          # [H, L, L]
-            keep = batch.pad_mask[0]               # right-aligned
-            lp = int(keep.sum())
-            sub = a[:, L - lp:, L - lp:]
-            for head in range(sub.shape[0]):
-                mat = sub[head]
+            lp = int(batch.pad_mask[0].sum())      # right-aligned
+            sub = attns[args.layer].data[0][:, L - lp:, L - lp:]  # [H, lp, lp]
+            for head, mat in enumerate(sub):
                 base = att_dir / f"{s}_{head}"
                 np.savetxt(f"{base}.csv", mat, delimiter=",", fmt="%.10g")
                 _write_pgm(f"{base}.pgm", mat)

@@ -12,7 +12,9 @@ File formats (UTF-8 TSV with a header row):
 
 Index conventions: item ID 0 is padding, IDs 1..m are items, m+1 is the
 mask token. Every feature reserves index 0 for padding and 1 for UNK; an
-empty multi field encodes to [UNK].
+empty multi field encodes to [UNK], and a bucketed value that is not a
+number (NaN included) to UNK. Item features are tables by item ID whose
+mask-token row holds UNK (:class:`ItemCatalog`), gathered into a batch.
 Position is implicit behavior context (index = 1-based position in the
 window) and never appears in the schema file.
 
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import bisect
 import configparser
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -89,6 +93,8 @@ class FeatureSpec:
             try:
                 x = float(raw)
             except ValueError:
+                return UNK
+            if math.isnan(x):   # no bucket holds it; bisect would say the top
                 return UNK
             return 2 + bisect.bisect_right(self.buckets, x)
         if self.encoding == "multi":
@@ -161,10 +167,14 @@ def save_schema(schema, path):
 
 @dataclass
 class ItemCatalog:
-    """Static item vocabulary. Internal IDs run 1..m; 0 pad, m+1 mask."""
+    """Static item vocabulary. Internal IDs run 1..m; 0 pad, m+1 mask.
+
+    features maps each item feature's name to its int64 table by item ID,
+    [m+2], or [m+2, K] zero-padded for a multi field. Row 0 (PAD) is 0 and
+    the mask token's row m+1 the feature's UNK (UNK, or [UNK, 0, ...])."""
     raw_ids: list[str]                       # raw_ids[i] is item i+1
     id_map: dict[str, int]                   # raw -> internal
-    features: dict[str, list]                # name -> per-item encoded values
+    features: dict[str, np.ndarray]          # name -> table by item ID
     raw_features: dict[str, list[str]]       # name -> per-item raw strings
 
     @property
@@ -206,6 +216,15 @@ def _read_tsv(path, expect):
             yield lineno, parts
 
 
+def _padded(lists):
+    """The lists as zero-padded int64 rows, at least one column wide."""
+    widths = np.array([len(v) for v in lists], dtype=np.int64)
+    out = np.zeros((len(lists), max(1, widths.max(initial=0))), np.int64)
+    filled = np.arange(out.shape[1]) < widths[:, None]
+    out[filled] = list(chain.from_iterable(lists))
+    return out
+
+
 def build_catalog(raw_ids, schema, raw_columns):
     """Items raw_ids[i] -> i + 1, with their item features encoded.
 
@@ -215,8 +234,13 @@ def build_catalog(raw_ids, schema, raw_columns):
     features, raw_features = {}, {}
     for f in schema.item_features():
         raws = list(raw_columns[f.name])
+        if len(raws) != len(raw_ids):   # row m+1 must be the mask token's
+            raise DataError(f"item feature {f.name}: {len(raws)} values for "
+                            f"{len(raw_ids)} items")
         f.freeze(raws)
-        features[f.name] = [None] + [f.encode(v) for v in raws]
+        rows = [f.encode(v) for v in raws] + [f.unk]
+        features[f.name] = (_padded([[]] + rows) if f.encoding == "multi"
+                            else np.array([PAD] + rows, dtype=np.int64))
         raw_features[f.name] = raws
     id_map = {raw: i + 1 for i, raw in enumerate(raw_ids)}
     return ItemCatalog(list(raw_ids), id_map, features, raw_features)
@@ -377,47 +401,34 @@ class Batch:
         return self.items != PAD
 
 
-def _window(values, L):
-    return values[-L:] if len(values) > L else values
-
-
-def _build_batch(rows, schema, catalog, L):
-    """Lay rows out right-aligned in a [B, L] batch.
-
-    Each row is (items, behavior dict, masked bool list), all aligned. A
-    masked slot holds the mask token, is labelled with its true item, keeps
-    its position and behavior features, and loses its item-related features
-    to UNK."""
-    B = len(rows)
-    items = np.zeros((B, L), dtype=np.int64)
-    positions = np.zeros((B, L), dtype=np.int64)
-    labels = np.zeros((B, L), dtype=np.int64)
-    for b, (row_items, _, masked) in enumerate(rows):
-        n = len(row_items)
-        real = np.asarray(row_items, dtype=np.int64)
-        masked = np.asarray(masked, dtype=bool)
-        items[b, L - n:] = np.where(masked, catalog.mask_token, real)
-        labels[b, L - n:] = np.where(masked, real, 0)
-        positions[b, L - n:] = np.arange(1, n + 1)
+def _build_batch(items, behavior, masked, schema, catalog, L):
+    """Lay rows out right-aligned in a [B, L] batch: items holds each row's
+    item IDs, behavior each behavior feature's rows, and masked (broadcast
+    to [B, L]) the masked slots. A masked slot holds the mask token, is
+    labelled with its true item, keeps its position and behavior features,
+    and reads its item features from the mask token's row: UNK. A multi
+    field is as wide as its widest entry in the batch."""
+    lengths = np.array([len(row) for row in items], dtype=np.int64)
+    real = np.arange(L) >= L - lengths[:, None]
+    true = np.zeros(real.shape, np.int64)
+    true[real] = list(chain.from_iterable(items))
+    ids = np.where(masked, catalog.mask_token, true)
     features = {}
     for f in schema.features:
-        unk = f.unk
-        cols = [beh[f.name] if f.kind == "behavior" else
-                [unk if mk else catalog.features[f.name][it]
-                 for it, mk in zip(row_items, masked)]
-                for row_items, beh, masked in rows]
-        if f.encoding == "multi":
-            kmax = max([1] + [len(v) for col in cols for v in col])
-            arr = np.zeros((B, L, kmax), dtype=np.int64)
-            for b, col in enumerate(cols):
-                for j, vals in enumerate(col):
-                    arr[b, L - len(col) + j, :len(vals)] = vals
+        if f.kind == "item":
+            arr = catalog.features[f.name][ids]
+            if f.encoding == "multi":   # entries fill their rows from the left
+                width = np.count_nonzero(arr.any(axis=(0, 1)))
+                arr = np.ascontiguousarray(arr[..., :max(1, width)])
         else:
-            arr = np.zeros((B, L), dtype=np.int64)
-            for b, col in enumerate(cols):
-                arr[b, L - len(col):] = col
+            slots = list(chain.from_iterable(behavior[f.name]))
+            vals = (_padded(slots) if f.encoding == "multi"
+                    else np.array(slots, dtype=np.int64))
+            arr = np.zeros(real.shape + vals.shape[1:], np.int64)
+            arr[real] = vals
         features[f.name] = arr
-    return Batch(items, positions, features, labels)
+    return Batch(ids, np.cumsum(real, axis=1, dtype=np.int64), features,
+                 np.where(masked, true, PAD))
 
 
 def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
@@ -431,16 +442,15 @@ def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
         raise DataError(f"mask_prob must be in (0, 1], got {mask_prob}")
     if not all(seq.items for seq in train_seqs):
         raise DataError("empty training sequence: no position to mask")
-    rows = []
-    for seq in train_seqs:
-        items = _window(seq.items, L)
-        while True:
-            masked = rng.random(len(items)) < mask_prob
-            if masked.any():
-                break
-        beh = {name: _window(vals, L) for name, vals in seq.behavior.items()}
-        rows.append((items, beh, masked))
-    return _build_batch(rows, schema, catalog, L)
+    # each row's last L slots; L >= 1, so [-L:] is never [0:]
+    items = [seq.items[-L:] for seq in train_seqs]
+    masked = np.zeros((len(items), L), dtype=bool)
+    for row, seq_items in zip(masked, items):
+        while not row.any():
+            row[L - len(seq_items):] = rng.random(len(seq_items)) < mask_prob
+    behavior = {f.name: [seq.behavior[f.name][-L:] for seq in train_seqs]
+                for f in schema.behavior_features()}
+    return _build_batch(items, behavior, masked, schema, catalog, L)
 
 
 def make_eval_batch(pairs, schema, catalog, L):
@@ -453,14 +463,11 @@ def make_eval_batch(pairs, schema, catalog, L):
     if L < 2:
         raise DataError(f"sequence length must be >= 2 to hold a prefix and "
                         f"the mask, got {L}")
-    rows = []
-    for pair in pairs:
-        if not pair.items:
-            raise DataError("empty prefix in evaluation pair")
-        prefix = _window(pair.items, L - 1)
-        beh = {f.name: list(_window(pair.behavior[f.name], L - 1))
-               + [f.unk]
-               for f in schema.behavior_features()}
-        rows.append((prefix + [pair.target], beh,
-                     [False] * len(prefix) + [True]))
-    return _build_batch(rows, schema, catalog, L)
+    if not all(pair.items for pair in pairs):
+        raise DataError("empty prefix in evaluation pair")
+    items = [[*pair.items[1 - L:], pair.target] for pair in pairs]
+    behavior = {f.name: [[*pair.behavior[f.name][1 - L:], f.unk]
+                         for pair in pairs]
+                for f in schema.behavior_features()}
+    return _build_batch(items, behavior, np.arange(L) == L - 1, schema,
+                        catalog, L)

@@ -208,16 +208,14 @@ class Model:
         query rows of the layout only, so the output is [len(layout.pos), h].
         Q, K and V are not bound to names, so without a graph they are freed
         before the FFN runs. Dropout draws when a generator rng is given.
-        Without a graph or rng, the part after attention runs over
-        consecutive row blocks whose FFN activation is about
-        T.FFN_BLOCK_BYTES, each written into one preallocated output;
-        otherwise it runs once over all rows, and only the FFN node runs in
-        blocks (:func:`tensor.feed_forward`). A block's rows are those of
-        one pass over all rows unless one of its products is small enough
-        for OpenBLAS's small-matrix kernel (at most 10**6 multiply-adds),
-        which sums in another order: at h=128 a block of fewer than 16 rows,
-        so a user's scores can move in their last bits with the batch
-        size."""
+        Without a graph or rng, the part after attention runs over the FFN
+        node's row blocks (:func:`tensor.row_blocks`), each written into
+        one preallocated output; otherwise it runs once over all rows, and
+        only the FFN node runs in blocks (:func:`tensor.feed_forward`). A
+        block too short for the FFN's products to leave OpenBLAS's
+        small-matrix kernel (at h=128, fewer than 16 rows) sums in another
+        order, so a user's scores can move in their last bits with the
+        batch size."""
         p = f"layer{layer}"
         q_src, res = qk_src, x
         if layout.picked is not None:
@@ -230,14 +228,10 @@ class Model:
             attn_dropout=self.config.dropout, rng=rng, collect=collect)
         if rng is not None or T.grad_enabled():
             return self._feed_forward_half(layer, res, out, rng), attn
-        n, h = out.shape
-        step = max(1, T.FFN_BLOCK_BYTES
-                   // (FFN_MULT * h * out.dtype.itemsize))
         y = np.empty_like(out.data)
-        for lo in range(0, n, step):
-            y[lo:lo + step] = self._feed_forward_half(
-                layer, res.data[lo:lo + step], out.data[lo:lo + step],
-                None).data
+        for rows in T.row_blocks(len(y), FFN_MULT * y.shape[1], y.itemsize):
+            y[rows] = self._feed_forward_half(
+                layer, res.data[rows], out.data[rows], None).data
         return Tensor(y), attn
 
     def invasive_layer(self, layer, x, layout, rng=None, collect=False):

@@ -424,7 +424,7 @@ def gelu(x, tanh_out=None):
     return _make(out_data, (x,), bw)
 
 
-def _blocks(n, width, itemsize):
+def row_blocks(n, width, itemsize):
     """Consecutive slices that cover n rows, each of about FFN_BLOCK_BYTES
     of a [rows, width] array of itemsize bytes per entry: a step of rows
     each, and a last remainder shorter than half a step joins the block
@@ -444,7 +444,7 @@ def feed_forward(x, w1, b1, w2, b2):
     """linear(gelu(linear(x, w1, b1)), w2, b2) as one node, in row blocks.
 
     x is [..., k], w1 [k, f], b1 [f], w2 [f, n] and b2 [n]. The rows of x
-    run in the blocks of :func:`_blocks` over the [rows, f] inner width,
+    run in the blocks of :func:`row_blocks` over the [rows, f] inner width,
     with or without a graph, so no [rows, f] activation exists whole; each
     block runs the products of :func:`linear` and calls :func:`gelu`. Only
     x and each block's tanh are saved (activation recomputation, Chen et
@@ -468,7 +468,7 @@ def feed_forward(x, w1, b1, w2, b2):
     record = _records(*parents)
     out = np.empty((len(x2), n), np.result_type(x2, w1d, w2d))
     saved = []
-    for rows in _blocks(len(x2), f, out.itemsize):
+    for rows in row_blocks(len(x2), f, out.itemsize):
         h = _rows_product(x2[rows], w1d)
         h += b1d
         t = np.empty_like(h) if record else None

@@ -237,8 +237,7 @@ def train(model, split, train_cfg, log=None):
     cfg = train_cfg
     rng = np.random.default_rng(cfg.seed)
     n = len(split.train)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
     opt = Adam(model.params, cfg)
     fp = config_fingerprint(model.config, cfg)
     best = TrainResult(best_params=clone_params(model.params), best_epoch=-1,
@@ -272,6 +271,7 @@ def train(model, split, train_cfg, log=None):
             losses.append(loss.item())
         record = {"epoch": epoch, "loss": float(np.mean(losses)),
                   "seconds": time.time() - t0}
+        best.history.append(record)
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             val = rank_all(model, split.validation, fingerprint=fp)
             record["val"] = val.to_dict()
@@ -287,11 +287,9 @@ def train(model, split, train_cfg, log=None):
                     f"val HR@10 {val.hr10:.4f}")
             if (cfg.early_stop_hr1 is not None
                     and val.hr1 >= cfg.early_stop_hr1):
-                best.history.append(record)
                 break
         elif log:
             log(f"epoch {epoch}: loss {record['loss']:.4f}")
-        best.history.append(record)
     return best
 
 

@@ -149,6 +149,24 @@ def test_features_disagreeing_with_raw_values_rejected(tmp_path):
         CK.load_checkpoint(path)
 
 
+def test_index_stores_item_features_per_item(tmp_path):
+    """The index keeps the format-version-2 form of the catalog's item
+    features, whatever form the catalog holds them in: per feature [None,
+    item 1's value, ...], a multi field's value as its list of indices."""
+    schema = D.SideInfoSchema([D.FeatureSpec("genre", "item", "multi"),
+                               D.FeatureSpec("kind", "item", "categorical")])
+    catalog = make_catalog(3, schema, {"genre": ["a||b", "", "b"],
+                                       "kind": ["x", "y", "x"]})
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=4)
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, Model(cfg, schema, catalog, seed=0))
+    with np.load(path) as archive:
+        index = json.loads(archive["index"].tobytes())
+    assert index["version"] == 2
+    assert index["catalog"]["features"] == {
+        "genre": [None, [2, 3], [D.UNK], [3]], "kind": [None, 2, 3, 2]}
+
+
 def test_missing_member_rejected(tmp_path):
     """A damaged zip directory can drop a member without any other error."""
     model, _ = build_model()

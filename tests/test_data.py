@@ -3,7 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import slot_batches as SB
 from novabert import checkpoint as CK
 from novabert import data as D
 from novabert.model import Model, ModelConfig
@@ -86,13 +89,22 @@ def _feature(schema, name):
 
 def test_bucketed_and_multi_encoding(dataset):
     schema, catalog, _ = dataset
-    year = _feature(schema, "year")
     # edges 1990,1995,2000: 1989 -> first bucket (index 2), 2001 -> last (5)
     assert catalog.features["year"][1] == 2
     assert catalog.features["year"][3] == 5
     genre = _feature(schema, "genre")
     assert genre.vocab_size == 2 + 3  # Action, Comedy, Drama
-    assert len(catalog.features["genre"][1]) == 2
+    assert np.count_nonzero(catalog.features["genre"][1]) == 2
+
+
+@pytest.mark.parametrize("raw, index", [
+    ("1989", 2), ("1990", 3), ("2000", 5), ("2001", 5), ("inf", 5),
+    ("-inf", 2), ("nan", D.UNK), ("NaN", D.UNK), ("", D.UNK), ("x", D.UNK)])
+def test_bucketed_encoding_of_edges_infinities_and_nan(dataset, raw, index):
+    """A value on an edge goes to the bucket above it, the infinities to
+    the end buckets, and what is not a number (NaN included) to UNK."""
+    schema, _, _ = dataset
+    assert _feature(schema, "year").encode(raw) == index
 
 
 def test_malformed_row_reports_line(tmp_path, dataset):
@@ -120,7 +132,9 @@ def test_round_trip(dataset, tmp_path):
     catalog2, seqs2 = D.load_dataset(tmp_path / "log2.tsv", tmp_path / "items2.tsv",
                                      schema2)
     assert catalog2.raw_ids == catalog.raw_ids
-    assert catalog2.features == catalog.features
+    assert catalog2.features.keys() == catalog.features.keys()
+    for name, table in catalog.features.items():
+        assert np.array_equal(catalog2.features[name], table)
     assert [s.items for s in seqs2] == [s.items for s in seqs]
     assert [s.behavior for s in seqs2] == [s.behavior for s in seqs]
 
@@ -223,6 +237,11 @@ def _side_schema():
                              D.FeatureSpec("kind", "item", "categorical")])
 
 
+def assert_table(table, rows):
+    """table is the int64 array of rows."""
+    assert table.dtype == np.int64 and table.tolist() == rows
+
+
 def _built_three_ways(tmp_path, schema_factory):
     """(schema, catalog) from make_catalog, from write_items + load_items,
     and from a checkpoint round trip of a model on the first."""
@@ -245,10 +264,21 @@ def test_one_encoding_for_one_set_of_strings(tmp_path):
     for schema, catalog in built:
         assert _feature(schema, "genre").vocab == {"a": 2, "b": 3}
         assert _feature(schema, "kind").vocab == {"x": 2, "y": 3}
-        assert catalog.features["genre"] == [None, [2, 3], [D.UNK], [3]]
-        assert catalog.features["kind"] == [None, 2, 3, 2]
+        # row 0 is PAD and the mask token's row 4 holds UNK
+        assert_table(catalog.features["genre"],
+                     [[0, 0], [2, 3], [D.UNK, 0], [3, 0], [D.UNK, 0]])
+        assert_table(catalog.features["kind"], [0, 2, 3, 2, D.UNK])
         assert catalog.id_map == {"1": 1, "2": 2, "3": 3}
         assert catalog.raw_features == SIDE_VALUES
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_catalog_needs_one_value_per_item(n):
+    """A feature column must hold one value per item: with one more, the
+    mask token's row would hold an item's value instead of UNK."""
+    values = {"genre": ["a"] * n, "kind": ["x"] * 3}
+    with pytest.raises(D.DataError, match=f"genre: {n} values for 3 items"):
+        make_catalog(3, _side_schema(), values)
 
 
 def test_frozen_vocabulary_is_kept(tmp_path):
@@ -259,7 +289,8 @@ def test_frozen_vocabulary_is_kept(tmp_path):
 
     for schema, catalog in _built_three_ways(tmp_path, frozen_schema):
         assert _feature(schema, "genre").vocab == {"b": 2, "c": 3}
-        assert catalog.features["genre"] == [None, [D.UNK, 2], [D.UNK], [2]]
+        assert_table(catalog.features["genre"],
+                     [[0, 0], [D.UNK, 2], [D.UNK, 0], [2, 0], [D.UNK, 0]])
         assert _feature(schema, "kind").vocab == {"x": 2, "y": 3}
 
 
@@ -385,3 +416,113 @@ def test_eval_batch_empty_prefix_errors(split):
     schema, catalog, _ = split
     with pytest.raises(D.DataError):
         D.make_eval_batch([D.EvalPair([], {"rating": []}, 1)], schema, catalog, L=5)
+
+
+# ---------------------------------------------------------------------------
+# gathered batches against the per-slot builders
+# ---------------------------------------------------------------------------
+
+def assert_same_batch(got, want):
+    """Every array of the two batches is equal, in the same dtype and
+    shape."""
+    pairs = [(getattr(got, k), getattr(want, k))
+             for k in ("items", "positions", "labels")]
+    assert got.features.keys() == want.features.keys()
+    pairs += [(got.features[k], want.features[k]) for k in want.features]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def assert_builders_agree(seqs, pairs, schema, catalog, mask_prob, seed, L):
+    """Masked batches from one generator state, and evaluation batches,
+    equal the per-slot builders' and leave the generator in one state."""
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_batch(
+        D.make_masked_batch(seqs, schema, catalog, mask_prob, rngs[0], L),
+        SB.masked_batch(seqs, schema, catalog, mask_prob, rngs[1], L))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert_same_batch(D.make_eval_batch(pairs, schema, catalog, L),
+                      SB.eval_batch(pairs, schema, catalog, L))
+
+
+@pytest.mark.parametrize("L, B", [(200, 32), (12, 128)])
+def test_movielens_like_batches_equal_per_slot_ones(monkeypatch, L, B):
+    """A multi genre, a categorical year, a rating behavior and histories
+    longer than L, at the reference and desk shapes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    movielens_like = importlib.import_module("movielens").movielens_like
+    schema, catalog, seqs = movielens_like(0, users=B)
+    split = D.leave_one_out_split(seqs)
+    assert max(len(s.items) for s in split.train) > L
+    assert {f.encoding for f in schema.features} == {"categorical", "multi"}
+    assert_builders_agree(split.train, split.test, schema, catalog, 0.2, 0, L)
+
+
+def _all_encodings_schema():
+    """A bucketed, a multi and a categorical item feature, and a multi and
+    a categorical behavior feature."""
+    return D.SideInfoSchema([
+        D.FeatureSpec("year", "item", "bucketed", [1990.0, 2000.0]),
+        D.FeatureSpec("tags", "item", "multi"),
+        D.FeatureSpec("kind", "item", "categorical"),
+        D.FeatureSpec("context", "behavior", "multi"),
+        D.FeatureSpec("rating", "behavior", "categorical")])
+
+
+YEARS = ["1985", "1990", "1999", "2005", "nan", "", "inf"]
+TAGS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def logs_with_every_encoding(draw, L):
+    """(catalog, sequences, pairs): items with 0-3 tags, and sequences of
+    1 to L+3 items whose slots hold 0-3 context values."""
+    schema = _all_encodings_schema()
+    m = draw(st.integers(1, 6))
+    catalog = make_catalog(m, schema, {
+        "year": draw(st.lists(st.sampled_from(YEARS), min_size=m,
+                              max_size=m)),
+        "tags": ["|".join(draw(st.lists(st.sampled_from(TAGS), max_size=3,
+                                        unique=True))) for _ in range(m)],
+        "kind": draw(st.lists(st.sampled_from("xyz"), min_size=m,
+                              max_size=m))})
+    seqs = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, L + 3))
+        seqs.append(D.TrainSequence(
+            draw(st.lists(st.integers(1, m), min_size=n, max_size=n)),
+            {"context": draw(st.lists(st.lists(st.integers(1, 5),
+                                               max_size=3),
+                                      min_size=n, max_size=n)),
+             "rating": draw(st.lists(st.integers(1, 5), min_size=n,
+                                     max_size=n))}))
+    pairs = [D.EvalPair(s.items, s.behavior, draw(st.integers(1, m)))
+             for s in seqs]
+    return schema, catalog, seqs, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(
+           lambda L: st.tuples(st.just(L), logs_with_every_encoding(L))),
+       st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_random_batches_equal_per_slot_ones(case, mask_prob, seed):
+    """Random row sets, masks and multi-valued slots, with every encoding
+    and none or several rows."""
+    L, (schema, catalog, seqs, pairs) = case
+    assert_builders_agree(seqs, pairs, schema, catalog, mask_prob, seed, L)
+
+
+@pytest.mark.parametrize("schema_factory", [_all_encodings_schema,
+                                            lambda: D.SideInfoSchema([])])
+def test_batches_of_no_rows(schema_factory):
+    """No rows give [0, L] arrays, and [0, L, 1] for a multi field."""
+    schema = schema_factory()
+    catalog = make_catalog(3, schema, {"year": ["1990"] * 3,
+                                       "tags": ["a", "", "b|c"],
+                                       "kind": ["x"] * 3})
+    assert_builders_agree([], [], schema, catalog, 0.5, 0, 4)
+    batch = D.make_eval_batch([], schema, catalog, 4)
+    assert batch.items.shape == (0, 4)
+    assert all(batch.features[f.name].shape[:2] == (0, 4)
+               for f in schema.features)

@@ -392,8 +392,9 @@ def block_bytes(model, rows):
 def test_blocked_evaluation_matches_one_block(monkeypatch, attention, fusion,
                                               dtype):
     """Evaluation runs the part of each layer after attention in row
-    blocks; 7-row blocks, whose last in layer 0 has one row (64 = 7 * 9 +
-    1), give the scores of one block over every row, bit for bit."""
+    blocks; 7-row blocks, whose last in layer 0 joins the one-row
+    remainder (64 = 7 * 9 + 1, so 8 rows), give the scores of one block
+    over every row, bit for bit."""
     model, pairs = eval_setup(attention, fusion, dtype)
     monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 1 << 40)
     whole, _ = TR.score_pairs(model, pairs)
@@ -427,8 +428,8 @@ def test_scores_do_not_depend_on_the_other_users(attention, fusion, dtype):
 def test_feed_forward_rows_per_call(monkeypatch):
     """The FFN node calls GELU once per row block. Evaluation hands it a
     block at a time; a training step and a recorded forward pass hand it
-    every computed row, and its last block takes a remainder shorter than
-    half a block."""
+    every computed row. Both use the same blocks, whose last takes a
+    remainder shorter than half a block."""
     model, pairs = eval_setup("nova", "gating")
     monkeypatch.setattr(T, "FFN_BLOCK_BYTES", block_bytes(model, 7))
     rows, gelu = [], T.gelu
@@ -437,11 +438,11 @@ def test_feed_forward_rows_per_call(monkeypatch):
     TR.score_pairs(model, pairs)
     batch = D.make_eval_batch(pairs, model.schema, model.catalog, 8)
     n = int(batch.pad_mask.sum())
-    # layer 0 computes the 64 real tokens, 7 * 9 + 1, so evaluation's last
-    # block is one row and the node's is 8; the last layer computes the 12
+    # layer 0 computes the 64 real tokens, 7 * 9 + 1, so the last block
+    # takes the remainder and is 8 rows; the last layer computes the 12
     # read rows, 7 + 5
     assert n == 64 and len(pairs) == 12
-    assert rows == [7] * 9 + [1] + [7, 5]
+    assert rows == [7] * 8 + [8] + [7, 5]
     for train in (True, False):
         rows.clear()
         model.loss(batch, train=train, rng=np.random.default_rng(0))

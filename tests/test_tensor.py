@@ -680,13 +680,13 @@ def ffn_leaves(rng, shape, f):
 
 
 def test_blocks_join_a_short_remainder(monkeypatch):
-    """_blocks covers the rows in order, in blocks of a step; a remainder
+    """row_blocks covers the rows in order, in blocks of a step; a remainder
     shorter than half a step joins the block before it, so no block is
     shorter than half a step unless it is the only one."""
     for step in range(1, 10):
         monkeypatch.setattr(T, "FFN_BLOCK_BYTES", step * 3 * 8)
         for rows in range(40):
-            blocks = T._blocks(rows, 3, 8)
+            blocks = T.row_blocks(rows, 3, 8)
             assert blocks[0].start == 0 and blocks[-1].stop == rows
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             sizes = [b.stop - b.start for b in blocks]
@@ -701,7 +701,7 @@ def test_fd_feed_forward(monkeypatch):
     rng = np.random.default_rng(52)
     x, w1, b1, w2, b2 = ffn_leaves(rng, (2, 5, 4), 6)
     monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 3 * 6 * 8)
-    assert [b.stop - b.start for b in T._blocks(10, 6, 8)] == [3, 3, 4]
+    assert [b.stop - b.start for b in T.row_blocks(10, 6, 8)] == [3, 3, 4]
     g = rng.standard_normal((2, 5, 4))
     check_grads(lambda: DO.tsum(DO.mul(T.feed_forward(x, w1, b1, w2, b2), g)),
                 [x, w1, b1, w2, b2])
@@ -732,7 +732,7 @@ def test_feed_forward_equals_the_chain(rows):
             assert all(any(np.shares_memory(a, t.data) for t in leaves)
                        for a in held.values() if isinstance(a, np.ndarray))
             assert [t.shape for _, t in held["saved"]] == [
-                (b.stop - b.start, 512) for b in T._blocks(rows, 512, 8)]
+                (b.stop - b.start, 512) for b in T.row_blocks(rows, 512, 8)]
         else:
             out = T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
         T.backward(DO.tsum(DO.mul(out, g)))
