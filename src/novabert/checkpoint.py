@@ -127,14 +127,6 @@ def load_checkpoint(path):
     if _feature_lists(catalog) != stored["features"]:
         raise CheckpointError(
             f"{path}: stored item features do not match their raw values")
-    dtypes = {a.dtype for name, a in arrays.items()
-              if not name.startswith("opt.")}
-    if len(dtypes) > 1 or not dtypes <= {np.dtype(np.float32),
-                                         np.dtype(np.float64)}:
-        raise CheckpointError(
-            f"{path}: parameters must be all float32 or all float64, got "
-            f"{sorted(str(d) for d in dtypes)}")
-    dtype = next(iter(dtypes), np.dtype(np.float64)).type
     config = ModelConfig(**index["config"])
     shapes = param_shapes(config, schema, catalog.m)
 
@@ -150,8 +142,15 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"{path}: tensor {name} has shape "
                 f"{arrays[name].shape}, expected {shape}")
+    dtypes = {arrays[name].dtype for name in shapes}
+    if len(dtypes) > 1 or not dtypes <= {np.dtype(np.float32),
+                                         np.dtype(np.float64)}:
+        raise CheckpointError(
+            f"{path}: parameters must be all float32 or all float64, got "
+            f"{sorted(str(d) for d in dtypes)}")
     # the stored arrays become the parameters; no initial values are drawn
-    model = Model(config, schema, catalog, dtype=dtype, arrays=arrays)
+    model = Model(config, schema, catalog, dtype=dtypes.pop().type,
+                  arrays=arrays)
 
     opt_state = None
     if index["optimizer"] is not None:

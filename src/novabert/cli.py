@@ -23,7 +23,7 @@ from novabert import checkpoint as CK
 from novabert import data as D
 from novabert import tensor as T
 from novabert import train as TR
-from novabert.model import Model, ModelConfig
+from novabert.model import DEFAULT_DTYPE, Model, ModelConfig
 from novabert.profiler import profile_cost
 
 REQUIRED_MODEL_KEYS = ("hidden_size", "num_heads", "num_layers", "max_len")
@@ -409,16 +409,17 @@ def build_parser():
     common_model.add_argument("--seed", type=int, default=None)
     common_model.add_argument("--fusion",
                               choices=["add", "concat", "gating"], default=None)
-    # compare trains both stacks, and ablate trains in float64 only
+    # compare trains both stacks, and ablate trains at the default precision
     attention = argparse.ArgumentParser(add_help=False)
     attention.add_argument("--attention",
                            choices=["invasive", "nova"], default=None)
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument(
-        "--precision", choices=["f32", "f64"], default="f64",
-        help="training dtype; f32 stores parameters and computes in "
-             "float32 (Adam's moments stay float64), and a checkpoint "
-             "reloads in the dtype it was saved in")
+        "--precision", choices=list(_DTYPES),
+        default={t: k for k, t in _DTYPES.items()}[DEFAULT_DTYPE],
+        help="training dtype (default %(default)s); f32 stores parameters "
+             "and computes in float32 (Adam's moments stay float64), and a "
+             "checkpoint reloads in the dtype it was saved in")
 
     sp = add("prepare-data", cmd_prepare_data,
              help="convert ::-separated rating/movie files to TSV")

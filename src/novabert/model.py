@@ -22,6 +22,9 @@ from novabert.tensor import Tensor
 
 FFN_MULT = 4  # inner feed-forward width, per original BERT
 EMB_INIT = 0.02  # uniform [-EMB_INIT, EMB_INIT] for all embedding tables
+# the compute precision of a model built without a dtype, and of a CLI run
+# without --precision; the oracle tests ask for float64 by name
+DEFAULT_DTYPE = np.float32
 
 
 @dataclass
@@ -141,7 +144,7 @@ class Model:
     evaluation on disjoint batches may run concurrently.
     """
 
-    def __init__(self, config, schema, catalog, seed=0, dtype=np.float64,
+    def __init__(self, config, schema, catalog, seed=0, dtype=DEFAULT_DTYPE,
                  arrays=None):
         """A model with freshly drawn parameters, or, given arrays (name ->
         array, with the names and shapes of :func:`param_shapes`), one

@@ -69,8 +69,8 @@ from novabert import kernels
 DEFAULT_DTYPE = np.float64
 LAYER_NORM_EPS = 1e-12  # as in the original BERT
 # feed_forward runs in row blocks whose [rows, inner width] activation takes
-# about this many bytes (256 rows at h=128 in float64): a block's
-# temporaries stay in cache and the allocator reuses them, while a
+# about this many bytes (512 rows at h=128 in float32, 256 in float64): a
+# block's temporaries stay in cache and the allocator reuses them, while a
 # full-width array is given back to the OS after each batch and faulted in
 # again by the next.
 FFN_BLOCK_BYTES = 1 << 20

@@ -3,7 +3,8 @@
 The numeric side evaluates the loss with the parameters cast to
 longdouble, so the difference quotient is not drowned by float64 rounding
 of the loss value; the analytic side stays the float64 implementation
-under test.
+under test. A model of any other dtype is refused: its rounding, not its
+gradients, would decide the comparison.
 """
 
 import numpy as np
@@ -17,8 +18,12 @@ def model_grad_check(model, batch, eps=1e-5, tol=1e-4, max_entries=None,
 
     Checks every parameter tensor; when max_entries is set, a random subset
     of entries per tensor is probed instead of all of them. Returns the
-    worst relative error seen.
+    worst relative error seen. Raises ValueError unless the model is
+    float64.
     """
+    if np.dtype(model.dtype) != np.float64:
+        raise ValueError(f"a gradient check needs a float64 model, got "
+                         f"{np.dtype(model.dtype)}")
     model.zero_grads()
     loss = model.loss(batch)
     T.backward(loss)

@@ -4,6 +4,7 @@ Each test prints one summary line; the two training-based checks take a
 few minutes of CPU between them.
 """
 
+import itertools
 import math
 import os
 import time
@@ -44,7 +45,7 @@ def test_gradients_match_finite_differences():
             cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2,
                               max_len=4, attention=attention, fusion=fusion,
                               dropout=0.0)
-            model = Model(cfg, schema, catalog, seed=0)
+            model = Model(cfg, schema, catalog, seed=0, dtype=np.float64)
             # move off the near-symmetric init so gradients are O(1)
             rng = np.random.default_rng(1)
             for p in model.params.values():
@@ -57,19 +58,31 @@ def test_gradients_match_finite_differences():
           f"across 6 configs in {elapsed:.1f}s")
 
 
+def test_gradient_check_refuses_float32():
+    """The finite-difference check compares float64 gradients only, so a
+    default that changes cannot turn it into a float32 comparison."""
+    schema, catalog, seqs = branching_dataset(m=11, n_seq=6, length=7, seed=0)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=4,
+                      dropout=0.0)
+    model = Model(cfg, schema, catalog, seed=0, dtype=np.float32)
+    with pytest.raises(ValueError, match="float64 model, got float32"):
+        model_grad_check(model, tiny_batch(schema, catalog, seqs, L=4))
+
+
 def test_no_side_info_stacks_equivalent():
     """With zero side features and shared weights, the two attention
-    stacks produce logits differing by < 1e-12."""
+    stacks produce logits differing by < 1e-12, in float64 and float32."""
     schema, catalog, seqs = successor_dataset(m=11, n_seq=8, length=7, seed=0)
     worst = 0.0
-    for seed in (0, 1, 2):
+    for seed, dtype in itertools.product((0, 1, 2),
+                                         (np.float64, np.float32)):
         batch = tiny_batch(schema, catalog, seqs, L=4, seed=seed)
         kw = dict(hidden_size=8, num_heads=2, num_layers=2, max_len=4,
                   fusion="add", dropout=0.0, features=[], use_position=False)
         inv = Model(ModelConfig(attention="invasive", **kw),
-                    schema, catalog, seed=seed + 3)
+                    schema, catalog, seed=seed + 3, dtype=dtype)
         nova = Model(ModelConfig(attention="nova", **kw),
-                     schema, catalog, seed=seed + 3)
+                     schema, catalog, seed=seed + 3, dtype=dtype)
         for name, p in inv.params.items():
             nova.params[name].data[:] = p.data
         li = inv.decode_scores(inv.encode(batch)[0]).data
@@ -112,45 +125,50 @@ def _brute_force_rank(row, target):
 
 def test_rank_metrics_match_brute_force():
     """rank_all on a <=20-item vocabulary vs an explicit full-sort oracle,
-    exact to 1e-12, including the smaller-ID tie rule."""
+    exact to 1e-12, including the smaller-ID tie rule, on the scores of a
+    float64 and of a float32 model."""
     schema, catalog, seqs = successor_dataset(m=18, n_seq=40, length=8, seed=2)
     split = D.leave_one_out_split(seqs)
     cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=6,
                       dropout=0.0)
-    model = Model(cfg, schema, catalog, seed=5)
-    scores, targets = TR.score_pairs(model, split.test)
-    # force ties so the tie rule is actually exercised
-    scores = np.round(scores * 20) / 20
-    ranks = TR.ranks_from_scores(scores, targets)
-    oracle = np.array([_brute_force_rank(r, t)
-                       for r, t in zip(scores, targets)])
-    assert np.array_equal(ranks, oracle)
-    rep = TR.metrics_from_ranks(ranks)
-    for k, got in ((5, rep.hr5), (10, rep.hr10)):
-        want = float(np.mean(oracle <= k))
-        assert abs(got - want) < 1e-12
-    for k, got in ((5, rep.ndcg5), (10, rep.ndcg10)):
-        want = float(np.mean([1 / math.log2(r + 1) if r <= k else 0.0
-                              for r in oracle]))
-        assert abs(got - want) < 1e-12
-    n_tied = int(sum((scores == scores[i, targets[i] - 1]).sum() > 1
-                     for i in range(len(targets))))
-    assert n_tied > 0
-    print(f"\nPASS metric oracle: {len(targets)} users, "
-          f"{n_tied} rows with score ties, exact agreement")
+    for dtype in (np.float64, np.float32):
+        model = Model(cfg, schema, catalog, seed=5, dtype=dtype)
+        scores, targets = TR.score_pairs(model, split.test)
+        assert scores.dtype == dtype
+        # force ties so the tie rule is actually exercised
+        scores = np.round(scores * 20) / 20
+        ranks = TR.ranks_from_scores(scores, targets)
+        oracle = np.array([_brute_force_rank(r, t)
+                           for r, t in zip(scores, targets)])
+        assert np.array_equal(ranks, oracle)
+        rep = TR.metrics_from_ranks(ranks)
+        for k, got in ((5, rep.hr5), (10, rep.hr10)):
+            want = float(np.mean(oracle <= k))
+            assert abs(got - want) < 1e-12
+        for k, got in ((5, rep.ndcg5), (10, rep.ndcg10)):
+            want = float(np.mean([1 / math.log2(r + 1) if r <= k else 0.0
+                                  for r in oracle]))
+            assert abs(got - want) < 1e-12
+        n_tied = int(sum((scores == scores[i, targets[i] - 1]).sum() > 1
+                         for i in range(len(targets))))
+        assert n_tied > 0
+    print(f"\nPASS metric oracle: {len(targets)} users in two dtypes, "
+          f"{n_tied} float32 rows with score ties, exact agreement")
 
 
 @pytest.mark.slow
-def test_successor_memorization():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_successor_memorization(dtype):
     """Deterministic next = current+1 rule is memorized to HR@1 >= 0.99 on
-    held-out targets within 200 epochs and five minutes."""
+    held-out targets within 200 epochs and five minutes, in the default
+    float32 and in float64."""
     t0 = time.time()
     schema, catalog, seqs = successor_dataset(m=100, n_seq=500, length=20,
                                               seed=0)
     split = D.leave_one_out_split(seqs)
     cfg = ModelConfig(hidden_size=64, num_heads=2, num_layers=2, max_len=12,
                       attention="nova", fusion="add", dropout=0.0)
-    model = Model(cfg, schema, catalog, seed=0)
+    model = Model(cfg, schema, catalog, seed=0, dtype=dtype)
     tc = TR.TrainConfig(epochs=200, batch_size=128, learning_rate=5e-3,
                         seed=0, eval_every=3, last_mask_frac=0.5,
                         early_stop_hr1=0.995)
@@ -160,8 +178,8 @@ def test_successor_memorization():
     elapsed = time.time() - t0
     assert elapsed < 300.0
     assert rep.hr1 >= 0.99, f"test HR@1 {rep.hr1:.3f} < 0.99"
-    print(f"\nPASS memorization: test HR@1 {rep.hr1:.3f} "
-          f"after {len(res.history)} epochs in {elapsed:.0f}s")
+    print(f"\nPASS memorization ({np.dtype(dtype)}): test HR@1 "
+          f"{rep.hr1:.3f} after {len(res.history)} epochs in {elapsed:.0f}s")
 
 
 @pytest.mark.slow

@@ -197,8 +197,9 @@ def test_float32_parameters_round_trip(tmp_path):
 
 def test_mixed_parameter_dtypes_rejected(tmp_path):
     model, _ = build_model()
+    other = np.float64 if model.dtype == np.float32 else np.float32
     model.params["layer0.ffn.w1.w"].data = (
-        model.params["layer0.ffn.w1.w"].data.astype(np.float32))
+        model.params["layer0.ffn.w1.w"].data.astype(other))
     path = tmp_path / "model.bin"
     CK.save_checkpoint(path, model)
     with pytest.raises(CK.CheckpointError, match="float32 or all float64"):

@@ -133,6 +133,19 @@ def test_train_writes_outputs_and_evaluate_round_trips(toy, tmp_path, capsys):
         assert evaluated[k] == trained[k]
 
 
+def test_train_precision_sets_the_checkpoint_dtype(toy, tmp_path):
+    """train computes in float32 unless --precision f64 asks for float64,
+    and checkpoint.bin stores every parameter in that dtype."""
+    for extra, dtype in (([], np.float32), (["--precision", "f64"],
+                                            np.float64)):
+        paths = dict(toy, out=tmp_path / np.dtype(dtype).name)
+        assert cli.main(["train"] + flags(paths, *extra)) == 0
+        model, _, _ = CK.load_checkpoint(paths["out"] / "checkpoint.bin")
+        assert model.dtype == dtype
+        assert {p.data.dtype for p in model.params.values()} == {
+            np.dtype(dtype)}
+
+
 def test_evaluate_random_init_is_chance_level(tmp_path):
     schema, catalog, seqs = successor_dataset(m=20, n_seq=200, length=8, seed=1)
     data = tmp_path / "interactions.tsv"
@@ -296,7 +309,8 @@ def test_compare_reports_equal_train_test_reports(toy, tmp_path):
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("ablate", ["--precision", "f32"]),    # ablate trains in float64 only
+    # ablate trains at the default precision
+    ("ablate", ["--precision", "f32"]),
     ("compare", ["--attention", "nova"]),  # compare trains both stacks
 ])
 def test_unused_flag_exits_2(toy, command, flag):

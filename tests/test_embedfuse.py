@@ -156,11 +156,11 @@ def small_batch():
 
 
 def small_model(schema, catalog, seed, fusion="add", **kw):
-    """An invasive model of width 8 over L=5; its one fusion site is
-    model.fusion[0]."""
+    """An invasive float64 model of width 8 over L=5, held to float64
+    oracles; its one fusion site is model.fusion[0]."""
     cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=5,
                       attention="invasive", fusion=fusion, **kw)
-    return Model(cfg, schema, catalog, seed=seed)
+    return Model(cfg, schema, catalog, seed=seed, dtype=np.float64)
 
 
 @pytest.mark.parametrize("attention", ["invasive", "nova"])

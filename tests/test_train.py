@@ -305,17 +305,21 @@ def test_ablate_shapes():
 # ---------------------------------------------------------------------------
 
 def test_score_pairs_matches_dense_decode_and_records_no_graph():
+    """In float64 and float32, score_pairs gives the last-row scores of a
+    dense decode of every real-token row, and records no graph."""
     schema, catalog, split, cfg = small_problem()
-    model = Model(cfg, schema, catalog, seed=4)
-    scores, targets = TR.score_pairs(model, split.validation, batch_size=7)
-    assert all(p.grad is None for p in model.params.values())
     batch = D.make_eval_batch(split.validation, schema, catalog, cfg.max_len)
     # every real-token row; a row's last real token is the appended mask
     last = np.cumsum(batch.pad_mask.sum(axis=1)) - 1
-    dense = model.decode_scores(model.encode(batch)[0]).data[last]
-    assert scores.shape == dense.shape
-    assert np.abs(scores - dense).max() < 1e-12
-    assert list(targets) == [p.target for p in split.validation]
+    for dtype in (np.float64, np.float32):
+        model = Model(cfg, schema, catalog, seed=4, dtype=dtype)
+        scores, targets = TR.score_pairs(model, split.validation,
+                                         batch_size=7)
+        assert all(p.grad is None for p in model.params.values())
+        dense = model.decode_scores(model.encode(batch)[0]).data[last]
+        assert scores.shape == dense.shape and scores.dtype == dtype
+        assert np.abs(scores - dense).max() < 1e-12
+        assert list(targets) == [p.target for p in split.validation]
     # recording is back on: a training step still fills the gradients
     train = D.make_masked_batch(split.train, schema, catalog, cfg.mask_prob,
                                 np.random.default_rng(0), cfg.max_len)
