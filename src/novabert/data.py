@@ -25,6 +25,10 @@ TSV loaders, the synthetic builders and the checkpoint loader all use it.
 Item vocabularies are frozen from the items file, behavior vocabularies from
 the retained users; a vocabulary the schema already carries (as one loaded
 from a checkpoint does) is kept.
+
+The leave-one-out split stores each user's history once: its pairs and
+training sequences are read-only views of one array per field, so nothing
+can mutate them. The batch builders take rows as such views or as lists.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import bisect
 import configparser
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -311,43 +316,21 @@ def load_dataset(interactions_path, items_path, schema):
     return catalog, sequences
 
 
-def write_items(catalog, schema, path):
-    item_feats = schema.item_features()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(["item_id"] + [f.name for f in item_feats]) + "\n")
-        for i, raw in enumerate(catalog.raw_ids):
-            row = [raw] + [catalog.raw_features[f.name][i] for f in item_feats]
-            fh.write("\t".join(row) + "\n")
-
-
-def write_interactions(sequences, schema, catalog, path):
-    beh_feats = schema.behavior_features()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(["user_id", "item_id", "timestamp"]
-                           + [f.name for f in beh_feats]) + "\n")
-        for seq in sequences:
-            for j in range(len(seq)):
-                row = [seq.user, catalog.raw_ids[seq.items[j] - 1],
-                       str(seq.timestamps[j])]
-                row += [seq.raw_behavior[f.name][j] for f in beh_feats]
-                fh.write("\t".join(row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EvalPair:
-    items: list[int]                # prefix, chronological
-    behavior: dict[str, list]       # aligned with items
+    items: Sequence[int]            # prefix, chronological
+    behavior: dict[str, Sequence]   # aligned with items
     target: int                     # ground-truth next item (internal ID)
 
 
 @dataclass
 class TrainSequence:
-    items: list[int]
-    behavior: dict[str, list]
+    items: Sequence[int]
+    behavior: dict[str, Sequence]
 
 
 @dataclass
@@ -362,23 +345,53 @@ def held_out(seq):
     item and its behavior as the prefix, the last item as the target."""
     return EvalPair(seq.items[:-1],
                     {k: v[:-1] for k, v in seq.behavior.items()},
-                    seq.items[-1])
+                    int(seq.items[-1]))
+
+
+def _pack(rows, n):
+    """The rows' n values end to end in one read-only int64 array: [n], or
+    [n, K] zero-padded when the values are index lists (a multi field)."""
+    values = chain.from_iterable(rows)
+    flat = (_padded(list(values)) if rows and np.ndim(rows[0][0])
+            else np.fromiter(values, np.int64, n))
+    flat.flags.writeable = False
+    return flat
 
 
 def leave_one_out_split(sequences):
     """Per user: last item -> test, second-to-last -> validation, rest train.
 
-    Each pair is the previous one with its target held out: the test pair
-    holds out the last item, the validation pair the test prefix's last,
-    and the training sequence is the validation prefix itself (the same
-    lists, which nothing mutates)."""
-    train, validation, test = [], [], []
+    Each field is stored once: the items of every user in one int64 array,
+    and each behavior feature in one more ([n, K] zero-padded for a multi
+    field). Every pair and training sequence holds read-only views of one
+    array per field, and a pair's target is an int. The test pair holds out
+    the last item, the validation pair the test prefix's last, and the
+    training sequence is the validation prefix itself (the same views)."""
     for seq in sequences:
         if len(seq) < MIN_SEQUENCE_LEN:
             raise DataError(f"user {seq.user}: sequence shorter than "
                             f"{MIN_SEQUENCE_LEN} after filtering")
-        test.append(held_out(seq))
-        validation.append(held_out(test[-1]))
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    n = int(lengths.sum())
+    items = _pack([seq.items for seq in sequences], n)
+    behavior = {}
+    for name in sequences[0].behavior if sequences else ():
+        rows = [seq.behavior[name] for seq in sequences]
+        # packed end to end, one missing value would shift later users'
+        if not np.array_equal(
+                np.fromiter(map(len, rows), np.int64, len(rows)), lengths):
+            raise DataError(f"behavior feature {name}: not one value per "
+                            f"item for every user")
+        behavior[name] = _pack(rows, n)
+    ends = np.cumsum(lengths)
+    train, validation, test = [], [], []
+    for lo, hi, val_target, test_target in zip(
+            (ends - lengths).tolist(), ends.tolist(),
+            items[ends - 2].tolist(), items[ends - 1].tolist()):
+        test.append(EvalPair(items[lo:hi - 1], {
+            k: v[lo:hi - 1] for k, v in behavior.items()}, test_target))
+        validation.append(EvalPair(items[lo:hi - 2], {
+            k: v[lo:hi - 2] for k, v in behavior.items()}, val_target))
         train.append(TrainSequence(validation[-1].items,
                                    validation[-1].behavior))
     return SplitDataset(train, validation, test)
@@ -401,34 +414,75 @@ class Batch:
         return self.items != PAD
 
 
-def _build_batch(items, behavior, masked, schema, catalog, L):
-    """Lay rows out right-aligned in a [B, L] batch: items holds each row's
-    item IDs, behavior each behavior feature's rows, and masked (broadcast
-    to [B, L]) the masked slots. A masked slot holds the mask token, is
-    labelled with its true item, keeps its position and behavior features,
-    and reads its item features from the mask token's row: UNK. A multi
-    field is as wide as its widest entry in the batch."""
-    lengths = np.array([len(row) for row in items], dtype=np.int64)
-    real = np.arange(L) >= L - lengths[:, None]
-    true = np.zeros(real.shape, np.int64)
-    true[real] = list(chain.from_iterable(items))
+def _placed(rows, slots, multi=False):
+    """[B, L] int64, or [B, L, K] for a multi field: the rows' values in
+    the True slots of slots, row after row, and 0 elsewhere. A row is an
+    array or a list (of indices, or of index lists for a multi field), and
+    each field's values are joined by one concatenate; a multi field is as
+    wide as its widest entry."""
+    if multi:
+        rows = [r if isinstance(r, np.ndarray) else _padded(r) for r in rows]
+        k = max([1] + [r.shape[1] for r in rows])
+        values = np.concatenate([np.zeros((0, k), np.int64)] + [
+            np.pad(r, ((0, 0), (0, k - r.shape[1]))) if r.shape[1] < k else r
+            for r in rows])
+        # an entry fills its row from the left, and no index in it is PAD
+        values = values[:, :max(1, np.count_nonzero(values.any(axis=0)))]
+    else:
+        values = np.concatenate([np.zeros(0, np.int64)]
+                                + [np.asarray(r, np.int64) for r in rows])
+    out = np.zeros(slots.shape + values.shape[1:], np.int64)
+    out[slots] = values
+    return out
+
+
+def _build_batch(true, real, masked, behavior, schema, catalog):
+    """The batch of the item IDs true [B, L] in the real slots, with the
+    masked slots (masked broadcasts to [B, L]) masked. A masked slot holds
+    the mask token, is labelled with its true item, keeps its position and
+    behavior features (behavior maps each to its laid-out [B, L] or
+    [B, L, K] array), and reads its item features from the mask token's row:
+    UNK. A multi field is as wide as its widest entry in the batch."""
     ids = np.where(masked, catalog.mask_token, true)
     features = {}
     for f in schema.features:
-        if f.kind == "item":
-            arr = catalog.features[f.name][ids]
-            if f.encoding == "multi":   # entries fill their rows from the left
-                width = np.count_nonzero(arr.any(axis=(0, 1)))
-                arr = np.ascontiguousarray(arr[..., :max(1, width)])
-        else:
-            slots = list(chain.from_iterable(behavior[f.name]))
-            vals = (_padded(slots) if f.encoding == "multi"
-                    else np.array(slots, dtype=np.int64))
-            arr = np.zeros(real.shape + vals.shape[1:], np.int64)
-            arr[real] = vals
+        if f.kind == "behavior":
+            features[f.name] = behavior[f.name]
+            continue
+        arr = catalog.features[f.name][ids]
+        if f.encoding == "multi":   # entries fill their rows from the left
+            width = np.count_nonzero(arr.any(axis=(0, 1)))
+            arr = np.ascontiguousarray(arr[..., :max(1, width)])
         features[f.name] = arr
     return Batch(ids, np.cumsum(real, axis=1, dtype=np.int64), features,
                  np.where(masked, true, PAD))
+
+
+def _draw_masks(real, lengths, mask_prob, rng):
+    """[B, L] masks of the real slots: each slot masked with probability
+    mask_prob, and a row left with none drawn again until it has one.
+
+    The draws are those of drawing row by row, rng.random(length) per try.
+    The remaining rows are drawn in one call; at the first row with no mask
+    the generator is put back to its state before that call and advanced by
+    exactly the draws up to that row's first try, so the row's redraws and
+    the rows after it read the stream the row-by-row rule reads."""
+    masked = np.zeros(real.shape, dtype=bool)
+    i = 0
+    while i < len(lengths):
+        state = rng.bit_generator.state
+        rest = masked[i:]
+        rest[real[i:]] = rng.random(int(lengths[i:].sum())) < mask_prob
+        empty = np.flatnonzero(~rest.any(axis=1))
+        if not len(empty):
+            break
+        j = i + int(empty[0])
+        rng.bit_generator.state = state
+        rng.random(int(lengths[i:j + 1].sum()))
+        while not masked[j].any():
+            masked[j, real[j]] = rng.random(int(lengths[j])) < mask_prob
+        i = j + 1
+    return masked
 
 
 def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
@@ -440,17 +494,19 @@ def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
         raise DataError(f"sequence length must be >= 1, got {L}")
     if not 0 < mask_prob <= 1:
         raise DataError(f"mask_prob must be in (0, 1], got {mask_prob}")
-    if not all(seq.items for seq in train_seqs):
+    if not all(len(seq.items) for seq in train_seqs):
         raise DataError("empty training sequence: no position to mask")
     # each row's last L slots; L >= 1, so [-L:] is never [0:]
     items = [seq.items[-L:] for seq in train_seqs]
-    masked = np.zeros((len(items), L), dtype=bool)
-    for row, seq_items in zip(masked, items):
-        while not row.any():
-            row[L - len(seq_items):] = rng.random(len(seq_items)) < mask_prob
-    behavior = {f.name: [seq.behavior[f.name][-L:] for seq in train_seqs]
+    lengths = np.fromiter(map(len, items), np.int64, len(items))
+    real = np.arange(L) >= L - lengths[:, None]
+    masked = _draw_masks(real, lengths, mask_prob, rng)
+    behavior = {f.name: _placed([seq.behavior[f.name][-L:]
+                                 for seq in train_seqs], real,
+                                f.encoding == "multi")
                 for f in schema.behavior_features()}
-    return _build_batch(items, behavior, masked, schema, catalog, L)
+    return _build_batch(_placed(items, real), real, masked, behavior, schema,
+                        catalog)
 
 
 def make_eval_batch(pairs, schema, catalog, L):
@@ -463,11 +519,23 @@ def make_eval_batch(pairs, schema, catalog, L):
     if L < 2:
         raise DataError(f"sequence length must be >= 2 to hold a prefix and "
                         f"the mask, got {L}")
-    if not all(pair.items for pair in pairs):
+    if not all(len(pair.items) for pair in pairs):
         raise DataError("empty prefix in evaluation pair")
-    items = [[*pair.items[1 - L:], pair.target] for pair in pairs]
-    behavior = {f.name: [[*pair.behavior[f.name][1 - L:], f.unk]
-                         for pair in pairs]
-                for f in schema.behavior_features()}
-    return _build_batch(items, behavior, np.arange(L) == L - 1, schema,
-                        catalog, L)
+    # each prefix's last L-1 slots; L >= 2, so [1-L:] is never [0:]
+    prefixes = [pair.items[1 - L:] for pair in pairs]
+    lengths = np.fromiter(map(len, prefixes), np.int64, len(prefixes))
+    last = np.arange(L) == L - 1
+    slots = (np.arange(L) >= L - 1 - lengths[:, None]) & ~last
+    true = _placed(prefixes, slots)
+    true[:, -1] = np.fromiter((pair.target for pair in pairs), np.int64,
+                              len(pairs))
+    behavior = {}
+    for f in schema.behavior_features():
+        arr = _placed([pair.behavior[f.name][1 - L:] for pair in pairs],
+                      slots, f.encoding == "multi")
+        if f.encoding == "multi":
+            arr[:, -1, 0] = UNK     # f.unk, [UNK], in the zero-padded row
+        else:
+            arr[:, -1] = UNK
+        behavior[f.name] = arr
+    return _build_batch(true, slots | last, last, behavior, schema, catalog)

@@ -325,12 +325,3 @@ class Model:
         pos = np.flatnonzero(labels)
         hidden, _ = self.encode(batch, rng if train else None, positions=pos)
         return self.masked_loss(self.decode_scores(hidden), labels[pos])
-
-    def first_layer_values(self, batch):
-        """Layer-1 value-path input V*W_V of the real tokens, [N, h] in flat
-        order (the ID-branch purity probe)."""
-        if self.config.attention != "nova":
-            raise ValueError("value probe is defined for NOVA mode")
-        hidden = T.embedding_lookup(self.params["emb.id"],
-                                    batch.items[batch.pad_mask])
-        return self._linear(hidden, "layer0.attn.wv")

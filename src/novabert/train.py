@@ -6,7 +6,6 @@ import hashlib
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -189,8 +188,10 @@ def popularity_baseline(train_seqs):
     Returns the static ranking as a list of internal item IDs."""
     if not train_seqs:
         raise ValueError("empty training set")
-    counts = Counter(it for seq in train_seqs for it in seq.items)
-    return sorted(counts, key=lambda it: (-counts[it], it))
+    counts = np.bincount(np.concatenate(
+        [np.asarray(seq.items, np.int64) for seq in train_seqs]))
+    ranked = np.argsort(-counts, kind="stable")   # ties: the smaller ID first
+    return ranked[counts[ranked] > 0].tolist()
 
 
 def popularity_metrics(ranking, pairs, m):

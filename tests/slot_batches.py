@@ -88,6 +88,6 @@ def eval_batch(pairs, schema, catalog, L):
         beh = {f.name: list(window(pair.behavior[f.name], L - 1))
                + [f.unk]
                for f in schema.behavior_features()}
-        rows.append((prefix + [pair.target], beh,
+        rows.append(([*prefix, pair.target], beh,
                      [False] * len(prefix) + [True]))
     return build_batch(rows, schema, catalog, L)

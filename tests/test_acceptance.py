@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import dense_ops as DO
+import helpers as H
 from fd_utils import model_grad_check
 from novabert import cli
 from novabert import data as D
@@ -103,13 +104,13 @@ def test_value_path_purity():
     side_tables = [n for n in model.params
                    if n.startswith("emb.f.") or n == "emb.pos"]
     assert side_tables
-    v0 = model.first_layer_values(batch).data.copy()
+    v0 = H.first_layer_values(model, batch).data.copy()
     for name in side_tables:
         model.params[name].data += 0.7
-        v1 = model.first_layer_values(batch).data
+        v1 = H.first_layer_values(model, batch).data
         assert np.array_equal(v0, v1), f"{name} leaked into the value path"
-    probe = DO.tsum(DO.mul(model.first_layer_values(batch),
-                         model.first_layer_values(batch)))
+    probe = DO.tsum(DO.mul(H.first_layer_values(model, batch),
+                         H.first_layer_values(model, batch)))
     T.backward(probe)
     for name in side_tables:
         g = model.params[name].grad
@@ -297,7 +298,7 @@ def test_attention_dump_integrity(tmp_path):
                       attention="nova", fusion="add", dropout=0.0)
     model = Model(cfg, schema, catalog, seed=0)
     data_path = tmp_path / "interactions.tsv"
-    D.write_interactions(seqs, schema, catalog, data_path)
+    H.write_interactions(seqs, schema, catalog, data_path)
     ckpt = tmp_path / "model.bin"
     save_checkpoint(ckpt, model)
     out = tmp_path / "dump"

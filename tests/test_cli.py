@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import helpers as H
 from novabert import checkpoint as CK
 from novabert import cli
 from novabert import data as D
@@ -41,8 +42,8 @@ def toy(tmp_path):
         "config": tmp_path / "config.ini",
         "out": tmp_path / "out",
     }
-    D.write_interactions(seqs, schema, catalog, paths["data"])
-    D.write_items(catalog, schema, paths["items"])
+    H.write_interactions(seqs, schema, catalog, paths["data"])
+    H.write_items(catalog, schema, paths["items"])
     D.save_schema(schema, paths["schema"])
     paths["config"].write_text(CONFIG)
     return paths
@@ -149,7 +150,7 @@ def test_train_precision_sets_the_checkpoint_dtype(toy, tmp_path):
 def test_evaluate_random_init_is_chance_level(tmp_path):
     schema, catalog, seqs = successor_dataset(m=20, n_seq=200, length=8, seed=1)
     data = tmp_path / "interactions.tsv"
-    D.write_interactions(seqs, schema, catalog, data)
+    H.write_interactions(seqs, schema, catalog, data)
     cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=6,
                       dropout=0.0)
     model = Model(cfg, schema, catalog, seed=99)
@@ -169,7 +170,7 @@ def test_evaluate_with_no_user_past_the_filter_exits_1(tmp_path, capsys):
     schema, catalog, seqs = successor_dataset(
         m=20, n_seq=10, length=D.MIN_SEQUENCE_LEN - 1, seed=1)
     data = tmp_path / "interactions.tsv"
-    D.write_interactions(seqs, schema, catalog, data)
+    H.write_interactions(seqs, schema, catalog, data)
     cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=6)
     ckpt = tmp_path / "model.bin"
     CK.save_checkpoint(ckpt, Model(cfg, schema, catalog, seed=0))

@@ -1,4 +1,7 @@
+import gc
 import importlib
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers as H
+import list_split as LS
 import slot_batches as SB
 from novabert import checkpoint as CK
 from novabert import data as D
@@ -125,8 +130,8 @@ def test_unknown_item_errors(tmp_path, dataset):
 
 def test_round_trip(dataset, tmp_path):
     schema, catalog, seqs = dataset
-    D.write_items(catalog, schema, tmp_path / "items2.tsv")
-    D.write_interactions(seqs, schema, catalog, tmp_path / "log2.tsv")
+    H.write_items(catalog, schema, tmp_path / "items2.tsv")
+    H.write_interactions(seqs, schema, catalog, tmp_path / "log2.tsv")
     schema2 = D.SideInfoSchema(
         [D.FeatureSpec(f.name, f.kind, f.encoding, f.buckets) for f in schema.features])
     catalog2, seqs2 = D.load_dataset(tmp_path / "log2.tsv", tmp_path / "items2.tsv",
@@ -147,10 +152,10 @@ def test_split_protocol(dataset):
     _, _, seqs = dataset
     split = D.leave_one_out_split(seqs)
     for seq, tr, va, te in zip(seqs, split.train, split.validation, split.test):
-        assert tr.items == seq.items[:-2]
-        assert va.items == seq.items[:-2]
+        assert np.array_equal(tr.items, seq.items[:-2])
+        assert np.array_equal(va.items, seq.items[:-2])
         assert va.target == seq.items[-2]
-        assert te.items == seq.items[:-1]
+        assert np.array_equal(te.items, seq.items[:-1])
         assert te.target == seq.items[-1]
 
 
@@ -180,12 +185,26 @@ def logs(request, monkeypatch):
     return importlib.import_module("movielens").movielens_like(0, users=300)[2]
 
 
+def assert_same_pairs(got, want):
+    """Pairs (or training sequences) with equal items, behavior and
+    targets."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.items, w.items)
+        assert g.behavior.keys() == w.behavior.keys()
+        for name in w.behavior:
+            assert np.array_equal(g.behavior[name], w.behavior[name])
+        assert getattr(g, "target", None) == getattr(w, "target", None)
+
+
 def test_split_equals_independent_slices(logs):
-    """Each pair is built from the previous one, and equals slicing the
-    sequence afresh; the training sequence shares the validation pair's
-    lists, and no pair shares the user's own lists."""
+    """Each pair equals slicing the sequence afresh; the training sequence
+    shares the validation pair's views, and no pair shares the user's own
+    lists."""
     split = D.leave_one_out_split(logs)
-    assert split == _split_by_slices(logs)
+    want = _split_by_slices(logs)
+    for part in ("train", "validation", "test"):
+        assert_same_pairs(getattr(split, part), getattr(want, part))
     assert any(seq.behavior for seq in logs)
     for seq, tr, va, te in zip(logs, split.train, split.validation,
                                split.test):
@@ -224,7 +243,85 @@ def test_split_deterministic(dataset):
     a = D.leave_one_out_split(seqs)
     b = D.leave_one_out_split(seqs)
     assert [p.target for p in a.test] == [p.target for p in b.test]
-    assert [t.items for t in a.train] == [t.items for t in b.train]
+    assert len(a.train) == len(b.train)
+    assert all(np.array_equal(x.items, y.items)
+               for x, y in zip(a.train, b.train))
+
+
+def test_split_of_no_users():
+    split = D.leave_one_out_split([])
+    assert split == D.SplitDataset([], [], [])
+
+
+def test_split_refuses_behavior_not_aligned_with_the_items():
+    """Packed end to end, one user's missing value would shift every later
+    user's behavior; it is refused instead."""
+    seqs = [D.InteractionSequence(u, [1, 2, 3, 4, 5], list(range(5)),
+                                  {"rating": [2] * n}, {})
+            for u, n in (("a", 5), ("b", 4), ("c", 6))]
+    with pytest.raises(D.DataError, match="rating: not one value per item"):
+        D.leave_one_out_split(seqs)
+
+
+def _views(split, field):
+    """Every prefix of one field (items, or a behavior feature's name) in
+    the split."""
+    return [p.items if field == "items" else p.behavior[field]
+            for part in (split.train, split.validation, split.test)
+            for p in part]
+
+
+def test_split_stores_each_field_once(logs):
+    """Every prefix of a field is a view of one read-only array, so writing
+    into a pair raises instead of changing every pair that shares it; the
+    targets are ints."""
+    split = D.leave_one_out_split(logs)
+    for field in ["items", *logs[0].behavior]:
+        views = _views(split, field)
+        packed = views[0].base
+        assert packed.dtype == np.int64
+        assert len(packed) == sum(len(seq) for seq in logs)
+        assert all(v.base is packed and np.shares_memory(v, packed)
+                   for v in views)
+        with pytest.raises(ValueError):
+            views[0][0] = 1
+        with pytest.raises(ValueError):
+            views[-1].flags.writeable = True
+    assert {type(p.target) for p in split.validation + split.test} == {int}
+
+
+def test_split_keeps_no_reference_to_the_input_lists(logs):
+    lists = [seq.items for seq in logs] + [
+        v for seq in logs for v in seq.behavior.values()]
+    before = [sys.getrefcount(x) for x in lists]
+    split = D.leave_one_out_split(logs)
+    assert [sys.getrefcount(x) for x in lists] == before
+    assert len(split.test) == len(logs)
+
+
+# bytes the split of movielens_like(0) allocates and still holds once its
+# input is dropped, per interaction: 23.2 measured (two int64 fields and
+# the per-user views); the list split's slices held 37.2 by this count, and
+# 67.8 with the input's int objects they kept alive
+SPLIT_BYTES_PER_INTERACTION = 26
+
+
+def test_split_footprint_at_movielens_1m_shape(monkeypatch):
+    """What the split holds, traced from its first allocation; that it
+    keeps none of the input's lists (nor so their ints) is checked above."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    seqs = importlib.import_module("movielens").movielens_like(0)[2]
+    n = sum(len(seq) for seq in seqs)
+    tracemalloc.start()
+    try:
+        split = D.leave_one_out_split(seqs)
+        del seqs
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(split.train) == 6040 and n > 900_000
+    assert held / n <= SPLIT_BYTES_PER_INTERACTION
 
 
 # one multi field with an empty value between separators and an empty
@@ -248,7 +345,7 @@ def _built_three_ways(tmp_path, schema_factory):
     schema = schema_factory()
     catalog = make_catalog(3, schema, SIDE_VALUES)
     items = tmp_path / "items.tsv"
-    D.write_items(catalog, schema, items)
+    H.write_items(catalog, schema, items)
     loaded_schema = schema_factory()
     loaded = D.load_items(items, loaded_schema)
     cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=4)
@@ -459,6 +556,38 @@ def test_movielens_like_batches_equal_per_slot_ones(monkeypatch, L, B):
     assert_builders_agree(split.train, split.test, schema, catalog, 0.2, 0, L)
 
 
+def test_tail_pair_of_views_equals_held_out(monkeypatch):
+    """A tail pair built by hand from a training sequence's views, with its
+    np.int64 last item as the target, gives held_out's batch."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    movielens_like = importlib.import_module("movielens").movielens_like
+    schema, catalog, seqs = movielens_like(1, users=16)
+    train = D.leave_one_out_split(seqs).train
+    pairs = [D.EvalPair(s.items[:-1],
+                        {n: v[:-1] for n, v in s.behavior.items()},
+                        s.items[-1]) for s in train]
+    assert isinstance(pairs[0].target, np.int64)
+    assert_same_batch(D.make_eval_batch(pairs, schema, catalog, 200),
+                      D.make_eval_batch([D.held_out(s) for s in train],
+                                        schema, catalog, 200))
+
+
+@pytest.mark.parametrize("mask_prob", [1e-3, 0.05, 0.2, 1.0])
+def test_masks_follow_the_row_by_row_draws(mask_prob):
+    """The masks and the generator's state after a batch are those of
+    drawing row by row and redrawing a row until it has a mask; at 1e-3
+    almost every row redraws."""
+    schema, catalog, seqs = branching_dataset(m=30, n_seq=16, length=7,
+                                              seed=1)
+    train = D.leave_one_out_split(seqs).train
+    for seed in range(4):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_batch(
+            D.make_masked_batch(train, schema, catalog, mask_prob, rngs[0], 6),
+            SB.masked_batch(train, schema, catalog, mask_prob, rngs[1], 6))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def _all_encodings_schema():
     """A bucketed, a multi and a categorical item feature, and a multi and
     a categorical behavior feature."""
@@ -526,3 +655,62 @@ def test_batches_of_no_rows(schema_factory):
     assert batch.items.shape == (0, 4)
     assert all(batch.features[f.name].shape[:2] == (0, 4)
                for f in schema.features)
+
+
+@st.composite
+def interaction_logs(draw, L):
+    """(schema, catalog, sequences): 0-4 users of MIN_SEQUENCE_LEN to L+5
+    items, so that some histories are longer than L, with a multi and a
+    categorical behavior feature, one of them, or none."""
+    behavior = draw(st.sampled_from([(), ("context",), ("rating",),
+                                     ("context", "rating")]))
+    schema = D.SideInfoSchema(
+        [D.FeatureSpec("tags", "item", "multi")]
+        + [D.FeatureSpec(name, "behavior",
+                         "multi" if name == "context" else "categorical")
+           for name in behavior])
+    m = draw(st.integers(1, 6))
+    catalog = make_catalog(m, schema, {"tags": [
+        "|".join(draw(st.lists(st.sampled_from(TAGS), max_size=3,
+                               unique=True))) for _ in range(m)]})
+    values = {"context": st.lists(st.integers(1, 5), max_size=3),
+              "rating": st.integers(1, 5)}
+    seqs = []
+    for u in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(D.MIN_SEQUENCE_LEN, L + 5))
+        seqs.append(D.InteractionSequence(
+            f"u{u}", draw(st.lists(st.integers(1, m), min_size=n,
+                                   max_size=n)), list(range(n)),
+            {name: draw(st.lists(values[name], min_size=n, max_size=n))
+             for name in behavior}, {}))
+    return schema, catalog, seqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7).flatmap(
+           lambda L: st.tuples(st.just(L), interaction_logs(L))),
+       st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_packed_split_gives_the_list_splits_batches(case, mask_prob, seed):
+    """The packed split and the list split (tests/list_split.py) give
+    equal batches, and leave the generator in one state: training batches,
+    their held-out tail pairs, and the validation and test batches."""
+    L, (schema, catalog, seqs) = case
+    packed, lists = D.leave_one_out_split(seqs), LS.leave_one_out_split(seqs)
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_batch(
+        D.make_masked_batch(packed.train, schema, catalog, mask_prob,
+                            rngs[0], L),
+        D.make_masked_batch(lists.train, schema, catalog, mask_prob,
+                            rngs[1], L))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert_same_batch(
+        D.make_eval_batch([D.held_out(s) for s in packed.train], schema,
+                          catalog, L),
+        D.make_eval_batch([LS.held_out(s) for s in lists.train], schema,
+                          catalog, L))
+    for part in ("validation", "test"):
+        assert_same_batch(
+            D.make_eval_batch(getattr(packed, part), schema, catalog, L),
+            D.make_eval_batch(getattr(lists, part), schema, catalog, L))
+        assert ([p.target for p in getattr(packed, part)]
+                == [p.target for p in getattr(lists, part)])

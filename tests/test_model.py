@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dense_ops as DO
+import helpers as H
 from novabert import checkpoint as CK
 from novabert import data as D
 from novabert import model as M
@@ -148,10 +149,10 @@ def test_degenerate_equivalence_nova_equals_invasive():
 
 def test_nova_value_path_ignores_side_info():
     model, batch = tiny_setup(attention="nova", fusion="gating")
-    v0 = model.first_layer_values(batch).data.copy()
+    v0 = H.first_layer_values(model, batch).data.copy()
     model.params["emb.f.rating"].data += 0.5
     model.params["emb.pos"].data -= 0.3
-    v1 = model.first_layer_values(batch).data
+    v1 = H.first_layer_values(model, batch).data
     assert np.array_equal(v0, v1)
     # but the attention matrix does move
     _, a0 = model.encode(batch, collect_attn=True)
@@ -168,15 +169,15 @@ def test_first_layer_values_are_the_real_token_rows():
     p = model.params
     dense = (p["emb.id"].data[batch.items] @ p["layer0.attn.wv.w"].data
              + p["layer0.attn.wv.b"].data)
-    v = model.first_layer_values(batch)
+    v = H.first_layer_values(model, batch)
     assert v.shape == (int(batch.pad_mask.sum()), 8)
     assert np.array_equal(v.data, dense[batch.pad_mask])
 
 
 def test_nova_value_probe_zero_grad_to_side_tables():
     model, batch = tiny_setup(attention="nova", fusion="add")
-    probe = DO.tsum(DO.mul(model.first_layer_values(batch),
-                         model.first_layer_values(batch)))
+    probe = DO.tsum(DO.mul(H.first_layer_values(model, batch),
+                         H.first_layer_values(model, batch)))
     T.backward(probe)
     assert model.params["emb.f.rating"].grad is None
     assert model.params["emb.pos"].grad is None

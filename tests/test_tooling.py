@@ -147,11 +147,6 @@ def _tensor_calls(path, own):
 # the reason it stays in the program
 UNREFERENCED = {
     "synthetic": "the seeded builders make test and benchmark data",
-    "data.write_items": "the items loader's inverse, writes test fixtures",
-    "data.write_interactions": "the interactions loader's inverse, writes "
-                               "test fixtures",
-    "model.Model.first_layer_values": "the acceptance suite's value-path "
-                                      "probe",
 }
 
 
