@@ -190,35 +190,17 @@ class Model:
         return EF.integrated_embeddings(first, side, cfg.fusion,
                                         self.fusion[site], cfg.gating_mode)
 
-    def _feed_forward_half(self, layer, res, out, rng):
-        """The part of a layer after attention on the rows of its attention
-        output out: Wo, dropout, residual with res, LN1, FFN, dropout,
-        residual, LN2. Every op is row-wise."""
-        p = f"layer{layer}"
-        out = T.dropout(self._linear(out, f"{p}.attn.wo"), self.config.dropout,
-                        rng)
-        x = T.layer_norm(T.add(res, out),
-                         self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
-        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng)
-        return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
-                            self.params[f"{p}.ln2.b"])
-
     def _layer(self, layer, qk_src, x, layout, rng, collect):
         """One encoder layer: Q and K read qk_src; V and the residual read x.
 
         Both are real-token rows [N, h]. The query side (Q, the attention
-        rows, Wo, the residual, both layer norms and the FFN) runs on the
-        query rows of the layout only, so the output is [len(layout.pos), h].
-        Q, K and V are not bound to names, so without a graph they are freed
-        before the FFN runs. Dropout draws when a generator rng is given.
-        Without a graph or rng, the part after attention runs over the FFN
-        node's row blocks (:func:`tensor.row_blocks`), each written into
-        one preallocated output; otherwise it runs once over all rows, and
-        only the FFN node runs in blocks (:func:`tensor.feed_forward`). A
-        block too short for the FFN's products to leave OpenBLAS's
-        small-matrix kernel (at h=128, fewer than 16 rows) sums in another
-        order, so a user's scores can move in their last bits with the
-        batch size."""
+        rows, Wo, dropout, the residual, LN1, the FFN, dropout, the residual
+        and LN2) runs on the query rows of the layout only, so the output
+        is [len(layout.pos), h]. Every op after attention is row-wise and
+        runs once over all those rows, with or without a graph; only the FFN
+        node runs in row blocks (:func:`tensor.feed_forward`). Q, K and V
+        are not bound to names, so without a graph they are freed before the
+        FFN runs. Dropout draws when a generator rng is given."""
         p = f"layer{layer}"
         q_src, res = qk_src, x
         if layout.picked is not None:
@@ -229,13 +211,13 @@ class Model:
             self._linear(qk_src, f"{p}.attn.wk"),
             self._linear(x, f"{p}.attn.wv"), layout, self.config.num_heads,
             attn_dropout=self.config.dropout, rng=rng, collect=collect)
-        if rng is not None or T.grad_enabled():
-            return self._feed_forward_half(layer, res, out, rng), attn
-        y = np.empty_like(out.data)
-        for rows in T.row_blocks(len(y), FFN_MULT * y.shape[1], y.itemsize):
-            y[rows] = self._feed_forward_half(
-                layer, res.data[rows], out.data[rows], None).data
-        return Tensor(y), attn
+        out = T.dropout(self._linear(out, f"{p}.attn.wo"), self.config.dropout,
+                        rng)
+        x = T.layer_norm(T.add(res, out),
+                         self.params[f"{p}.ln1.g"], self.params[f"{p}.ln1.b"])
+        f = T.dropout(self._ffn(x, layer), self.config.dropout, rng)
+        return T.layer_norm(T.add(x, f), self.params[f"{p}.ln2.g"],
+                            self.params[f"{p}.ln2.b"]), attn
 
     def invasive_layer(self, layer, x, layout, rng=None, collect=False):
         """One encoder layer on the real-token rows x [N, h].

@@ -42,11 +42,12 @@ and the ``.data`` of tensors the caller still names are left.
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
 attention dumps) frees each intermediate as soon as it is no longer
-referenced; the switch is per thread, and :func:`grad_enabled` reads it.
-The forward kernels write over the temporaries they own rather than
-allocate new ones: the softmax over the fresh attention scores and gate
-logits, layer norm's centred copy, the scaled Q of attention, the pooled
-lookup's gathered rows, and, when no graph is recorded, GELU's ``tanh``.
+referenced; the switch is per thread. The forward kernels write over the
+temporaries they own rather than allocate new ones: the softmax over the
+fresh attention scores and gate logits, layer norm's centred copy, the
+scaled Q of attention, the pooled lookup's gathered rows, and, when no
+graph is recorded, the ``tanh`` of the FFN's GELU. :func:`gelu` itself is
+a plain array function, not a graph op, that :func:`feed_forward` calls.
 Float32, float64 and longdouble arrays keep their dtype; anything else
 becomes float64. With ``NOVABERT_DEBUG=1`` (read once, at import) a
 non-finite op output or backward gradient raises ``FloatingPointError``
@@ -66,7 +67,6 @@ import numpy as np
 
 from novabert import kernels
 
-DEFAULT_DTYPE = np.float64
 LAYER_NORM_EPS = 1e-12  # as in the original BERT
 # feed_forward runs in row blocks whose [rows, inner width] activation takes
 # about this many bytes (512 rows at h=128 in float32, 256 in float64): a
@@ -107,7 +107,7 @@ class Tensor:
         arr = np.asarray(data)
         # longdouble is allowed so high-precision oracles can reuse the ops
         if arr.dtype not in (np.float32, np.float64, np.longdouble):
-            arr = arr.astype(DEFAULT_DTYPE)
+            arr = arr.astype(np.float64)
         self.data = arr
         self._vertex = _Vertex() if requires_grad else None
 
@@ -151,12 +151,6 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
-
-
-def grad_enabled():
-    """Whether ops in this thread record a graph (False inside
-    :func:`no_grad`)."""
-    return _grad_mode.enabled
 
 
 def _records(*parents):
@@ -389,39 +383,26 @@ def _gelu_slope(x, t, half):
 
 
 def gelu(x, tanh_out=None):
-    """GELU, tanh approximation (as in the original BERT).
+    """GELU of the array x, tanh approximation (as in the original BERT).
 
-    Forward and backward build their [N, 4h] temporaries in place. Only x
-    and tanh(u) are saved, and the backward recomputes x*x. With no graph
-    recorded, the output is written over tanh(u), so the forward allocates
-    one array. Given tanh_out, an array of x's shape and dtype, tanh(u) is
-    written there instead, for a caller that keeps it; a backward of this
-    node writes over it."""
-    x = _as_tensor(x)
-    xd, vx = x.data, x._vertex
-    t = np.multiply(xd, xd, out=tanh_out)
-    t *= xd
+    The output is written over tanh(u), so the call allocates one array.
+    Given tanh_out, an array of x's shape and dtype, tanh(u) is written
+    there instead and kept, for a backward that derives the slope from it
+    (:func:`_gelu_slope`)."""
+    t = np.multiply(x, x, out=tanh_out)
+    t *= x
     t *= 0.044715
-    t += xd
+    t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    if _records(x) or tanh_out is not None:
-        out_data = t + 1.0
+    if tanh_out is None:
+        out = t
+        out += 1.0
     else:
-        out_data = t
-        out_data += 1.0
-    out_data *= xd
-    out_data *= 0.5
-
-    def bw(g):
-        # the backward runs once per graph, so it may write over t
-        half = t + 1.0
-        half *= 0.5
-        dx = _gelu_slope(xd, t, half)
-        dx *= g
-        _accumulate(vx, dx)
-
-    return _make(out_data, (x,), bw)
+        out = t + 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def row_blocks(n, width, itemsize):
@@ -472,7 +453,7 @@ def feed_forward(x, w1, b1, w2, b2):
         h = _rows_product(x2[rows], w1d)
         h += b1d
         t = np.empty_like(h) if record else None
-        out[rows] = _rows_product(gelu(h, tanh_out=t).data, w2d)
+        out[rows] = _rows_product(gelu(h, tanh_out=t), w2d)
         out[rows] += b2d
         if record:
             saved.append((rows, t))

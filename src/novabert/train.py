@@ -139,9 +139,10 @@ def score_pairs(model, pairs, batch_size=256):
 
     Only the last position of each sequence is computed past the last
     layer's keys and values, and only it is decoded; no autograd graph is
-    recorded, so every intermediate is freed once used, and each layer's
-    feed-forward half runs in row blocks (see ``Model._layer``), so no
-    [N, 4h] activation of a batch's N real tokens is held.
+    recorded, so every intermediate is freed once used. The forward is the
+    one a training step runs: each layer's FFN runs in row blocks (see
+    ``tensor.feed_forward``), so no [N, 4h] activation of a batch's N real
+    tokens is held.
     Returns (scores [U, m], targets [U])."""
     L = model.config.max_len
     all_scores, targets = [], []

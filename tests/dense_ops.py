@@ -1,8 +1,9 @@
 """Differentiable ops that only the tests build their reference chains
 from: the elementwise product, a sum over axes, batched matmul, stack,
-reshape, a last-axis softmax and the sigmoid. The packed model has fused
-nodes in their place (``tensor.linear``, ``tensor.gated_sum``,
-``tensor.pooled_lookup``, ``tensor.scaled_dot_attention``); these are kept
+reshape, a last-axis softmax, the sigmoid and GELU. The packed model has
+fused nodes in their place (``tensor.linear``, ``tensor.feed_forward``,
+``tensor.gated_sum``, ``tensor.pooled_lookup``,
+``tensor.scaled_dot_attention``); these are kept
 as the separate ops those nodes are checked against, and as the glue of
 test losses, on the autodiff core of novabert.tensor. Two reference forms
 of program ops save more than those ops do: ``pool_chain`` (the lookup,
@@ -13,8 +14,10 @@ product and sum chain of ``tensor.pooled_lookup``) and
 import numpy as np
 
 from novabert import kernels
+from novabert import tensor as T
 from novabert.tensor import (ShapeMismatchError, _accumulate, _as_tensor,
-                             _make, _unbroadcast, embedding_lookup)
+                             _gelu_slope, _make, _unbroadcast,
+                             embedding_lookup)
 
 
 def mul(a, b):
@@ -105,6 +108,26 @@ def sigmoid(x):
         _accumulate(x, g * s * (1.0 - s))
 
     return _make(s, (x,), bw)
+
+
+def gelu(x):
+    """The program's array GELU (``tensor.gelu``) as a graph op: it saves x
+    and tanh(u), and its backward is the program's derivative,
+    ``tensor._gelu_slope``, which ``tensor.feed_forward`` also runs."""
+    x = _as_tensor(x)
+    xd, vx = x.data, x._vertex
+    t = np.empty_like(xd)
+    out_data = T.gelu(xd, tanh_out=t)
+
+    def bw(g):
+        # the backward runs once per graph, so it may write over t
+        half = t + 1.0
+        half *= 0.5
+        dx = _gelu_slope(xd, t, half)
+        dx *= g
+        _accumulate(vx, dx)
+
+    return _make(out_data, (x,), bw)
 
 
 def pool_chain(table, idx, weights):

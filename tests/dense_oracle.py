@@ -155,7 +155,7 @@ def _sublayers(model, layer, x, attn_out, rng, layout):
     p, params = f"layer{layer}", model.params
     x = T.layer_norm(T.add(x, attn_out), params[f"{p}.ln1.g"],
                      params[f"{p}.ln1.b"])
-    f = _linear(model, T.gelu(_linear(model, x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
+    f = _linear(model, DO.gelu(_linear(model, x, f"{p}.ffn.w1")), f"{p}.ffn.w2")
     f = T.dropout(f, model.config.dropout, rng.rows(layout.pos))
     return T.layer_norm(T.add(x, f), params[f"{p}.ln2.g"],
                         params[f"{p}.ln2.b"])

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blocked_layer as BL
 import dense_ops as DO
 import helpers as H
 from novabert import checkpoint as CK
@@ -400,10 +401,9 @@ def block_bytes(model, rows):
 @pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
 def test_blocked_evaluation_matches_one_block(monkeypatch, attention, fusion,
                                               dtype):
-    """Evaluation runs the part of each layer after attention in row
-    blocks; 7-row blocks, whose last in layer 0 joins the one-row
-    remainder (64 = 7 * 9 + 1, so 8 rows), give the scores of one block
-    over every row, bit for bit."""
+    """Evaluation runs each layer's FFN in row blocks; 7-row blocks, whose
+    last in layer 0 joins the one-row remainder (64 = 7 * 9 + 1, so 8
+    rows), give the scores of one block over every row, bit for bit."""
     model, pairs = eval_setup(attention, fusion, dtype)
     monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 1 << 40)
     whole, _ = TR.score_pairs(model, pairs)
@@ -435,10 +435,9 @@ def test_scores_do_not_depend_on_the_other_users(attention, fusion, dtype):
 
 
 def test_feed_forward_rows_per_call(monkeypatch):
-    """The FFN node calls GELU once per row block. Evaluation hands it a
-    block at a time; a training step and a recorded forward pass hand it
-    every computed row. Both use the same blocks, whose last takes a
-    remainder shorter than half a block."""
+    """The FFN node calls GELU once per row block, in evaluation, in a
+    training step and in a recorded forward pass alike: the same blocks,
+    whose last takes a remainder shorter than half a block."""
     model, pairs = eval_setup("nova", "gating")
     monkeypatch.setattr(T, "FFN_BLOCK_BYTES", block_bytes(model, 7))
     rows, gelu = [], T.gelu
@@ -456,6 +455,42 @@ def test_feed_forward_rows_per_call(monkeypatch):
         rows.clear()
         model.loss(batch, train=train, rng=np.random.default_rng(0))
         assert rows == [7] * 8 + [8] + [7, 5]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+@pytest.mark.parametrize("h, users, block", [(128, 40, 100), (32, 400, None),
+                                             (32, 400, 200)])
+def test_one_pass_matches_the_blocked_evaluation_layer(
+        monkeypatch, h, users, block, attention, dtype):
+    """score_pairs runs the part of each layer after attention once over
+    all rows; the evaluation layer it replaced (tests/blocked_layer.py) ran
+    it block by block. Both give the same scores, bit for bit: at h=128 in
+    100-row blocks, layer 0's 440 rows 100, 100, 100 and 140 (a joined
+    remainder of 40), and at the desk-compare shape (h=32, 400 users, 2,816
+    rows in layer 0's first batch) in the default blocks and in 200-row
+    ones, which put Wo's and the FFN's products under 10**6 multiply-adds,
+    where OpenBLAS runs its small-matrix kernel."""
+    schema, catalog, seqs = branching_dataset(m=40, n_seq=users, length=12,
+                                              seed=0)
+    pairs = D.leave_one_out_split(seqs).validation
+    cfg = ModelConfig(hidden_size=h, num_heads=2, num_layers=2, max_len=12,
+                      attention=attention, fusion="gating")
+    model = Model(cfg, schema, catalog, seed=0, dtype=dtype)
+    if block is not None:
+        monkeypatch.setattr(T, "FFN_BLOCK_BYTES", block_bytes(model, block))
+    n = int(D.make_eval_batch(pairs[:256], schema, catalog, 12).pad_mask.sum())
+    sizes = [b.stop - b.start for b in
+             T.row_blocks(n, M.FFN_MULT * h, np.dtype(dtype).itemsize)]
+    if h == 128:
+        assert sizes == [100, 100, 100, 140]
+    elif block is not None:
+        assert n == 2816 and sizes == [200] * 13 + [216]
+    one_pass, _ = TR.score_pairs(model, pairs)
+    monkeypatch.setattr(M.Model, "_layer", BL.blocked_layer)
+    blocked, _ = TR.score_pairs(model, pairs)
+    assert one_pass.dtype == dtype
+    assert np.array_equal(one_pass, blocked)
 
 
 # ---------------------------------------------------------------------------
