@@ -108,7 +108,7 @@ def _read_archive(path):
             # zip damage: a CRC or header mismatch, an offset outside the
             # file, or a flag bit that asks for encryption or compression
             raise CheckpointError(f"{path}: damaged checkpoint: {e}") from e
-        except (EOFError, KeyError, ValueError) as e:
+        except (EOFError, KeyError, TypeError, ValueError) as e:
             # not numpy's message, which advises allow_pickle
             raise CheckpointError(f"{path}: not a checkpoint archive "
                                   f"(format version {VERSION})") from e
@@ -121,17 +121,26 @@ def load_checkpoint(path):
     {"t": int, "m": dict, "v": dict} or None.
     """
     index, arrays = _read_archive(path)
-    schema = SideInfoSchema([FeatureSpec(**d) for d in index["schema"]])
-    stored = index["catalog"]
-    catalog = build_catalog(stored["raw_ids"], schema, stored["raw_features"])
-    if _feature_lists(catalog) != stored["features"]:
+    try:
+        schema = SideInfoSchema([FeatureSpec(**d) for d in index["schema"]])
+        stored = index["catalog"]
+        catalog = build_catalog(stored["raw_ids"], schema,
+                                stored["raw_features"])
+        if _feature_lists(catalog) != stored["features"]:
+            raise CheckpointError(f"{path}: stored item features do not "
+                                  f"match their raw values")
+        config = ModelConfig(**index["config"])
+        shapes = param_shapes(config, schema, catalog.m)
+        metadata, optimizer = index["metadata"], index["optimizer"]
+        t = None if optimizer is None else optimizer["t"]
+    except (KeyError, TypeError, ValueError) as e:
+        # a missing key, an unknown field or a value out of its range;
+        # DataError is a ValueError
         raise CheckpointError(
-            f"{path}: stored item features do not match their raw values")
-    config = ModelConfig(**index["config"])
-    shapes = param_shapes(config, schema, catalog.m)
+            f"{path}: malformed index: {type(e).__name__}: {e}") from e
 
     expected = set(shapes)
-    if index["optimizer"] is not None:
+    if optimizer is not None:
         expected |= {f"opt.{k}.{n}" for k in "mv" for n in shapes}
     if set(arrays) != expected:
         # a damaged zip directory can drop members without any other error
@@ -153,8 +162,8 @@ def load_checkpoint(path):
                   arrays=arrays)
 
     opt_state = None
-    if index["optimizer"] is not None:
-        opt_state = {"t": index["optimizer"]["t"],
+    if optimizer is not None:
+        opt_state = {"t": t,
                      **{k: {n: arrays[f"opt.{k}.{n}"] for n in model.params}
                         for k in "mv"}}
-    return model, index["metadata"], opt_state
+    return model, metadata, opt_state

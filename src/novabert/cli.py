@@ -234,10 +234,9 @@ def cmd_train(args):
         CK.save_checkpoint(out / "checkpoint.bin", model,
                            metadata={"best_epoch": result.best_epoch,
                                      "seed": tcfg.seed,
-                                     "best_hr10": (result.best_val.hr10
-                                                   if result.best_val else None)})
+                                     "best_hr10": result.best_val.hr10})
         _write_json(out / "metrics.json", {
-            "validation": result.best_val.to_dict() if result.best_val else None,
+            "validation": result.best_val.to_dict(),
             "test": test.to_dict(),
             "popularity_baseline": pop.to_dict(),
             "history": result.history,

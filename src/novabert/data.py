@@ -14,7 +14,7 @@ Index conventions: item ID 0 is padding, IDs 1..m are items, m+1 is the
 mask token. Every feature reserves index 0 for padding and 1 for UNK; an
 empty multi field encodes to [UNK], and a bucketed value that is not a
 number (NaN included) to UNK. Item features are tables by item ID whose
-mask-token row holds UNK (:class:`ItemCatalog`), gathered into a batch.
+mask-token row holds UNK (:class:`ItemCatalog`), read by the model.
 Position is implicit behavior context (index = 1-based position in the
 window) and never appears in the schema file.
 
@@ -403,9 +403,10 @@ def leave_one_out_split(sequences):
 
 @dataclass
 class Batch:
+    """Per-interaction data; item features are the catalog's, by item."""
     items: np.ndarray               # [B, L] int64, 0 = pad
     positions: np.ndarray           # [B, L] int64, 1-based, 0 = pad
-    features: dict[str, np.ndarray]  # [B, L] or [B, L, K] (multi, 0-padded)
+    features: dict[str, np.ndarray]  # behavior: [B, L] or [B, L, K] (multi)
     labels: np.ndarray              # [B, L] int64, 0 = ignore
 
     @property
@@ -436,25 +437,15 @@ def _placed(rows, slots, multi=False):
     return out
 
 
-def _build_batch(true, real, masked, behavior, schema, catalog):
+def _build_batch(true, real, masked, behavior, catalog):
     """The batch of the item IDs true [B, L] in the real slots, with the
     masked slots (masked broadcasts to [B, L]) masked. A masked slot holds
-    the mask token, is labelled with its true item, keeps its position and
-    behavior features (behavior maps each to its laid-out [B, L] or
-    [B, L, K] array), and reads its item features from the mask token's row:
-    UNK. A multi field is as wide as its widest entry in the batch."""
-    ids = np.where(masked, catalog.mask_token, true)
-    features = {}
-    for f in schema.features:
-        if f.kind == "behavior":
-            features[f.name] = behavior[f.name]
-            continue
-        arr = catalog.features[f.name][ids]
-        if f.encoding == "multi":   # entries fill their rows from the left
-            width = np.count_nonzero(arr.any(axis=(0, 1)))
-            arr = np.ascontiguousarray(arr[..., :max(1, width)])
-        features[f.name] = arr
-    return Batch(ids, np.cumsum(real, axis=1, dtype=np.int64), features,
+    the mask token, is labelled with its true item, and keeps its position
+    and behavior features (behavior maps each to its laid-out [B, L] or
+    [B, L, K] array); its item features, read by the mask token's ID, are
+    the catalog's UNK row."""
+    return Batch(np.where(masked, catalog.mask_token, true),
+                 np.cumsum(real, axis=1, dtype=np.int64), behavior,
                  np.where(masked, true, PAD))
 
 
@@ -488,8 +479,8 @@ def _draw_masks(real, lengths, mask_prob, rng):
 def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
     """Cloze batch: each non-pad position masked independently with
     probability mask_prob; sequences with zero masks are resampled.
-    Behavior features (and position) survive masking; item-related features
-    at masked positions are replaced by UNK."""
+    Behavior features (and position) survive masking; a masked position
+    holds the mask token, whose item features are UNK."""
     if L < 1:
         raise DataError(f"sequence length must be >= 1, got {L}")
     if not 0 < mask_prob <= 1:
@@ -505,8 +496,7 @@ def make_masked_batch(train_seqs, schema, catalog, mask_prob, rng, L):
                                  for seq in train_seqs], real,
                                 f.encoding == "multi")
                 for f in schema.behavior_features()}
-    return _build_batch(_placed(items, real), real, masked, behavior, schema,
-                        catalog)
+    return _build_batch(_placed(items, real), real, masked, behavior, catalog)
 
 
 def make_eval_batch(pairs, schema, catalog, L):
@@ -538,4 +528,4 @@ def make_eval_batch(pairs, schema, catalog, L):
         else:
             arr[:, -1] = UNK
         behavior[f.name] = arr
-    return _build_batch(true, slots | last, last, behavior, schema, catalog)
+    return _build_batch(true, slots | last, last, behavior, catalog)

@@ -44,18 +44,24 @@ def real_rows(idx, rows):
     return idx.reshape((-1,) + idx.shape[2:])[rows]
 
 
-def embed_side_features(batch, params, features, rows, use_position):
+def embed_side_features(batch, catalog, params, features, rows,
+                        use_position):
     """Embed a batch's side features, the FeatureSpecs features in fusion
     order (see :meth:`model.ModelConfig.fusion_inputs`), at the flat
     positions rows (see :func:`real_rows`), then position if use_position;
     multi-valued features are mean-pooled.
 
+    An item feature is read from catalog by the item IDs at rows (a mask
+    token reads UNK), at the catalog's width; a behavior feature from batch.
+
     Returns one [N, h] tensor per input, in that order. A multi field's
     all-pad slot (a pad slot passed as a row) pools to zero."""
+    items = real_rows(batch.items, rows)
     out = []
     for f in features:
         table = params[f"emb.f.{f.name}"]
-        idx = real_rows(batch.features[f.name], rows)
+        idx = (catalog.features[f.name][items] if f.kind == "item"
+               else real_rows(batch.features[f.name], rows))
         if idx.ndim == 2:  # multi-valued: mean over the real entries
             present = (idx != 0)
             # a count in the table's dtype keeps the weights in it

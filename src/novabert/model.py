@@ -262,8 +262,8 @@ class Model:
         layout = T.AttentionLayout(batch.pad_mask)
         last = layout if positions is None else layout.at(positions)
         rows = layout.rows
-        side = EF.embed_side_features(batch, self.params, self.side, rows,
-                                      cfg.use_position)
+        side = EF.embed_side_features(batch, self.catalog, self.params,
+                                      self.side, rows, cfg.use_position)
         x = T.embedding_lookup(self.params["emb.id"],
                                EF.real_rows(batch.items, rows))
         nova = cfg.attention == "nova"

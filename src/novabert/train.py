@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -218,8 +218,8 @@ def popularity_metrics(ranking, pairs, m):
 class TrainResult:
     best_params: dict
     best_epoch: int
-    best_val: MetricsReport | None
-    history: list = field(default_factory=list)
+    best_val: MetricsReport
+    history: list
 
 
 def clone_params(params):
@@ -234,7 +234,8 @@ def load_params(model, saved):
 def train(model, split, train_cfg, log=None):
     """Masked-item training with per-epoch validation rank-all.
 
-    Keeps the parameter snapshot with the best validation HR@10. Returns a
+    Keeps the parameter snapshot with the best validation HR@10; the last
+    epoch always validates, so the first validation pass sets one. Returns a
     TrainResult; the model is left at the final-epoch parameters."""
     cfg = train_cfg
     rng = np.random.default_rng(cfg.seed)
@@ -242,8 +243,7 @@ def train(model, split, train_cfg, log=None):
     total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
     opt = Adam(model.params, cfg)
     fp = config_fingerprint(model.config, cfg)
-    best = TrainResult(best_params=clone_params(model.params), best_epoch=-1,
-                       best_val=None)
+    best, history = None, []
     step = 0
     for epoch in range(cfg.epochs):
         t0 = time.time()
@@ -273,17 +273,15 @@ def train(model, split, train_cfg, log=None):
             losses.append(loss.item())
         record = {"epoch": epoch, "loss": float(np.mean(losses)),
                   "seconds": time.time() - t0}
-        best.history.append(record)
+        history.append(record)
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             val = rank_all(model, split.validation, fingerprint=fp)
             record["val"] = val.to_dict()
             # primary metric HR@10; ties (e.g. saturated) broken by HR@1
-            if (best.best_val is None
-                    or (val.hr10, val.hr1) > (best.best_val.hr10,
-                                              best.best_val.hr1)):
-                best.best_params = clone_params(model.params)
-                best.best_epoch = epoch
-                best.best_val = val
+            if best is None or (val.hr10, val.hr1) > (best.best_val.hr10,
+                                                      best.best_val.hr1):
+                best = TrainResult(clone_params(model.params), epoch, val,
+                                   history)
             if log:
                 log(f"epoch {epoch}: loss {record['loss']:.4f} "
                     f"val HR@10 {val.hr10:.4f}")

@@ -175,7 +175,8 @@ def encode(model, batch, rng=None, positions=None):
     # every slot is a row, pad slots included, laid back out as [B, L, h]
     B, L = batch.items.shape
     side = [DO.reshape(t, (B, L, t.shape[-1])) for t in EF.embed_side_features(
-        batch, params, model.side, np.arange(B * L), cfg.use_position)]
+        batch, model.catalog, params, model.side, np.arange(B * L),
+        cfg.use_position)]
     x = T.embedding_lookup(params["emb.id"], batch.items)
     nova = cfg.attention == "nova"
     if not nova:

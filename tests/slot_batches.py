@@ -1,13 +1,13 @@
 """The per-slot batch builders, kept as a test oracle for the gathering ones
 in data.py.
 
-They look up each slot's item features in per-item lists, encoded afresh
-from the catalog's raw strings (``[None, item 1's value, ...]``, a multi
-field's value a list), write UNK at masked slots through a branch of their
-own, and fill multi-valued fields slot by slot. They draw the masks in the
-order ``data.make_masked_batch`` does, so from the same generator state both
-must give the same batch: every array equal, in the same dtype and shape.
-Argument checks are the program's and are not repeated here.
+They lay out each slot's behavior features and fill multi-valued fields
+slot by slot. They draw the masks in the order ``data.make_masked_batch``
+does, so from the same generator state both must give the same batch: every
+array equal, in the same dtype and shape. A batch carries no item features;
+:func:`item_features` gives, slot by slot, those the model reads from the
+catalog at a batch's item IDs. Argument checks are the program's and are not
+repeated here.
 """
 
 import numpy as np
@@ -15,11 +15,28 @@ import numpy as np
 from novabert import data as D
 
 
-def item_lists(schema, catalog):
-    """name -> per-item encoded values, encoded from the raw strings."""
-    return {f.name: [None] + [f.encode(v)
-                              for v in catalog.raw_features[f.name]]
-            for f in schema.item_features()}
+def item_features(items, schema, catalog):
+    """name -> the item features at the item IDs items [B, L], looked up
+    slot by slot in per-item values encoded afresh from the catalog's raw
+    strings: 0 at a pad slot, UNK at the mask token through a branch of its
+    own. A multi field is [B, L, K], zero-padded to the widest item's
+    entry."""
+    out = {}
+    for f in schema.item_features():
+        per_item = [f.encode(v) for v in catalog.raw_features[f.name]]
+        multi = f.encoding == "multi"
+        width = (max([1] + [len(v) for v in per_item]),) if multi else ()
+        arr = np.zeros(items.shape + width, dtype=np.int64)
+        for slot, it in np.ndenumerate(items):
+            if it == D.PAD:
+                continue
+            vals = f.unk if it == catalog.mask_token else per_item[it - 1]
+            if multi:
+                arr[slot][:len(vals)] = vals
+            else:
+                arr[slot] = vals
+        out[f.name] = arr
+    return out
 
 
 def window(values, L):
@@ -30,10 +47,8 @@ def build_batch(rows, schema, catalog, L):
     """Lay rows out right-aligned in a [B, L] batch.
 
     Each row is (items, behavior dict, masked bool list), all aligned. A
-    masked slot holds the mask token, is labelled with its true item, keeps
-    its position and behavior features, and loses its item-related features
-    to UNK."""
-    per_item = item_lists(schema, catalog)
+    masked slot holds the mask token, is labelled with its true item, and
+    keeps its position and behavior features."""
     B = len(rows)
     items = np.zeros((B, L), dtype=np.int64)
     positions = np.zeros((B, L), dtype=np.int64)
@@ -46,12 +61,8 @@ def build_batch(rows, schema, catalog, L):
         labels[b, L - n:] = np.where(masked, real, 0)
         positions[b, L - n:] = np.arange(1, n + 1)
     features = {}
-    for f in schema.features:
-        unk = f.unk
-        cols = [beh[f.name] if f.kind == "behavior" else
-                [unk if mk else per_item[f.name][it]
-                 for it, mk in zip(row_items, masked)]
-                for row_items, beh, masked in rows]
+    for f in schema.behavior_features():
+        cols = [beh[f.name] for _, beh, _ in rows]
         if f.encoding == "multi":
             kmax = max([1] + [len(v) for col in cols for v in col])
             arr = np.zeros((B, L, kmax), dtype=np.int64)

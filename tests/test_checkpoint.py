@@ -149,6 +149,35 @@ def test_features_disagreeing_with_raw_values_rejected(tmp_path):
         CK.load_checkpoint(path)
 
 
+MALFORMED_INDEX = {
+    "dropout-out-of-range": lambda index: index["config"].update(dropout=2.0),
+    "unknown-config-key": lambda index: index["config"].update(colour="red"),
+    "no-schema": lambda index: index.pop("schema"),
+    "bad-feature-kind": lambda index: index["schema"][0].update(kind="user"),
+}
+
+
+def malform_index(path, name):
+    """Rewrite the checkpoint at path with the index edit MALFORMED_INDEX
+    names; every member's CRC stays valid."""
+    rewrite_archive(path, lambda index, arrays: MALFORMED_INDEX[name](index))
+
+
+@pytest.mark.parametrize("name", MALFORMED_INDEX)
+def test_malformed_index_rejected_naming_the_file(tmp_path, name):
+    """An index whose config or schema the model cannot be built from (a
+    value out of range, an unknown key, a missing key, a bad feature kind)
+    is a CheckpointError naming the file, not a ValueError, TypeError,
+    KeyError or a DataError without the path."""
+    model, _ = build_model()
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model)
+    malform_index(path, name)
+    with pytest.raises(CK.CheckpointError, match="malformed index") as err:
+        CK.load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_index_stores_item_features_per_item(tmp_path):
     """The index keeps the format-version-2 form of the catalog's item
     features, whatever form the catalog holds them in: per feature [None,

@@ -14,6 +14,7 @@ from novabert import data as D
 from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import branching_dataset, successor_dataset
+from test_checkpoint import malform_index
 
 CONFIG = """\
 [model]
@@ -178,6 +179,23 @@ def test_evaluate_with_no_user_past_the_filter_exits_1(tmp_path, capsys):
                      "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert str(data) in err and "MIN_SEQUENCE_LEN" in err
+
+
+def test_evaluate_malformed_checkpoint_index_exits_1(tmp_path, capsys):
+    """A checkpoint whose index holds an out-of-range config value is an
+    error naming the file, not a traceback."""
+    schema, catalog, seqs = successor_dataset(m=20, n_seq=10, length=8, seed=1)
+    data = tmp_path / "interactions.tsv"
+    H.write_interactions(seqs, schema, catalog, data)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=6)
+    ckpt = tmp_path / "model.bin"
+    CK.save_checkpoint(ckpt, Model(cfg, schema, catalog, seed=0))
+    malform_index(ckpt, "dropout-out-of-range")
+    assert cli.main(["evaluate", "--checkpoint", str(ckpt),
+                     "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err
+    assert "Traceback" not in err
 
 
 def test_locked_output_dir_refused(toy, capsys):

@@ -437,8 +437,9 @@ def test_masked_positions_keep_behavior_lose_item_features(split):
     rng = np.random.default_rng(3)
     batch = D.make_masked_batch(sp.train, schema, catalog, 1.0, rng, L=6)
     nonpad = batch.items != D.PAD
-    assert np.all(batch.features["year"][nonpad] == D.UNK)
-    assert np.all(batch.features["genre"][nonpad][:, 0] == D.UNK)
+    assert np.all(catalog.features["year"][batch.items][nonpad] == D.UNK)
+    assert np.all(catalog.features["genre"][batch.items][nonpad][:, 0]
+                  == D.UNK)
     # behavior feature (rating) retained: encoded values are >= 2 for seen
     assert np.all(batch.features["rating"][nonpad] >= 2)
     assert np.all(batch.positions[nonpad] >= 1)
@@ -487,7 +488,7 @@ def test_eval_batch_layout(split):
     assert list(batch.positions[0]) == [0, 0, 1, 2, 3]
     assert batch.labels[0, 4] == 3
     assert batch.features["rating"][0, 4] == D.UNK
-    assert batch.features["year"][0, 4] == D.UNK
+    assert catalog.features["year"][batch.items][0, 4] == D.UNK
 
 
 def test_eval_batch_truncates_head(split):
@@ -531,16 +532,30 @@ def assert_same_batch(got, want):
         assert np.array_equal(a, b)
 
 
+def assert_reads_item_features(batch, schema, catalog):
+    """The batch carries exactly the schema's behavior features, and the
+    catalog's tables read at its item IDs give the per-slot item features
+    (UNK at the mask token)."""
+    assert list(batch.features) == [f.name for f in schema.behavior_features()]
+    for name, want in SB.item_features(batch.items, schema, catalog).items():
+        got = catalog.features[name][batch.items]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def assert_builders_agree(seqs, pairs, schema, catalog, mask_prob, seed, L):
     """Masked batches from one generator state, and evaluation batches,
-    equal the per-slot builders' and leave the generator in one state."""
+    equal the per-slot builders' and leave the generator in one state; the
+    model reads their item features from the catalog."""
     rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    masked = D.make_masked_batch(seqs, schema, catalog, mask_prob, rngs[0], L)
     assert_same_batch(
-        D.make_masked_batch(seqs, schema, catalog, mask_prob, rngs[0], L),
-        SB.masked_batch(seqs, schema, catalog, mask_prob, rngs[1], L))
+        masked, SB.masked_batch(seqs, schema, catalog, mask_prob, rngs[1], L))
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    assert_same_batch(D.make_eval_batch(pairs, schema, catalog, L),
-                      SB.eval_batch(pairs, schema, catalog, L))
+    evaluation = D.make_eval_batch(pairs, schema, catalog, L)
+    assert_same_batch(evaluation, SB.eval_batch(pairs, schema, catalog, L))
+    for batch in (masked, evaluation):
+        assert_reads_item_features(batch, schema, catalog)
 
 
 @pytest.mark.parametrize("L, B", [(200, 32), (12, 128)])
@@ -654,7 +669,7 @@ def test_batches_of_no_rows(schema_factory):
     batch = D.make_eval_batch([], schema, catalog, 4)
     assert batch.items.shape == (0, 4)
     assert all(batch.features[f.name].shape[:2] == (0, 4)
-               for f in schema.features)
+               for f in schema.behavior_features())
 
 
 @st.composite
@@ -697,11 +712,12 @@ def test_packed_split_gives_the_list_splits_batches(case, mask_prob, seed):
     L, (schema, catalog, seqs) = case
     packed, lists = D.leave_one_out_split(seqs), LS.leave_one_out_split(seqs)
     rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = D.make_masked_batch(packed.train, schema, catalog, mask_prob,
+                                rngs[0], L)
+    assert_reads_item_features(batch, schema, catalog)
     assert_same_batch(
-        D.make_masked_batch(packed.train, schema, catalog, mask_prob,
-                            rngs[0], L),
-        D.make_masked_batch(lists.train, schema, catalog, mask_prob,
-                            rngs[1], L))
+        batch, D.make_masked_batch(lists.train, schema, catalog, mask_prob,
+                                   rngs[1], L))
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     assert_same_batch(
         D.make_eval_batch([D.held_out(s) for s in packed.train], schema,

@@ -1,13 +1,21 @@
+import functools
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dense_ops as DO
+import gathered_features as GF
 from novabert import data as D
 from novabert import embedfuse as EF
 from novabert import tensor as T
+from novabert import train as TR
 from novabert.model import Model, ModelConfig, param_shapes
 from novabert.synthetic import branching_dataset
 from test_packing import padded_setup
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def rand_feats(rng, k, shape=(2, 3, 4)):
@@ -211,7 +219,7 @@ def test_integrated_no_side_add_equals_id(small_batch):
     params = small_model(schema, catalog, 1, features=[],
                          use_position=False).params
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, [], rows,
+    side = EF.embed_side_features(batch, catalog, params, [], rows,
                                   use_position=False)
     assert side == []
     r_id = T.embedding_lookup(params["emb.id"], items)
@@ -223,7 +231,7 @@ def test_integrated_position_only_is_additive(small_batch):
     schema, catalog, batch = small_batch
     params = small_model(schema, catalog, 2, features=[]).params
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, [], rows,
+    side = EF.embed_side_features(batch, catalog, params, [], rows,
                                   use_position=True)
     r_id = T.embedding_lookup(params["emb.id"], items)
     r = EF.integrated_embeddings(r_id, side, "add", {})
@@ -239,7 +247,7 @@ def test_integrated_full_matches_straight_line_oracle(small_batch):
     params, fp = model.params, model.fusion[0]
     fp["wf"].data[:] = np.random.default_rng(3).standard_normal((8, 1))
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, model.side, rows,
+    side = EF.embed_side_features(batch, catalog, params, model.side, rows,
                                   use_position=True)
     r = EF.integrated_embeddings(
         T.embedding_lookup(params["emb.id"], items), side, "gating", fp)
@@ -262,7 +270,7 @@ def test_gradients_reach_all_tables(small_batch):
     model = small_model(schema, catalog, 4, fusion="concat")
     params = model.params
     rows, items = _real(batch)
-    side = EF.embed_side_features(batch, params, model.side, rows,
+    side = EF.embed_side_features(batch, catalog, params, model.side, rows,
                                   use_position=True)
     r = EF.integrated_embeddings(
         T.embedding_lookup(params["emb.id"], items), side, "concat",
@@ -284,15 +292,78 @@ def test_multi_feature_mean_pools_the_rows_asked_for():
     assert (~batch.pad_mask).any()
     B, L = batch.items.shape
     table = model.params["emb.f.genre"].data
-    idx = batch.features["genre"].reshape(B * L, -1)
+    idx = model.catalog.features["genre"][batch.items].reshape(B * L, -1)
     genre = [f for f in model.schema.features if f.name == "genre"]
-    every, = EF.embed_side_features(batch, model.params, genre,
+    every, = EF.embed_side_features(batch, model.catalog, model.params, genre,
                                     np.arange(B * L), use_position=False)
     for r in range(B * L):
         ids = idx[r][idx[r] != 0]
         expect = table[ids].mean(axis=0) if len(ids) else 0.0 * table[0]
         assert np.allclose(every.data[r], expect, atol=1e-15)
     rows = np.flatnonzero(batch.pad_mask)
-    real, = EF.embed_side_features(batch, model.params, genre, rows,
-                                   use_position=False)
+    real, = EF.embed_side_features(batch, model.catalog, model.params, genre,
+                                   rows, use_position=False)
     assert np.array_equal(real.data, every.data[rows])
+
+
+def _side_and_grads(embed, model, batch, weights):
+    """The side-feature outputs of embed at the batch's real tokens, and
+    the gradients a weighted sum of them leaves in the tables."""
+    model.zero_grads()
+    side = embed(batch, model.catalog, model.params, model.side,
+                 np.flatnonzero(batch.pad_mask), model.config.use_position)
+    T.backward(functools.reduce(T.add, [DO.tsum(DO.mul(t, w[:len(t.data)]))
+                                        for t, w in zip(side, weights)]))
+    return ([t.data for t in side],
+            {n: p.grad for n, p in model.params.items()
+             if n.startswith("emb.") and p.grad is not None})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+def test_catalog_lookup_equals_the_batch_gather(monkeypatch, attention,
+                                                dtype):
+    """Reading item features from the catalog at the real tokens gives
+    bit-identical side-feature outputs, table gradients and scores to the
+    in-batch gather trimmed to the batch's widest entry
+    (tests/gathered_features.py), on MovieLens-shaped batches of 2 users at
+    L=4, some narrower than the catalog's widest genre entry."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    movielens_like = importlib.import_module("movielens").movielens_like
+    schema, catalog, seqs = movielens_like(0, users=16)
+    split = D.leave_one_out_split(seqs)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=4,
+                      attention=attention, fusion="gating")
+    model = Model(cfg, schema, catalog, seed=0, dtype=dtype)
+    rng = np.random.default_rng(0)
+    batches = [D.make_masked_batch(split.train[i:i + 2], schema, catalog,
+                                   cfg.mask_prob, rng, cfg.max_len)
+               for i in range(0, len(split.train), 2)]
+    batches += [D.make_eval_batch(split.validation[i:i + 2], schema,
+                                  catalog, cfg.max_len)
+                for i in range(0, len(split.validation), 2)]
+    width = catalog.features["genre"].shape[1]
+    assert width == 3
+    assert any(GF.batch_features(b, model.side, catalog)["genre"].shape[2]
+               < width for b in batches)
+    weights = [rng.standard_normal((2 * cfg.max_len, cfg.hidden_size))
+               .astype(dtype) for _ in range(len(model.side) + 1)]
+    for batch in batches:
+        side, grads = _side_and_grads(EF.embed_side_features, model, batch,
+                                      weights)
+        ref_side, ref_grads = _side_and_grads(GF.embed_side_features, model,
+                                              batch, weights)
+        assert len(side) == len(ref_side) == 4
+        for a, b in zip(side, ref_side):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+        assert grads.keys() == ref_grads.keys() == {
+            "emb.f.year", "emb.f.genre", "emb.f.rating", "emb.pos"}
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+    scores, targets = TR.score_pairs(model, split.validation, batch_size=2)
+    monkeypatch.setattr(EF, "embed_side_features", GF.embed_side_features)
+    ref_scores, ref_targets = TR.score_pairs(model, split.validation,
+                                             batch_size=2)
+    assert scores.dtype == ref_scores.dtype
+    assert np.array_equal(scores, ref_scores)
+    assert np.array_equal(targets, ref_targets)

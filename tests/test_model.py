@@ -247,7 +247,7 @@ def test_f32_model_computes_in_f32(attention, fusion):
                         dtype=np.float32)
     multi_model, (multi, _) = padded_setup(attention, fusion,
                                            dtype=np.float32)
-    assert multi.features["genre"].ndim == 3
+    assert multi_model.catalog.features["genre"][multi.items].ndim == 3
     for model, batch in (single, (multi_model, multi)):
         model.zero_grads()
         loss, recorded = recorded_vertices(

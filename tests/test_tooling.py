@@ -5,11 +5,14 @@ caller in the program, and every other public name a reader; no module of
 the program reads another's private names; only Model.loss takes a train
 flag; only checkpoint.replaced_on_success renames a file into place; the
 config file's keys are the fields of the config dataclasses; no backward
-closure of a tensor op holds a Tensor."""
+closure of a tensor op holds a Tensor; under the repository's pytest
+settings a failing property test is reported like any other."""
 
 import ast
 import dataclasses
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,6 +28,7 @@ from novabert.synthetic import branching_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "novabert"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 @pytest.fixture
@@ -471,3 +475,36 @@ def test_no_backward_closure_holds_a_tensor():
     assert sorted(outs) == sorted(_make_callers(SRC / "tensor.py"))
     assert {op: _tensors_held(out._vertex.bw)
             for op, out in outs.items()} == {op: [] for op in outs}
+
+
+PROPERTY_PAIR = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_property_fails(x):
+    assert x < 0
+
+
+def test_plain_passes():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_end_the_session(tmp_path):
+    """With warnings as errors, a hypothesis release whose report hook warns
+    when a @given test fails turned that failure into an INTERNALERROR that
+    ended the session. Under the repository's ini options a failing
+    property test and a passing test after it are both reported."""
+    (tmp_path / "test_pair.py").write_text(PROPERTY_PAIR)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-rA",
+         str(tmp_path / "test_pair.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "FAILED test_pair.py::test_property_fails" in out
+    assert "PASSED test_pair.py::test_plain_passes" in out
+    assert "1 failed, 1 passed" in out
