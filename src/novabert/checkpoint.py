@@ -157,6 +157,10 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: parameters must be all float32 or all float64, got "
             f"{sorted(str(d) for d in dtypes)}")
+    for name in shapes:
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(
+                f"{path}: tensor {name} holds a non-finite value")
     # the stored arrays become the parameters; no initial values are drawn
     model = Model(config, schema, catalog, dtype=dtypes.pop().type,
                   arrays=arrays)

@@ -26,13 +26,23 @@ from novabert import train as TR
 from novabert.model import DEFAULT_DTYPE, Model, ModelConfig
 from novabert.profiler import profile_cost
 
+
+def _boolean(raw):
+    """configparser's boolean words (1/yes/true/on, 0/no/false/off), in
+    any case."""
+    words = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in words:
+        raise ValueError(f"{raw!r} is not one of {', '.join(words)}")
+    return words[raw.lower()]
+
+
 REQUIRED_MODEL_KEYS = ("hidden_size", "num_heads", "num_layers", "max_len")
 # INI key -> parser; absent keys take the dataclass defaults
 _MODEL_KEYS = {
     "hidden_size": int, "num_heads": int, "num_layers": int, "max_len": int,
     "attention": str, "fusion": str, "dropout": float, "mask_prob": float,
     "features": lambda raw: [f.strip() for f in raw.split(",") if f.strip()],
-    "use_position": lambda raw: raw.lower() != "false",
+    "use_position": _boolean,
     "gating_mode": str,
 }
 _TRAIN_KEYS = {
@@ -469,7 +479,8 @@ def main(argv=None):
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (D.DataError, CK.CheckpointError, OSError) as e:
+    except (D.DataError, CK.CheckpointError, TR.TrainingDiverged,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,11 @@
-"""Side-feature embedding and the one fusion call producing integrated
+"""Side-feature embedding and the fusion function producing integrated
 vectors.
 
-All tables share width h. :func:`integrated_embeddings` always receives the
-item-ID representation as its first input, then item-related features,
+:func:`integrated_embeddings` is the one operator NOVA-BERT adds to BERT,
+and it writes the paper's three fusions itself: add (a left-to-right sum),
+concat (an FC from the concatenation back to h) and gating (a gated sum,
+see :func:`tensor.gated_sum`). All tables share width h. Its first input is
+always the item-ID representation, then item-related features,
 behavior-related features, and finally position (position is just another
 behavior feature here). Output width is h for every fusion kind and any
 feature count. Each place the model fuses is a fusion site with its own
@@ -14,28 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from novabert import tensor as T
-
-
-def fuse_add(features):
-    if not features:
-        raise ValueError("fusion needs at least one input")
-    width = features[0].shape[-1]
-    for f in features[1:]:
-        if f.shape[-1] != width:
-            raise ValueError(f"fusion width mismatch: {f.shape[-1]} vs {width}")
-    out = features[0]
-    for f in features[1:]:
-        out = T.add(out, f)
-    return out
-
-
-def fuse_concat(features, w, b):
-    k = len(features)
-    h = features[0].shape[-1]
-    if w.shape[0] != k * h:
-        raise ValueError(f"concat FC expects {w.shape[0] // h} inputs, got {k}")
-    cat = T.concat_lastdim(features)
-    return T.linear(cat, w, b)
 
 
 def real_rows(idx, rows):
@@ -89,9 +70,13 @@ def integrated_embeddings(first, side, kind, fusion_params,
     """
     features = [first] + list(side)
     if kind == "add":
-        return fuse_add(features)
+        out = first
+        for f in side:
+            out = T.add(out, f)
+        return out
     if kind == "concat":
-        return fuse_concat(features, fusion_params["w"], fusion_params["b"])
+        return T.linear(T.concat_lastdim(features), fusion_params["w"],
+                        fusion_params["b"])
     if kind == "gating":
         return T.gated_sum(features, fusion_params["wf"], gating_mode)[0]
     raise ValueError(f"unknown fusion kind {kind!r}")

@@ -39,7 +39,9 @@ class TrainConfig:
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
                 ("eval_every", self.eval_every >= 1, ">= 1"),
-                ("learning_rate", self.learning_rate > 0, "> 0"),
+                ("learning_rate",
+                 math.isfinite(self.learning_rate) and self.learning_rate > 0,
+                 "finite and > 0"),
                 ("clip_norm", self.clip_norm >= 0, ">= 0 (0: no clipping)"),
                 ("warmup_frac", 0 <= self.warmup_frac < 1, "in [0, 1)")):
             if not ok:
@@ -159,8 +161,14 @@ def score_pairs(model, pairs, batch_size=256):
 
 
 def ranks_from_scores(scores, targets):
-    """Rank of each target (1-based); ties broken toward the smaller item ID."""
+    """Rank of each target (1-based); ties broken toward the smaller item ID.
+
+    A non-finite score is a ValueError: NaN compares false with every
+    score, so it would rank its row's target first."""
     n = scores.shape[0]
+    bad = int((~np.isfinite(scores).all(axis=1)).sum())
+    if bad:
+        raise ValueError(f"{bad} of {n} score rows hold a non-finite score")
     s_t = scores[np.arange(n), targets - 1]
     higher = (scores > s_t[:, None]).sum(axis=1)
     tie_cols = np.arange(1, scores.shape[1] + 1)

@@ -235,6 +235,21 @@ def test_mixed_parameter_dtypes_rejected(tmp_path):
         CK.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_parameters_rejected(tmp_path, value):
+    """A parameter holding NaN or inf is refused naming the file and the
+    tensor: such a model scores every item NaN, which ranks each target
+    first."""
+    model, _ = build_model()
+    model.params["emb.id"].data[3, 0] = value
+    path = tmp_path / "model.bin"
+    CK.save_checkpoint(path, model)
+    with pytest.raises(CK.CheckpointError, match="emb.id") as info:
+        CK.load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert "non-finite" in str(info.value)
+
+
 def test_flipped_bit_rejected(tmp_path):
     model, _ = build_model()
     path = tmp_path / "model.bin"

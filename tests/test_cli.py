@@ -78,6 +78,8 @@ def test_missing_required_key_exits_2(toy, capsys):
     ("batch_size = 16", "batch_size = 0", "batch_size"),
     ("seed = 0", "seed = 0\neval_every = 0", "eval_every"),
     ("learning_rate = 0.001", "learning_rate = -1", "learning_rate"),
+    ("learning_rate = 0.001", "learning_rate = inf", "learning_rate"),
+    ("dropout = 0.0", "dropout = 0.0\nuse_position = flase", "use_position"),
     ("seed = 0", "seed = 0\nclip_norm = -1", "clip_norm"),
 ])
 def test_non_numeric_value_exits_2(toy, capsys, old, new, key):
@@ -107,6 +109,17 @@ def test_feature_the_schema_lacks_exits_2(toy, capsys, command, fusion):
     assert err.startswith("error: ") and "'ratng'" in err
     assert "'rating'" not in err and "Traceback" not in err
     assert not toy["out"].exists()
+
+
+@pytest.mark.parametrize("word,value", [
+    ("no", False), ("0", False), ("Off", False), ("FALSE", False),
+    ("yes", True), ("1", True), ("ON", True), ("true", True)])
+def test_use_position_reads_boolean_words(tmp_path, word, value):
+    path = tmp_path / "c.ini"
+    path.write_text("[model]\nhidden_size = 8\nnum_heads = 2\n"
+                    f"num_layers = 1\nmax_len = 6\nuse_position = {word}\n")
+    mcfg, _ = cli.read_config(path)
+    assert mcfg.use_position is value
 
 
 def test_absent_keys_take_dataclass_defaults(tmp_path):
@@ -196,6 +209,44 @@ def test_evaluate_malformed_checkpoint_index_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(ckpt) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "dump-attention"])
+def test_non_finite_checkpoint_exits_1(toy, tmp_path, capsys, command):
+    """A checkpoint holding a NaN parameter, which would score every item
+    NaN and rank each target first, is an error naming the file and the
+    tensor, before any output."""
+    schema, catalog, _ = branching_dataset(m=15, n_seq=40, length=8, seed=0)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=1, max_len=6)
+    model = Model(cfg, schema, catalog, seed=0)
+    model.params["emb.id"].data[...] = np.nan
+    ckpt = tmp_path / "model.bin"
+    CK.save_checkpoint(ckpt, model)
+    out = tmp_path / "out"
+    assert cli.main([command, "--checkpoint", str(ckpt), "--data",
+                     str(toy["data"]), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(ckpt) in captured.err
+    assert "emb.id" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+# the diverging steps overflow in numpy, which warns on the way
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command,output", [
+    ("train", ["checkpoint.bin", "metrics.json"]),
+    ("compare", ["compare.json"])])
+def test_diverged_run_exits_1(toy, capsys, command, output):
+    """A run whose loss becomes NaN ends with an error line and exit 1,
+    writing no output and leaving no lock."""
+    toy["config"].write_text(CONFIG.replace("learning_rate = 0.001",
+                                            "learning_rate = 1e30"))
+    assert cli.main([command] + flags(toy)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not any((toy["out"] / name).exists()
+                   for name in output + [".lock"])
 
 
 def test_locked_output_dir_refused(toy, capsys):

@@ -25,8 +25,8 @@ def rand_feats(rng, k, shape=(2, 3, 4)):
 
 def concat_params(rng, k, h):
     """A concat site's FC from k*h back to h."""
-    return (T.Tensor(rng.standard_normal((k * h, h)), requires_grad=True),
-            T.Tensor(rng.standard_normal(h), requires_grad=True))
+    return {"w": T.Tensor(rng.standard_normal((k * h, h)), requires_grad=True),
+            "b": T.Tensor(rng.standard_normal(h), requires_grad=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -36,28 +36,32 @@ def concat_params(rng, k, h):
 def test_add_single_is_identity():
     rng = np.random.default_rng(0)
     (f,) = rand_feats(rng, 1)
-    assert np.array_equal(EF.fuse_add([f]).data, f.data)
+    out = EF.integrated_embeddings(f, [], "add", {})
+    assert np.array_equal(out.data, f.data)
 
 
 def test_add_cancellation():
     rng = np.random.default_rng(1)
     (f,) = rand_feats(rng, 1)
     neg = DO.mul(f, -1.0)
-    assert np.allclose(EF.fuse_add([f, neg]).data, 0.0)
+    out = EF.integrated_embeddings(f, [neg], "add", {})
+    assert np.allclose(out.data, 0.0)
 
 
 def test_add_matches_sequential_oracle():
     rng = np.random.default_rng(2)
     feats = rand_feats(rng, 3)
     expect = feats[0].data + feats[1].data + feats[2].data
-    assert np.allclose(EF.fuse_add(feats).data, expect)
+    out = EF.integrated_embeddings(feats[0], feats[1:], "add", {})
+    assert np.allclose(out.data, expect)
 
 
 def test_add_width_mismatch():
     a = T.Tensor(np.zeros((2, 4)))
     b = T.Tensor(np.zeros((2, 5)))
-    with pytest.raises(ValueError, match="width"):
-        EF.fuse_add([a, b])
+    # numpy refuses to broadcast the sum
+    with pytest.raises(ValueError, match="broadcast"):
+        EF.integrated_embeddings(a, [b], "add", {})
 
 
 # ---------------------------------------------------------------------------
@@ -67,34 +71,34 @@ def test_add_width_mismatch():
 def test_concat_identity_construction():
     rng = np.random.default_rng(3)
     (f,) = rand_feats(rng, 1)
-    w = T.Tensor(np.eye(4))
-    b = T.Tensor(np.zeros(4))
-    assert np.allclose(EF.fuse_concat([f], w, b).data, f.data)
+    params = {"w": T.Tensor(np.eye(4)), "b": T.Tensor(np.zeros(4))}
+    out = EF.integrated_embeddings(f, [], "concat", params)
+    assert np.allclose(out.data, f.data)
 
 
 def test_concat_zero_inputs_give_bias():
     z = [T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((2, 4)))]
     rng = np.random.default_rng(4)
-    w, b = concat_params(rng, 2, 4)
-    out = EF.fuse_concat(z, w, b)
-    assert np.allclose(out.data, b.data)
+    params = concat_params(rng, 2, 4)
+    out = EF.integrated_embeddings(z[0], z[1:], "concat", params)
+    assert np.allclose(out.data, params["b"].data)
 
 
 def test_concat_matches_composition_oracle():
     rng = np.random.default_rng(5)
     feats = rand_feats(rng, 3)
-    w, b = concat_params(rng, 3, 4)
-    out = EF.fuse_concat(feats, w, b)
+    params = concat_params(rng, 3, 4)
+    out = EF.integrated_embeddings(feats[0], feats[1:], "concat", params)
     cat = np.concatenate([f.data for f in feats], axis=-1)
-    assert np.allclose(out.data, cat @ w.data + b.data)
+    assert np.allclose(out.data, cat @ params["w"].data + params["b"].data)
 
 
 def test_concat_k_mismatch():
     rng = np.random.default_rng(6)
     feats = rand_feats(rng, 2)
-    w, b = concat_params(rng, 3, 4)
-    with pytest.raises(ValueError, match="inputs"):
-        EF.fuse_concat(feats, w, b)
+    params = concat_params(rng, 3, 4)
+    with pytest.raises(T.ShapeMismatchError, match="inner dimensions"):
+        EF.integrated_embeddings(feats[0], feats[1:], "concat", params)
 
 
 # ---------------------------------------------------------------------------

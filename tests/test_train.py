@@ -134,6 +134,20 @@ def test_ranks_match_brute_force_with_ties():
     assert np.array_equal(got, brute_force_ranks(scores, targets))
 
 
+def test_non_finite_scores_refused():
+    """NaN compares false with every score, so a row holding one would
+    rank its target first; such rows are refused, counted."""
+    targets = np.array([3, 5])
+    with pytest.raises(ValueError, match="2 of 2 score rows"):
+        TR.ranks_from_scores(np.full((2, 5), np.nan), targets)
+    # the target's column alone, and another column
+    for col, value in ((4, np.nan), (0, np.inf)):
+        scores = np.zeros((2, 5))
+        scores[1, col] = value
+        with pytest.raises(ValueError, match="1 of 2 score rows"):
+            TR.ranks_from_scores(scores, targets)
+
+
 def test_metric_contributions_analytic():
     r1 = TR.metrics_from_ranks([1])
     assert r1.hr5 == 1.0 and r1.ndcg5 == 1.0
