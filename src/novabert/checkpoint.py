@@ -1,8 +1,8 @@
 """Single-file checkpoints: an uncompressed numpy ``.npz`` archive.
 
 One ``.npy`` member per tensor, named as in ``Model.params`` (``opt.m.<name>``
-and ``opt.v.<name>`` for the Adam moments) and stored in its own dtype, plus
-an ``index`` member: canonical JSON of the format version, model config,
+and ``opt.v.<name>`` for its slices of the Adam moments), in its own dtype,
+plus an ``index`` member: canonical JSON of the format version, model config,
 feature schema, item catalog, metadata and optimizer scalars. The model is
 rebuilt from the file alone, in the dtype its parameters were stored in
 (float32 or float64, one for all); the catalog is rebuilt from the raw
@@ -65,9 +65,9 @@ def save_checkpoint(path, model, metadata=None, optimizer=None):
     save leaves the previous file and no temporary file."""
     tensors = {name: p.data for name, p in model.params.items()}
     if optimizer is not None:
-        for name in model.params:
-            tensors[f"opt.m.{name}"] = optimizer.m[name]
-            tensors[f"opt.v.{name}"] = optimizer.v[name]
+        for name, s in model.params.slices.items():
+            tensors[f"opt.m.{name}"] = optimizer.m[s]
+            tensors[f"opt.v.{name}"] = optimizer.v[s]
     index = {
         "version": VERSION,
         "config": dataclasses.asdict(model.config),
@@ -161,7 +161,7 @@ def load_checkpoint(path):
         if not np.isfinite(arrays[name]).all():
             raise CheckpointError(
                 f"{path}: tensor {name} holds a non-finite value")
-    # the stored arrays become the parameters; no initial values are drawn
+    # the stored arrays are copied into the parameters; nothing is drawn
     model = Model(config, schema, catalog, dtype=dtypes.pop().type,
                   arrays=arrays)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import fcntl
 import json
@@ -115,13 +116,15 @@ class OutputDir:
     however the holder ends (exit, kill or reboot), so a ``.lock`` left by
     an ended run is taken over; the pid written into it is for people to
     read. Each OutputDir opens the file anew, so a second one on a held
-    directory is refused, in the same process too."""
+    directory is refused, in the same process too. A run that raises
+    removes the directory if it created it and left it empty."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.lock = self.path / ".lock"
 
     def __enter__(self):
+        self.created = not self.path.exists()
         self.path.mkdir(parents=True, exist_ok=True)
         while True:
             fd = os.open(self.lock, os.O_CREAT | os.O_WRONLY)
@@ -143,9 +146,12 @@ class OutputDir:
                 if fd is not None:
                     os.close(fd)
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         self.lock.unlink(missing_ok=True)
         os.close(self.fd)
+        if exc_type is not None and self.created:
+            with contextlib.suppress(OSError):  # kept if not empty
+                self.path.rmdir()
 
 
 def _load_schema(args, mcfg):

@@ -5,6 +5,9 @@ the Adam update. Callers reach them through this module
 
 import numpy as np
 
+# elements per block of adam_update: a float64 temporary of 256 KB
+ADAM_BLOCK = 1 << 15
+
 
 def softmax_rows(x):
     """Row-wise stable softmax of a 2-D array, written over x in place;
@@ -28,9 +31,14 @@ def scatter_add_rows(out, idx, grad):
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
-    """In-place Adam step on flat arrays. bc1/bc2 are the bias corrections."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    """In-place Adam step on flat arrays. bc1/bc2 are the bias corrections.
+    It runs in blocks of ADAM_BLOCK elements, so its temporaries stay small;
+    every op is elementwise, so the blocks do not change the result."""
+    for lo in range(0, p.size, ADAM_BLOCK):
+        s = slice(lo, lo + ADAM_BLOCK)
+        gs, ms, vs = g[s], m[s], v[s]
+        ms *= beta1
+        ms += (1.0 - beta1) * gs
+        vs *= beta2
+        vs += (1.0 - beta2) * gs * gs
+        p[s] -= lr * (ms / bc1) / (np.sqrt(vs / bc2) + eps)

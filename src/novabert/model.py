@@ -18,7 +18,6 @@ import numpy as np
 
 from novabert import embedfuse as EF
 from novabert import tensor as T
-from novabert.tensor import Tensor
 
 FFN_MULT = 4  # inner feed-forward width, per original BERT
 EMB_INIT = 0.02  # uniform [-EMB_INIT, EMB_INIT] for all embedding tables
@@ -138,7 +137,8 @@ def _draw(rng, name, shape):
 
 
 class Model:
-    """Owns the parameter tensors and the forward/loss computation.
+    """Owns the parameter tensors (a :class:`tensor.Parameters` in
+    :func:`param_shapes` order) and the forward/loss computation.
 
     A model instance is single-threaded during a training step; read-only
     evaluation on disjoint batches may run concurrently.
@@ -148,21 +148,21 @@ class Model:
                  arrays=None):
         """A model with freshly drawn parameters, or, given arrays (name ->
         array, with the names and shapes of :func:`param_shapes`), one
-        whose parameters are those arrays, used without a copy when they
-        are already of dtype; then nothing is drawn and seed is unused."""
+        whose parameters are copies of those arrays in dtype; then nothing
+        is drawn and seed is unused."""
         self.config = config
         self.schema = schema
         self.catalog = catalog
         self.dtype = dtype
         # the side features every encode embeds, in fusion order
         self.side, _ = config.fusion_inputs(schema)
+        shapes = param_shapes(config, schema, catalog.m)
+        self.params = T.Parameters(shapes, dtype)
         # drawn in param_shapes' order, one array at a time
         rng = np.random.default_rng(seed) if arrays is None else None
-        self.params = {}
-        for name, shape in param_shapes(config, schema, catalog.m).items():
-            a = _draw(rng, name, shape) if arrays is None else arrays[name]
-            self.params[name] = Tensor(a.astype(dtype, copy=False),
-                                       requires_grad=True)
+        for name, shape in shapes.items():
+            self.params[name].data[...] = (
+                _draw(rng, name, shape) if arrays is None else arrays[name])
         # one parameter dict per fusion site, in site order: one per layer
         # (NOVA) or the single input site (invasive)
         sites = ([f"layer{i}.fuse." for i in range(config.num_layers)]
@@ -171,8 +171,7 @@ class Model:
                         if n.startswith(p)} for p in sites]
 
     def zero_grads(self):
-        for p in self.params.values():
-            p.grad = None
+        self.params.grad.fill(0)
 
     # -- forward -----------------------------------------------------------
 

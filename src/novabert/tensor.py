@@ -37,7 +37,10 @@ as soon as the forward drops its name. :func:`backward` frees the graph as
 it walks it: once a vertex's closure has run, the vertex drops its closure,
 its parent links and its interior gradient, so the saved arrays go as the
 walk goes down. After the call only the leaves' gradients, ``loss.grad``
-and the ``.data`` of tensors the caller still names are left.
+and the ``.data`` of tensors the caller still names are left. A model's
+parameter gradients live in one flat buffer (:class:`Parameters`) that a
+backward adds into in place; only other gradients may be shared, as
+``add`` hands one array to both parents.
 
 The graph is rebuilt dynamically on every forward pass. Inside
 :func:`no_grad` nothing is recorded, so forward-only work (evaluation,
@@ -59,7 +62,9 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import math
+import mmap
 import os
 import threading
 
@@ -86,19 +91,19 @@ class _Vertex:
     of its inputs that need one, the backward closure, and whether a
     backward has consumed it. A vertex holds no value: a leaf's vertex is
     its gradient's home, an op output's is where its backward starts."""
-    __slots__ = ("grad", "parents", "bw", "done")
-    requires_grad = True
+    __slots__ = ("grad", "parents", "bw", "done", "owns_grad")
 
-    def __init__(self, parents=(), bw=None):
-        self.grad = None
+    def __init__(self, parents=(), bw=None, grad=None):
+        self.grad = grad
         self.parents = parents
         self.bw = bw
         self.done = False
+        self.owns_grad = grad is not None
 
 
 class Tensor:
     """A value (``.data``) and, when it takes part in a recorded graph, its
-    vertex; ``.grad`` reads and sets the vertex's gradient."""
+    vertex; ``.grad`` reads the vertex's gradient."""
     __slots__ = ("data", "_vertex")
 
     def __init__(self, data, requires_grad=False):
@@ -120,12 +125,6 @@ class Tensor:
         v = self._vertex
         return None if v is None else v.grad
 
-    @grad.setter
-    def grad(self, g):
-        if self._vertex is None:
-            raise AttributeError("a tensor that requires no grad holds none")
-        self._vertex.grad = g
-
     # -- convenience -------------------------------------------------------
     @property
     def shape(self):
@@ -144,6 +143,25 @@ class Tensor:
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+class Parameters(dict):
+    """Named parameter tensors: views, in the order of shapes, into one
+    flat array ``data`` (uninitialised), with gradients that are views into
+    a second, ``grad`` (zero, its pages untouched until written);
+    ``slices[name]`` is a tensor's range in both."""
+
+    def __init__(self, shapes, dtype):
+        ends = list(itertools.accumulate(map(math.prod, shapes.values()),
+                                         initial=0))
+        self.slices = dict(zip(shapes, map(slice, ends, ends[1:])))
+        self.data = np.empty(ends[-1], dtype)
+        # anonymous pages read zero and stay unfaulted until written, which
+        # np.zeros does not promise: a calloc from reused heap memsets
+        self.grad = np.frombuffer(mmap.mmap(-1, self.data.nbytes), dtype)
+        for (name, shape), s in zip(shapes.items(), self.slices.values()):
+            self[name] = t = Tensor(self.data[s].reshape(shape))
+            t._vertex = _Vertex(grad=self.grad[s].reshape(shape))
 
 
 class _GradMode(threading.local):
@@ -190,14 +208,16 @@ def _make(data, parents, bw):
 
 def _accumulate(t, g):
     """Add g to the gradient of t (a vertex, a tensor, or None for an input
-    that needs none) out of place.
-
-    The first gradient is stored as given, with no zeroed buffer. ``add``
-    hands one array to both of its parents, so a ``.grad`` may be shared:
-    nothing writes into one in place."""
-    if t is None or not t.requires_grad:
+    that needs none): in place into a gradient the vertex owns, in its dtype
+    only; otherwise the first g is stored as given and later ones are added
+    out of place, as ``add`` hands one array to both of its parents."""
+    v = t._vertex if isinstance(t, Tensor) else t
+    if v is None:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if v.owns_grad:
+        np.add(v.grad, g, out=v.grad, casting="no")
+    else:
+        v.grad = g if v.grad is None else v.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -631,10 +651,9 @@ def _table_index(table, idx):
 def _scatter_into_grad(vt, shape, dtype, idx, g):
     """Add the rows of g [..., h] into the gradient of the vertex vt of a
     table of shape and dtype at the rows idx [...]."""
-    # a .grad may be shared (see _accumulate): scatter into a fresh buffer,
-    # zeroed by the allocator or seeded with the gradient so far
-    buf = (np.zeros(shape, dtype=dtype) if vt.grad is None
-           else vt.grad.copy())
+    # a gradient the vertex does not own may be shared: scatter into a copy
+    buf = (vt.grad if vt.owns_grad else np.zeros(shape, dtype=dtype)
+           if vt.grad is None else vt.grad.copy())
     kernels.scatter_add_rows(buf, idx.reshape(-1),
                              np.ascontiguousarray(g.reshape(-1, shape[-1])))
     vt.grad = buf

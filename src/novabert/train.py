@@ -95,41 +95,33 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction over a named parameter dict."""
+    """Standard Adam with bias correction over a :class:`tensor.Parameters`,
+    with float64 moments m and v laid out as its flat arrays."""
 
     def __init__(self, params, cfg):
         self.params = params
         self.cfg = cfg
         self.t = 0
-        self.m = {k: np.zeros(p.data.size) for k, p in params.items()}
-        self.v = {k: np.zeros(p.data.size) for k, p in params.items()}
+        self.m = np.zeros(params.data.size)
+        self.v = np.zeros(params.data.size)
 
     def step(self, lr):
-        cfg = self.cfg
-        grads = {}
-        sq = 0.0
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad.reshape(-1)
-            if not np.all(np.isfinite(g)):
-                raise TrainingDiverged(f"non-finite gradient in {name}")
-            grads[name] = g
-            sq += float(g @ g)
-        norm = math.sqrt(sq)
+        cfg, params, g = self.cfg, self.params, self.params.grad
+        if not np.all(np.isfinite(g)):
+            bad = next(name for name, s in params.slices.items()
+                       if not np.all(np.isfinite(g[s])))
+            raise TrainingDiverged(f"non-finite gradient in {bad}")
+        # one dot per parameter, summed in order: one dot over the flat
+        # buffer would round differently and move every clipped step
+        norm = math.sqrt(sum(float(g[s] @ g[s])
+                             for s in params.slices.values()))
         if cfg.clip_norm and norm > cfg.clip_norm:
-            # out of place: a .grad may be shared by several parameters
-            scale = cfg.clip_norm / norm
-            grads = {name: g * scale for name, g in grads.items()}
+            g *= cfg.clip_norm / norm
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, g in grads.items():
-            p = self.params[name]
-            flat = p.data.reshape(-1)
-            kernels.adam_update(flat, np.ascontiguousarray(g),
-                                self.m[name], self.v[name], lr, ADAM_BETA1,
-                                ADAM_BETA2, ADAM_EPS, bc1, bc2)
+        kernels.adam_update(params.data, g, self.m, self.v, lr, ADAM_BETA1,
+                            ADAM_BETA2, ADAM_EPS, bc1, bc2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +216,10 @@ def popularity_metrics(ranking, pairs, m):
 
 @dataclass
 class TrainResult:
-    best_params: dict
+    best_params: np.ndarray    # a copy of the flat parameter array
     best_epoch: int
     best_val: MetricsReport
     history: list
-
-
-def clone_params(params):
-    return {k: p.data.copy() for k, p in params.items()}
-
-
-def load_params(model, saved):
-    for k, p in model.params.items():
-        p.data[:] = saved[k]
 
 
 def train(model, split, train_cfg, log=None):
@@ -288,7 +271,7 @@ def train(model, split, train_cfg, log=None):
             # primary metric HR@10; ties (e.g. saturated) broken by HR@1
             if best is None or (val.hr10, val.hr1) > (best.best_val.hr10,
                                                       best.best_val.hr1):
-                best = TrainResult(clone_params(model.params), epoch, val,
+                best = TrainResult(model.params.data.copy(), epoch, val,
                                    history)
             if log:
                 log(f"epoch {epoch}: loss {record['loss']:.4f} "
@@ -308,7 +291,7 @@ def fit(model, split, train_cfg, log=None):
     Returns (TrainResult, test MetricsReport); the report carries the
     fingerprint of the model and training configs."""
     result = train(model, split, train_cfg, log=log)
-    load_params(model, result.best_params)
+    model.params.data[...] = result.best_params
     fp = config_fingerprint(model.config, train_cfg)
     return result, rank_all(model, split.test, fingerprint=fp)
 

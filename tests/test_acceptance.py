@@ -115,7 +115,7 @@ def test_value_path_purity():
     for name in side_tables:
         g = model.params[name].grad
         assert g is None or not np.any(g), f"{name} got gradient from V probe"
-    assert model.params["emb.id"].grad is not None
+    assert model.params["emb.id"].grad.any()
     print(f"\nPASS value-path purity: {len(side_tables)} side tables inert")
 
 
@@ -174,7 +174,7 @@ def test_successor_memorization(dtype):
                         seed=0, eval_every=3, last_mask_frac=0.5,
                         early_stop_hr1=0.995)
     res = TR.train(model, split, tc)
-    TR.load_params(model, res.best_params)
+    model.params.data[...] = res.best_params
     rep = TR.rank_all(model, split.test)
     elapsed = time.time() - t0
     assert elapsed < 300.0
@@ -202,7 +202,7 @@ def test_side_information_utility():
                             seed=0, eval_every=5, last_mask_frac=0.5,
                             early_stop_hr1=0.96 if feats else None)
         res = TR.train(model, split, tc)
-        TR.load_params(model, res.best_params)
+        model.params.data[...] = res.best_params
         results[label] = TR.rank_all(model, split.test).hr1
     elapsed = time.time() - t0
     assert elapsed < 600.0
@@ -277,7 +277,7 @@ def test_movielens_directional(tmp_path):
         res = TR.train(model, split, tc, log=print)
         vals[label] = res.best_val
         if label == "invasive-add":
-            TR.load_params(model, res.best_params)
+            model.params.data[...] = res.best_params
             test_rep = TR.rank_all(model, split.test)
     pop = TR.popularity_metrics(TR.popularity_baseline(split.train),
                                 split.test, catalog.m)

@@ -95,9 +95,9 @@ def test_optimizer_state_round_trip(tmp_path):
     CK.save_checkpoint(path, model, optimizer=opt)
     _, _, state = CK.load_checkpoint(path)
     assert state["t"] == 1
-    for name in model.params:
-        assert np.array_equal(state["m"][name], opt.m[name])
-        assert np.array_equal(state["v"][name], opt.v[name])
+    for name, s in model.params.slices.items():
+        assert np.array_equal(state["m"][name], opt.m[s])
+        assert np.array_equal(state["v"][name], opt.v[s])
 
 
 def test_bad_magic_rejected(tmp_path):

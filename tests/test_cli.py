@@ -239,14 +239,21 @@ def test_non_finite_checkpoint_exits_1(toy, tmp_path, capsys, command):
     ("compare", ["compare.json"])])
 def test_diverged_run_exits_1(toy, capsys, command, output):
     """A run whose loss becomes NaN ends with an error line and exit 1,
-    writing no output and leaving no lock."""
+    writing no output and leaving no lock. The output directory it created
+    is removed; one that existed before is left, with what it held."""
     toy["config"].write_text(CONFIG.replace("learning_rate = 0.001",
                                             "learning_rate = 1e30"))
     assert cli.main([command] + flags(toy)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not any((toy["out"] / name).exists()
-                   for name in output + [".lock"])
+    assert not toy["out"].exists()
+    toy["out"].mkdir()
+    (toy["out"] / "notes.txt").write_text("kept")
+    assert cli.main([command] + flags(toy)) == 1
+    assert sorted(p.name for p in toy["out"].iterdir()) == ["notes.txt"]
+    (toy["out"] / "notes.txt").unlink()
+    assert cli.main([command] + flags(toy)) == 1
+    assert toy["out"].is_dir() and not any(toy["out"].iterdir())
 
 
 def test_locked_output_dir_refused(toy, capsys):

@@ -312,15 +312,16 @@ def test_multi_feature_mean_pools_the_rows_asked_for():
 
 def _side_and_grads(embed, model, batch, weights):
     """The side-feature outputs of embed at the batch's real tokens, and
-    the gradients a weighted sum of them leaves in the tables."""
+    copies of the non-zero gradients a weighted sum of them leaves in the
+    tables."""
     model.zero_grads()
     side = embed(batch, model.catalog, model.params, model.side,
                  np.flatnonzero(batch.pad_mask), model.config.use_position)
     T.backward(functools.reduce(T.add, [DO.tsum(DO.mul(t, w[:len(t.data)]))
                                         for t, w in zip(side, weights)]))
     return ([t.data for t in side],
-            {n: p.grad for n, p in model.params.items()
-             if n.startswith("emb.") and p.grad is not None})
+            {n: p.grad.copy() for n, p in model.params.items()
+             if n.startswith("emb.") and p.grad.any()})
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -180,9 +180,9 @@ def test_nova_value_probe_zero_grad_to_side_tables():
     probe = DO.tsum(DO.mul(H.first_layer_values(model, batch),
                          H.first_layer_values(model, batch)))
     T.backward(probe)
-    assert model.params["emb.f.rating"].grad is None
-    assert model.params["emb.pos"].grad is None
-    assert model.params["emb.id"].grad is not None
+    assert not model.params["emb.f.rating"].grad.any()
+    assert not model.params["emb.pos"].grad.any()
+    assert model.params["emb.id"].grad.any()
 
 
 def test_nova_small_case_matches_straight_line_oracle():
@@ -233,6 +233,33 @@ def test_masked_loss_values():
     perfect = np.zeros((n, m))
     perfect[np.arange(n), labels - 1] = 50.0
     assert model.masked_loss(T.Tensor(perfect), labels).item() < 1e-6
+
+
+@pytest.mark.parametrize("use_position", [True, False])
+@pytest.mark.parametrize("features", [None, []])
+@pytest.mark.parametrize("fusion", ["add", "concat", "gating"])
+@pytest.mark.parametrize("attention", ["invasive", "nova"])
+def test_every_parameter_gets_a_gradient_from_every_training_loss(
+        monkeypatch, attention, fusion, features, use_position):
+    """A training loss, masked or tail (appended mask), adds a gradient to
+    every parameter of the model. Adam updates every parameter from the
+    zeroed gradient buffer; a parameter that no loss reached would be moved
+    by its moments on a zero gradient."""
+    model, batches = padded_setup(attention, fusion, features=features,
+                                  use_position=use_position)
+    for batch in batches:
+        reached = set()
+        for name in ("_accumulate", "_scatter_into_grad"):
+            def add(v, *args, op=getattr(T, name)):
+                reached.add(id(v))
+                return op(v, *args)
+            monkeypatch.setattr(T, name, add)
+        T.backward(model.loss(batch, train=True,
+                              rng=np.random.default_rng(0)))
+        monkeypatch.undo()
+        missing = [n for n, p in model.params.items()
+                   if id(p._vertex) not in reached]
+        assert missing == []
 
 
 @pytest.mark.parametrize("attention", ["invasive", "nova"])

@@ -26,10 +26,11 @@ TOL = 1e-12
 LENGTHS = (2, 5, 8, 3)   # real tokens per sequence, L = 8
 
 
-def padded_setup(attention, fusion, dropout=0.1, seed=0, dtype=np.float64):
+def padded_setup(attention, fusion, dropout=0.1, seed=0, dtype=np.float64,
+                 **config):
     """A model with a multi-valued item feature and a behavior feature, and
     two batches whose rows have 0 to 6 pad slots: a masked training batch
-    and an appended-mask tail batch."""
+    and an appended-mask tail batch. config: further ModelConfig fields."""
     rng = np.random.default_rng(seed)
     m, L = 11, 8
     genre = FeatureSpec("genre", "item", "multi")
@@ -53,7 +54,8 @@ def padded_setup(attention, fusion, dropout=0.1, seed=0, dtype=np.float64):
              for n in LENGTHS]
     tail = D.make_eval_batch(pairs, schema, catalog, L)
     cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=L,
-                      attention=attention, fusion=fusion, dropout=dropout)
+                      attention=attention, fusion=fusion, dropout=dropout,
+                      **config)
     return Model(cfg, schema, catalog, seed=seed, dtype=dtype), (masked, tail)
 
 

@@ -30,7 +30,7 @@ def numeric_grad(f, x, eps=1e-5):
 def check_grads(build_loss, tensors, tol=1e-4):
     """build_loss() must rebuild the graph from the given leaf tensors."""
     for t in tensors:
-        t.grad = None
+        t._vertex.grad = None
     loss = build_loss()
     T.backward(loss)
     for t in tensors:
@@ -558,7 +558,7 @@ def test_attention_matches_dense_chain(lengths, queries):
 
     def run(fn, gen):
         for t in (q, k, v):
-            t.grad = None
+            t._vertex.grad = None
         loss, attn = fn(gen)
         T.backward(loss)
         return loss.item(), [t.grad.copy() for t in (q, k, v)], attn
@@ -600,7 +600,7 @@ def test_gated_sum_matches_dense_chain(mode, k):
     results = []
     for fuse in (T.gated_sum, dense_oracle.gating):
         for t in leaves:
-            t.grad = None
+            t._vertex.grad = None
         out, gates = fuse(feats, wf, mode)
         T.backward(DO.tsum(DO.mul(out, w)))
         results.append((out.data, gates.data, [t.grad.copy() for t in leaves]))
@@ -721,7 +721,7 @@ def test_feed_forward_equals_the_chain(rows):
     runs = []
     for node in (True, False):
         for t in leaves:
-            t.grad = None
+            t._vertex.grad = None
         x, w1, b1, w2, b2 = leaves
         if node:
             out = T.feed_forward(x, w1, b1, w2, b2)

@@ -1,5 +1,6 @@
 """The benchmark's tracer finds every function it wraps, and sees the calls
-of a training step and an evaluation; the benchmark's own correctness
+of a training step and an evaluation, and one flat Adam update per optimizer
+step; the benchmark's own correctness
 checks pass on the program; every public op of the tensor module has a
 caller in the program, and every other public name a reader; no module of
 the program reads another's private names; only Model.loss takes a train
@@ -81,6 +82,41 @@ def test_tracer_sees_a_training_step_and_an_evaluation(spans):
         assert out[name + ".calls"] >= 1, name
     assert out["kernels.softmax_rows.bytes"] > 0
     assert out["model.decode_useful_ratio"] == 1.0
+
+
+def test_tracer_sees_one_flat_adam_update_per_step(spans):
+    """Tracer.install replaces every WRAPPED name, and one Adam.step under
+    it makes exactly one kernels.adam_update span, inside the step's span,
+    whose byte count covers the whole flat parameter, gradient and moment
+    arrays."""
+    schema, catalog, seqs = branching_dataset(m=11, n_seq=8, length=7, seed=0)
+    split = D.leave_one_out_split(seqs)
+    cfg = ModelConfig(hidden_size=8, num_heads=2, num_layers=2, max_len=6)
+    model = Model(cfg, schema, catalog, seed=0)
+    opt = TR.Adam(model.params, TR.TrainConfig())
+    rng = np.random.default_rng(0)
+    model.zero_grads()
+    T.backward(model.loss(D.make_masked_batch(
+        split.train, schema, catalog, cfg.mask_prob, rng, cfg.max_len)))
+    originals = [getattr(owner, attr) for owner, attr, _ in spans.WRAPPED]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert [fn for _, _, fn in tracer._saved] == originals
+        assert all(getattr(owner, attr) is not fn for (owner, attr, _), fn
+                   in zip(spans.WRAPPED, originals))
+        opt.step(1e-3)
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr, _ in spans.WRAPPED] == (
+        originals)
+    names = [s[0] for s in tracer.spans]
+    assert names == ["train.Adam.step", "kernels.adam_update"]
+    p, g = model.params.data, model.params.grad
+    assert p.size == sum(t.data.size for t in model.params.values())
+    assert tracer.spans[1][3] == 0
+    assert tracer.spans[1][6] == {"bytes": p.nbytes + g.nbytes + 2 * (
+        p.nbytes + opt.m.nbytes + opt.v.nbytes)}
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import importlib
+import functools
 import math
 import threading
 import tracemalloc
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 import dense_ops as DO
+import tensorwise_adam as TA
 from novabert import data as D
 from novabert import tensor as T
 from novabert import train as TR
 from novabert.model import Model, ModelConfig
 from novabert.synthetic import successor_dataset
 from novabert.tensor import Tensor
+from test_packing import padded_setup
 from test_tooling import closure_leaves
 
 
@@ -44,13 +47,15 @@ def test_schedule_no_warmup():
 # ---------------------------------------------------------------------------
 
 def make_param(value):
-    return {"x": Tensor(np.array(value, dtype=np.float64), requires_grad=True)}
+    params = T.Parameters({"x": np.shape(value)}, np.float64)
+    params["x"].data[...] = value
+    return params
 
 
 def test_adam_zero_gradient_no_change():
     params = make_param([1.0, -2.0])
     opt = TR.Adam(params, TR.TrainConfig())
-    params["x"].grad = np.zeros(2)
+    params["x"].grad[...] = 0.0
     opt.step(1e-2)
     assert np.array_equal(params["x"].data, [1.0, -2.0])
 
@@ -58,7 +63,7 @@ def test_adam_zero_gradient_no_change():
 def test_adam_first_step_magnitude_is_lr():
     params = make_param([1.0])
     opt = TR.Adam(params, TR.TrainConfig(clip_norm=0.0))
-    params["x"].grad = np.array([0.37])
+    params["x"].grad[...] = 0.37
     opt.step(1e-2)
     # bias-corrected Adam moves ~lr on the first step regardless of |g|
     assert abs(abs(1.0 - params["x"].data[0]) - 1e-2) < 1e-9
@@ -82,33 +87,65 @@ def test_adam_trajectory_matches_scalar_oracle():
     opt = TR.Adam(params, TR.TrainConfig(learning_rate=lr, clip_norm=0.0))
     ours = []
     for _ in range(50):
-        params["x"].grad = 2 * params["x"].data
+        params["x"].grad[...] = 2 * params["x"].data
         opt.step(lr)
         ours.append(params["x"].data[0])
     assert np.allclose(ours, oracle, atol=1e-12)
 
 
 def test_adam_clips_shared_gradient_once():
-    """Two parameters holding one gradient array are each clipped once, and
-    the array itself is left unscaled."""
+    """Two parameters given copies of one gradient array are each clipped
+    once, by their joint norm, and the array itself is left unscaled."""
     g = np.array([3.0, 4.0])
-    params = {name: Tensor(np.zeros(2), requires_grad=True)
-              for name in ("a", "b")}
-    params["a"].grad = params["b"].grad = g
+    params = T.Parameters({"a": (2,), "b": (2,)}, np.float64)
+    params.data[...] = 0.0
+    params["a"].grad[...] = g
+    params["b"].grad[...] = g
     opt = TR.Adam(params, TR.TrainConfig(clip_norm=1.0))
     opt.step(1e-2)
     # the joint norm is sqrt(50); the first moment (1 - ADAM_BETA1) * clipped g
     clipped = np.array([3.0, 4.0]) / math.sqrt(50.0)
     for name in ("a", "b"):
-        assert np.allclose(opt.m[name], (1 - TR.ADAM_BETA1) * clipped,
+        assert np.allclose(opt.m[params.slices[name]],
+                           (1 - TR.ADAM_BETA1) * clipped,
                            rtol=1e-14, atol=0)
     assert np.array_equal(g, [3.0, 4.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_matches_the_tensorwise_oracle(dtype):
+    """Five clipped steps of the flat Adam give bit-identical parameters and
+    moments to the per-tensor Adam of tests/tensorwise_adam.py, from the
+    same gradients: a masked plus a tail loss with dropout on."""
+    (flat_model, batches), (ref_model, _) = (
+        padded_setup("nova", "gating", dtype=dtype) for _ in range(2))
+    cfg = TR.TrainConfig(clip_norm=1.0)
+    flat, ref = TR.Adam(flat_model.params, cfg), TA.TensorwiseAdam(
+        ref_model.params, cfg)
+    for step in range(5):
+        for model in (flat_model, ref_model):
+            rng = np.random.default_rng(step)
+            model.zero_grads()
+            T.backward(functools.reduce(T.add, [
+                model.loss(b, train=True, rng=rng) for b in batches]))
+        assert (flat_model.params.grad.tobytes()
+                == ref_model.params.grad.tobytes())
+        norm = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2))
+                             for p in flat_model.params.values()))
+        assert norm > cfg.clip_norm
+        flat.step(1e-2)
+        ref.step(1e-2)
+        assert (flat_model.params.data.tobytes()
+                == ref_model.params.data.tobytes())
+        for ours, theirs in ((flat.m, ref.m), (flat.v, ref.v)):
+            assert (ours.tobytes()
+                    == np.concatenate(list(theirs.values())).tobytes())
 
 
 def test_adam_nan_gradient_aborts():
     params = make_param([1.0])
     opt = TR.Adam(params, TR.TrainConfig())
-    params["x"].grad = np.array([np.nan])
+    params["x"].grad[...] = np.nan
     with pytest.raises(TR.TrainingDiverged, match="x"):
         opt.step(1e-2)
 
@@ -276,7 +313,8 @@ def test_training_reduces_loss_and_tracks_best():
                                   seed=3, eval_every=5))
     assert res.history[-1]["loss"] < res.history[0]["loss"]
     assert res.best_val is not None
-    assert set(res.best_params) == set(model.params)
+    assert res.best_params.shape == model.params.data.shape
+    assert not np.shares_memory(res.best_params, model.params.data)
 
 
 def test_fit_tests_the_best_validation_epoch():
@@ -287,8 +325,7 @@ def test_fit_tests_the_best_validation_epoch():
     model = Model(cfg, schema, catalog, seed=2)
     res, test = TR.fit(model, split, tc)
     assert res.best_epoch < len(res.history) - 1  # best is not the last
-    for name, p in model.params.items():
-        assert np.array_equal(p.data, res.best_params[name])
+    assert np.array_equal(model.params.data, res.best_params)
     assert test.fingerprint == TR.config_fingerprint(cfg, tc) != ""
     assert test.to_dict() == TR.rank_all(
         model, split.test, fingerprint=test.fingerprint).to_dict()
@@ -329,7 +366,7 @@ def test_score_pairs_matches_dense_decode_and_records_no_graph():
         model = Model(cfg, schema, catalog, seed=4, dtype=dtype)
         scores, targets = TR.score_pairs(model, split.validation,
                                          batch_size=7)
-        assert all(p.grad is None for p in model.params.values())
+        assert not model.params.grad.any()
         dense = model.decode_scores(model.encode(batch)[0]).data[last]
         assert scores.shape == dense.shape and scores.dtype == dtype
         assert np.abs(scores - dense).max() < 1e-12
@@ -338,8 +375,8 @@ def test_score_pairs_matches_dense_decode_and_records_no_graph():
     train = D.make_masked_batch(split.train, schema, catalog, cfg.mask_prob,
                                 np.random.default_rng(0), cfg.max_len)
     T.backward(model.loss(train))
-    assert model.params["emb.id"].grad is not None
-    assert model.params["layer0.attn.wq.w"].grad is not None
+    assert model.params["emb.id"].grad.any()
+    assert model.params["layer0.attn.wq.w"].grad.any()
 
 
 def test_no_grad_restores_recording_after_exception():
